@@ -31,6 +31,12 @@ PLANETS_FILENAME = "planets.json"
 OBSERVATIONS_FILENAME = "observations.json"
 
 
+def _is_finite_number(value: object) -> bool:
+    """A finite int or float; bool is excluded although it subclasses int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class Constants:
     """Solar-system constants used by the precession pipeline.
@@ -51,7 +57,7 @@ class Constants:
         for field in ("gm_sun", "c", "au", "julian_year_days", "century_days",
                       "arcsec_per_rad"):
             value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_finite_number(value) and value > 0):
                 raise DomainError(f"constant {field} must be finite and positive, got {value!r}")
         if abs(self.arcsec_per_rad * (math.pi / 648000.0) - 1.0) > 4 * 2.22e-16:
             raise DomainError("arcsec_per_rad is inconsistent with the arcsecond definition")
@@ -89,7 +95,7 @@ class PlanetElements:
             raise IngestionError(f"planet record {label!r}: name must be a non-empty string")
         for field in ("a", "e", "tau_days"):
             value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _is_finite_number(value):
                 raise IngestionError(f"planet {label!r}: {field} must be a finite number, got {value!r}")
         if self.a <= 0:
             raise IngestionError(f"planet {label!r}: semi-major axis must be positive, got {self.a!r}")
@@ -150,6 +156,17 @@ def _read_json(source: str | Path | IO[str], what: str) -> object:
         raise IngestionError(f"{what} file {origin} is not valid JSON: {exc}") from exc
 
 
+def _check_unique(name: str, seen: set[str], what: str) -> None:
+    """Reject a record whose name repeats an earlier one, ignoring case.
+
+    Lookups and results are keyed by name, so a repeat would be merged away.
+    """
+    key = name.lower()
+    if key in seen:
+        raise IngestionError(f"duplicate {what} {name!r}: names must be unique, ignoring case")
+    seen.add(key)
+
+
 def data_dir_override() -> Path | None:
     """Directory named by QGRAV_DATA_DIR, or None when the variable is unset."""
     value = os.environ.get(DATA_DIR_ENV)
@@ -171,7 +188,8 @@ def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetEleme
     The file is a JSON document {"schema_version": 1, "planets": [...]} where
     each record carries exactly the fields name, a_m, e, tau_days. With no
     source, the bundled table (or its QGRAV_DATA_DIR override) is used.
-    An empty planets list is valid and yields an empty result.
+    An empty planets list is valid and yields an empty result. Names must
+    be unique, ignoring case.
     """
     if source is None:
         source = bundled_data_path(PLANETS_FILENAME)
@@ -187,6 +205,7 @@ def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetEleme
     if not isinstance(records, list):
         raise IngestionError("planets file must carry a 'planets' list")
     planets: list[PlanetElements] = []
+    seen: set[str] = set()
     for index, record in enumerate(records):
         label = record.get("name", f"#{index}") if isinstance(record, dict) else f"#{index}"
         if not isinstance(record, dict):
@@ -198,8 +217,10 @@ def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetEleme
             raise IngestionError(
                 f"planet record {label!r}: unknown fields {unknown}, missing fields {missing}"
             )
-        planets.append(PlanetElements(name=record["name"], a=record["a_m"],
-                                      e=record["e"], tau_days=record["tau_days"]))
+        planet = PlanetElements(name=record["name"], a=record["a_m"],
+                                e=record["e"], tau_days=record["tau_days"])
+        _check_unique(planet.name, seen, "planet")
+        planets.append(planet)
     return planets
 
 

@@ -9,15 +9,15 @@ iterative optimizer is warranted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
 from .bodies import (ARCSEC_PER_RAD, CONSTANTS, OBSERVATIONS_FILENAME,
-                     PlanetElements, bundled_data_path, derive_orbit,
-                     load_planets, planet_by_name, rad_to_arcsec)
+                     PlanetElements, _check_unique, _is_finite_number,
+                     _read_json, bundled_data_path, derive_orbit, load_planets,
+                     planet_by_name, rad_to_arcsec)
 from .errors import DomainError, IngestionError, ModelBreakdownError
 from .precession import QuantumRule, planet_precession
 
@@ -38,7 +38,7 @@ class Observation:
             raise IngestionError("observation record: planet must be a non-empty string")
         for field in ("value_arcsec", "sigma_arcsec"):
             value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _is_finite_number(value):
                 raise IngestionError(
                     f"observation {self.planet!r}: {field} must be a finite number, got {value!r}"
                 )
@@ -72,23 +72,12 @@ def load_observations(source: str | Path | IO[str] | None = None) -> list[Observ
 
     Schema: {"observations": [{"planet", "value_arcsec", "sigma_arcsec"}]}
     with an optional schema_version field. With no source, the bundled
-    table (or its QGRAV_DATA_DIR override) is used.
+    table (or its QGRAV_DATA_DIR override) is used. Each planet may be
+    observed once, compared ignoring case.
     """
     if source is None:
         source = bundled_data_path(OBSERVATIONS_FILENAME)
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-        origin = getattr(source, "name", "<stream>")
-    else:
-        path = Path(source)  # type: ignore[arg-type]
-        if not path.exists():
-            raise IngestionError(f"observations file not found: {path}")
-        text = path.read_text()
-        origin = str(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"observations file {origin} is not valid JSON: {exc}") from exc
+    doc = _read_json(source, "observations")
     if not isinstance(doc, dict):
         raise IngestionError("observations file must be a JSON object")
     extra = set(doc) - {"schema_version", "observations"}
@@ -102,6 +91,7 @@ def load_observations(source: str | Path | IO[str] | None = None) -> list[Observ
     if not isinstance(records, list):
         raise IngestionError("observations file must carry an 'observations' list")
     out: list[Observation] = []
+    seen: set[str] = set()
     for index, record in enumerate(records):
         if not isinstance(record, dict):
             raise IngestionError(f"observation record #{index} is not an object")
@@ -112,9 +102,11 @@ def load_observations(source: str | Path | IO[str] | None = None) -> list[Observ
                 f"observation record {label!r}: fields must be exactly "
                 f"{sorted(_OBS_FIELDS)}, got {sorted(fields)}"
             )
-        out.append(Observation(planet=record["planet"],
-                               value_arcsec=record["value_arcsec"],
-                               sigma_arcsec=record["sigma_arcsec"]))
+        obs = Observation(planet=record["planet"],
+                          value_arcsec=record["value_arcsec"],
+                          sigma_arcsec=record["sigma_arcsec"])
+        _check_unique(obs.planet, seen, "observation")
+        out.append(obs)
     return out
 
 

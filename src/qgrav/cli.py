@@ -9,8 +9,11 @@ Commands
 
 All commands accept --format text|csv|json. Machine formats carry full
 precision; text rounds to two decimals. Errors go to stderr only, so csv
-and json on stdout always parse. Exit codes: 0 success, 2 usage or data
-file problem, 3 model breakdown or other domain error.
+and json on stdout always parse. Exit codes: 0 success; 2 when a flag or a
+data file is rejected before any computation; 3 when the model cannot
+evaluate valid input (model breakdown or another domain error).
+
+Only `orbit` imports the integrator layer, and with it numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +31,12 @@ from .errors import (DomainError, IngestionError, InsufficientSpanError,
                      ModelBreakdownError, QgravError, SingularityError,
                      StepFailureError)
 from .forces import QuantizedModel, gr_precession_baseline
-from .orbit import integrate
 from .precession import QuantumRule, orbit_params, planet_precession, quantum_from_error
+
+# Size flags are bounded so that no invocation can ask for unbounded work.
+MAX_ORBITS = 1000
+MAX_SWEEP_STEPS = 100_000
+MAX_DELTAS = 100
 
 _RULE_HELP = (
     "length scale converting the error angle to the space quantum: 'perihelion' "
@@ -43,6 +50,9 @@ def _parse_deltas(text: str) -> list[float]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise argparse.ArgumentTypeError("at least one delta value is required")
+    if len(parts) > MAX_DELTAS:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_DELTAS} delta values, got {len(parts)}")
     try:
         values = [float(part) for part in parts]
     except ValueError as exc:
@@ -59,6 +69,28 @@ def _nonnegative_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _bounded_int(low: int, high: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    # Runs only when `orbit --tol` is given, so the analytic commands never
+    # import the integrator layer for its bounds.
+    from .orbit import TOL_MAX, TOL_MIN
+    value = _nonnegative_float(text)
+    if not TOL_MIN <= value <= TOL_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in [{TOL_MIN}, {TOL_MAX}], got {text!r}")
     return value
 
 
@@ -102,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_orbit, planet=True)
     p_orbit.add_argument("--delta", type=_nonnegative_float, required=True,
                          help="measurement error angle in arcsec")
-    p_orbit.add_argument("--orbits", type=int, default=3, help="revolutions to integrate")
-    p_orbit.add_argument("--tol", type=float, default=1e-12,
+    p_orbit.add_argument("--orbits", type=_bounded_int(1, MAX_ORBITS), default=3,
+                         help=f"revolutions to integrate (1..{MAX_ORBITS})")
+    p_orbit.add_argument("--tol", type=_tolerance, default=1e-12,
                          help="integrator relative tolerance")
     p_orbit.set_defaults(func=cmd_orbit)
 
@@ -115,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep, planet=True)
     p_sweep.add_argument("--delta-min", type=_nonnegative_float, default=0.01)
     p_sweep.add_argument("--delta-max", type=_nonnegative_float, default=0.05)
-    p_sweep.add_argument("--steps", type=int, default=5)
+    p_sweep.add_argument("--steps", type=_bounded_int(2, MAX_SWEEP_STEPS), default=5,
+                         help=f"rows, endpoints included (2..{MAX_SWEEP_STEPS})")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -222,8 +256,7 @@ def cmd_precess(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    if args.orbits < 1:
-        raise DomainError(f"--orbits must be >= 1, got {args.orbits!r}")
+    from .orbit import integrate
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     rule = QuantumRule(args.rule)
@@ -319,6 +352,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and not args.delta_min < args.delta_max:
+        parser.error(f"sweep needs --delta-min < --delta-max, got "
+                     f"{args.delta_min!r} and {args.delta_max!r}")
     try:
         return args.func(args)
     except BrokenPipeError:

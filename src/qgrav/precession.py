@@ -24,8 +24,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bodies import (ARCSEC_PER_RAD, CONSTANTS, DerivedOrbit, PlanetElements,
                      arcsec_to_rad, derive_orbit)
 from .errors import DomainError, ModelBreakdownError
@@ -139,6 +137,8 @@ def closed_form_radius(sol: AnalyticOrbit, theta):
 
     Periodic with period 2 pi / x; minima (perihelia) at theta = 2 n pi / x.
     """
+    import numpy as np  # only here: the rest of the analytic chain is plain math
+
     if not sol.bound:
         raise DomainError(
             f"orbit is unbound (|A| p = {abs(sol.amplitude) * sol.semi_latus!r} >= 1)"

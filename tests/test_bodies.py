@@ -29,6 +29,8 @@ def test_constants_reject_nonpositive():
         Constants(gm_sun=0.0)
     with pytest.raises(DomainError):
         Constants(arcsec_per_rad=123.0)
+    with pytest.raises(DomainError):
+        Constants(c=True)
 
 
 def test_arcsec_to_rad_zero():
@@ -132,6 +134,13 @@ def test_load_planets_rejects_bad_schema():
         load_planets(io.StringIO("not json at all"))
 
 
+def test_load_planets_rejects_duplicate_names():
+    records = [{"name": "A", "a_m": 1e11, "e": 0.1, "tau_days": 10.0},
+               {"name": "a", "a_m": 2e11, "e": 0.2, "tau_days": 20.0}]
+    with pytest.raises(IngestionError, match="duplicate planet 'a'"):
+        load_planets(io.StringIO(_planets_doc(records)))
+
+
 def test_load_planets_missing_file(tmp_path):
     with pytest.raises(IngestionError, match="not found"):
         load_planets(tmp_path / "nope.json")
@@ -150,6 +159,11 @@ def test_planet_elements_validation():
         PlanetElements(name="", a=1e11, e=0.1, tau_days=10.0)
     with pytest.raises(IngestionError):
         PlanetElements(name="X", a=1e11, e=math.nan, tau_days=10.0)
+    # bool subclasses int, but a flag is not a measurement
+    for patch in ({"a": True}, {"e": False}, {"tau_days": True}):
+        fields = {"name": "X", "a": 1e11, "e": 0.1, "tau_days": 10.0, **patch}
+        with pytest.raises(IngestionError, match="finite number"):
+            PlanetElements(**fields)
 
 
 def test_derive_orbit_mercury(mercury):

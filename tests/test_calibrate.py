@@ -35,11 +35,22 @@ def test_load_observations_validation(tmp_path):
         load_observations(tmp_path / "nope.json")
 
 
+def test_load_observations_rejects_duplicate_planets():
+    doc = {"observations": [
+        {"planet": "Mercury", "value_arcsec": 43.0, "sigma_arcsec": 0.5},
+        {"planet": "mercury", "value_arcsec": 40.0, "sigma_arcsec": 1.0}]}
+    with pytest.raises(IngestionError, match="duplicate observation 'mercury'"):
+        load_observations(io.StringIO(json.dumps(doc)))
+
+
 def test_observation_validation():
     with pytest.raises(IngestionError):
         Observation(planet="X", value_arcsec=1.0, sigma_arcsec=-0.1)
     with pytest.raises(IngestionError):
         Observation(planet="", value_arcsec=1.0, sigma_arcsec=0.1)
+    for value, sigma in ((True, True), (1.0, True), (False, 0.1)):
+        with pytest.raises(IngestionError, match="finite number"):
+            Observation(planet="X", value_arcsec=value, sigma_arcsec=sigma)
 
 
 def test_invert_delta_zero(mercury):

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -200,6 +201,25 @@ def test_bad_flag_values_are_usage_errors():
     assert run_cli("precess", "--planet", "mercury", "--delta", "-1").returncode == 2
     assert run_cli("table", "--deltas", "a,b").returncode == 2
     assert run_cli("nonsense").returncode == 2
+    orbit = ("orbit", "--planet", "mercury", "--delta", "0")
+    sweep = ("sweep", "--planet", "mercury")
+    for argv in [(*orbit, "--tol", "1e-3"), (*orbit, "--tol", "1e-15"),
+                 (*orbit, "--tol", "nan"), (*orbit, "--orbits", "0"),
+                 (*orbit, "--orbits", "1001"), (*sweep, "--steps", "1"),
+                 (*sweep, "--steps", "100001"),
+                 (*sweep, "--delta-min", "0.05", "--delta-max", "0.05"),
+                 (*sweep, "--delta-min", "0.05", "--delta-max", "0.01"),
+                 ("table", "--deltas", ",".join(str(i / 1000) for i in range(101)))]:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+
+
+def test_table_accepts_the_most_deltas():
+    proc = run_cli("table", "--deltas", ",".join(str(i / 1000) for i in range(100)),
+                   "--format", "csv")
+    assert proc.returncode == 0
+    assert len(next(csv.reader(io.StringIO(proc.stdout)))) == 4 + 100
 
 
 def test_bad_planets_file_is_usage_error(tmp_path):
@@ -208,6 +228,24 @@ def test_bad_planets_file_is_usage_error(tmp_path):
     proc = run_cli("table", "--planets", str(bad))
     assert proc.returncode == 2
     assert proc.stdout == ""
+    record = {"name": "X", "a_m": 1e11, "e": 0.1, "tau_days": 100.0}
+    for records in ([{**record, "a_m": True}], [record, {**record, "name": "x"}]):
+        bad.write_text(json.dumps({"schema_version": 1, "planets": records}))
+        proc = run_cli("table", "--planets", str(bad))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+
+
+def test_duplicate_observations_are_usage_error(tmp_path):
+    # Results are keyed by planet, so a second Mercury row would be merged away.
+    path = tmp_path / "observations.json"
+    path.write_text(json.dumps({"observations": [
+        {"planet": "Mercury", "value_arcsec": 43.11, "sigma_arcsec": 0.45},
+        {"planet": "Mercury", "value_arcsec": 42.0, "sigma_arcsec": 0.9}]}))
+    proc = run_cli("fit", "--observations", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "duplicate observation 'Mercury'" in proc.stderr
 
 
 def test_custom_planets_file(tmp_path):
@@ -234,6 +272,51 @@ def test_data_dir_env_override(tmp_path):
     doc_out = json.loads(proc.stdout)
     assert [row["planet"] for row in doc_out["rows"]] == ["EnvWorld"]
     assert doc_out["rows"][0]["observation"]["value_arcsec"] == 10.0
+
+
+def _run_python(code):
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True)
+
+
+def test_analytic_commands_do_not_import_numpy():
+    # The test process has numpy loaded already, so the check runs in a child.
+    proc = _run_python("""
+        import contextlib, io, sys
+        import qgrav
+        import qgrav.cli
+        assert "numpy" not in sys.modules, "import"
+        for argv in (["precess", "--planet", "mercury", "--delta", "0.0398"],
+                     ["table", "--format", "csv"],
+                     ["fit", "--format", "json"],
+                     ["sweep", "--planet", "venus", "--steps", "50"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert qgrav.cli.main(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv[0]
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_orbit_names_resolve_on_first_use():
+    proc = _run_python("""
+        import sys
+        import qgrav
+        for name in qgrav.__all__:
+            getattr(qgrav, name)
+        assert "numpy" in sys.modules
+        assert qgrav.integrate is qgrav.orbit.integrate
+        namespace = {}
+        exec("from qgrav import *", namespace)
+        assert set(qgrav.__all__) <= set(namespace)
+        assert namespace["measured_precession"] is qgrav.orbit.measured_precession
+        try:
+            qgrav.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("unknown attribute resolved")
+    """)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_entrypoint():
