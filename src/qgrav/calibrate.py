@@ -19,7 +19,7 @@ from .bodies import (ARCSEC_PER_RAD, CONSTANTS, OBSERVATIONS_FILENAME,
                      _read_json, bundled_data_path, derive_orbit, load_planets,
                      planet_by_name, rad_to_arcsec)
 from .errors import DomainError, IngestionError, ModelBreakdownError
-from .precession import QuantumRule, planet_precession
+from .precession import QuantumRule, _advance_on_orbit, planet_precession
 
 # Linearization point for the per-planet slopes d(precession)/d(delta).
 DELTA_REF = 0.01
@@ -193,9 +193,11 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     if steps < 2:
         raise DomainError(f"sweep needs at least 2 steps, got {steps!r}")
     span = delta_max - delta_min
+    orbit = derive_orbit(el, mu)
     rows = []
     for i in range(steps):
         # endpoints are hit exactly, not via accumulated float arithmetic
         delta = delta_max if i == steps - 1 else delta_min + span * i / (steps - 1)
-        rows.append((delta, planet_precession(el, delta, rule, mu).per_century_arcsec))
+        # the same values as planet_precession(el, delta, rule, mu), bit for bit
+        rows.append((delta, _advance_on_orbit(orbit, delta, rule, el.name)[1]))
     return rows

@@ -185,16 +185,26 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
     formulas; the advance is evaluated from eps = q mu/h^2 directly (see
     module note) so that inverting the result recovers delta to ~1e-15.
     """
-    orbit = derive_orbit(el, mu)
+    per_orbit, per_century = _advance_on_orbit(derive_orbit(el, mu), delta_arcsec, rule, el.name)
+    return PrecessionResult(
+        per_orbit_rad=per_orbit,
+        per_century_arcsec=per_century,
+        provenance=Provenance.ANALYTIC,
+    )
+
+
+def _advance_on_orbit(orbit: DerivedOrbit, delta_arcsec: float, rule: QuantumRule,
+                      name: str) -> tuple[float, float]:
+    """(rad/orbit, arcsec/century) on an already derived orbit.
+
+    The body of planet_precession, shared with sweep_delta so that a sweep
+    derives its orbit once rather than once per row.
+    """
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
     eps = quantum * orbit.mu / (orbit.h * orbit.h)
     if eps >= 1.0:
         raise ModelBreakdownError(
-            f"quantum {quantum!r} m too large for {el.name}: epsilon = {eps!r} >= 1"
+            f"quantum {quantum!r} m too large for {name}: epsilon = {eps!r} >= 1"
         )
     per_orbit = _advance_from_eps(eps)
-    return PrecessionResult(
-        per_orbit_rad=per_orbit,
-        per_century_arcsec=precession_per_century(per_orbit, orbit),
-        provenance=Provenance.ANALYTIC,
-    )
+    return per_orbit, precession_per_century(per_orbit, orbit)

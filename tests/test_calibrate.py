@@ -183,3 +183,19 @@ def test_sweep_validation(mercury):
         sweep_delta(mercury, 0.0, 0.05, 1)
     with pytest.raises(DomainError):
         sweep_delta(mercury, -0.01, 0.05, 2)
+
+
+@pytest.mark.parametrize("rule", list(QuantumRule))
+def test_sweep_rows_equal_planet_precession(mercury, rule):
+    # the sweep derives its orbit once; every row must still be exactly
+    # what planet_precession gives for that delta
+    for delta, value in sweep_delta(mercury, 0.003, 250.0, 57, rule):
+        assert value == planet_precession(mercury, delta, rule).per_century_arcsec
+
+
+def test_sweep_into_breakdown_raises_like_planet_precession(mercury):
+    with pytest.raises(ModelBreakdownError) as single:
+        planet_precession(mercury, 1e6)
+    with pytest.raises(ModelBreakdownError) as swept:
+        sweep_delta(mercury, 0.0, 1e6, 2)
+    assert str(swept.value) == str(single.value)
