@@ -7,6 +7,7 @@ century (36525 days).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -93,6 +94,7 @@ class PlanetElements:
         label = self.name if self.name else "<unnamed>"
         if not self.name or not isinstance(self.name, str):
             raise IngestionError(f"planet record {label!r}: name must be a non-empty string")
+        _check_unpadded(self.name, "planet")
         for field in ("a", "e", "tau_days"):
             value = getattr(self, field)
             if not _is_finite_number(value):
@@ -127,9 +129,18 @@ def derive_orbit(el: PlanetElements, mu: float = CONSTANTS.gm_sun) -> DerivedOrb
     """Derive b, r_p, h and orbit count per century from named elements.
 
     Pure and deterministic: identical inputs give bit-identical outputs.
+    Results are cached per (elements, mu), so a planet seen again costs a
+    lookup; both types are frozen, so a cached orbit cannot change.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"gravitational parameter must be positive, got {mu!r}")
+    return _derive_orbit(el, mu)
+
+
+# typed: mu is copied into the result, so an int mu must not be served the
+# orbit cached for an equal float mu.
+@functools.lru_cache(typed=True)
+def _derive_orbit(el: PlanetElements, mu: float) -> DerivedOrbit:
     b = el.a * math.sqrt(1.0 - el.e * el.e)
     r_p = el.a * (1.0 - el.e)
     h = 2.0 * math.pi * el.a * b / (el.tau_days * DAY_S)
@@ -154,6 +165,15 @@ def _read_json(source: str | Path | IO[str], what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{what} file {origin} is not valid JSON: {exc}") from exc
+
+
+def _check_unpadded(name: str, what: str) -> None:
+    """Reject a name with leading or trailing whitespace.
+
+    Lookups strip the query, so a padded record name could never be found.
+    """
+    if name != name.strip():
+        raise IngestionError(f"{what} {name!r}: name must not start or end with whitespace")
 
 
 def _check_unique(name: str, seen: set[str], what: str) -> None:

@@ -15,11 +15,11 @@ from pathlib import Path
 from typing import IO
 
 from .bodies import (ARCSEC_PER_RAD, CONSTANTS, OBSERVATIONS_FILENAME,
-                     PlanetElements, _check_unique, _is_finite_number,
-                     _read_json, bundled_data_path, derive_orbit, load_planets,
-                     planet_by_name, rad_to_arcsec)
+                     PlanetElements, _check_unique, _check_unpadded,
+                     _is_finite_number, _read_json, bundled_data_path,
+                     derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
 from .errors import DomainError, IngestionError, ModelBreakdownError
-from .precession import QuantumRule, _advance_on_orbit, planet_precession
+from .precession import QuantumRule, _advances, _scale, planet_precession
 
 # Linearization point for the per-planet slopes d(precession)/d(delta).
 DELTA_REF = 0.01
@@ -36,6 +36,7 @@ class Observation:
     def __post_init__(self) -> None:
         if not self.planet or not isinstance(self.planet, str):
             raise IngestionError("observation record: planet must be a non-empty string")
+        _check_unpadded(self.planet, "observation")
         for field in ("value_arcsec", "sigma_arcsec"):
             value = getattr(self, field)
             if not _is_finite_number(value):
@@ -135,8 +136,7 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
             f"target {target_arcsec!r} arcsec/century implies epsilon = {eps!r} >= 1"
         )
     quantum = eps * orbit.h * orbit.h / orbit.mu
-    scale = orbit.r_p if rule is QuantumRule.PERIHELION else orbit.b
-    return rad_to_arcsec(quantum / scale)
+    return rad_to_arcsec(quantum / _scale(orbit, rule))
 
 
 def fit_delta(observations: list[Observation],
@@ -147,10 +147,14 @@ def fit_delta(observations: list[Observation],
 
     The model is predicted_i = s_i * delta with slope s_i evaluated at
     DELTA_REF; weights are 1/sigma_i^2. Residuals and chi2 are reported
-    against the full (unlinearized) prediction at the fitted delta.
+    against the full (unlinearized) prediction at the fitted delta. Each
+    planet may be observed once, compared ignoring case.
     """
     if not observations:
         raise DomainError("fit requires at least one observation")
+    seen: set[str] = set()
+    for obs in observations:
+        _check_unique(obs.planet, seen, "observation")
     if planets is None:
         planets = load_planets()
     elements = {obs.planet: planet_by_name(planets, obs.planet) for obs in observations}
@@ -193,11 +197,8 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     if steps < 2:
         raise DomainError(f"sweep needs at least 2 steps, got {steps!r}")
     span = delta_max - delta_min
-    orbit = derive_orbit(el, mu)
-    rows = []
-    for i in range(steps):
-        # endpoints are hit exactly, not via accumulated float arithmetic
-        delta = delta_max if i == steps - 1 else delta_min + span * i / (steps - 1)
-        # the same values as planet_precession(el, delta, rule, mu), bit for bit
-        rows.append((delta, _advance_on_orbit(orbit, delta, rule, el.name)[1]))
-    return rows
+    # endpoints are hit exactly, not via accumulated float arithmetic
+    deltas = [delta_min + span * i / (steps - 1) for i in range(steps - 1)] + [delta_max]
+    # the same values as planet_precession(el, delta, rule, mu), bit for bit
+    advances = _advances(derive_orbit(el, mu), deltas, rule, el.name)
+    return [(delta, per_century) for delta, (_, per_century) in zip(deltas, advances)]

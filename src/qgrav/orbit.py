@@ -15,8 +15,9 @@ parabola on 0.04-rad spacing carries an O(1e-6) quartic bias), so whenever
 a crossing is detected the integrator re-integrates a short fixed-step
 segment and inserts three extra samples bracketing the extremum 1e-3 rad
 apart. detect_perihelia then refines every crossing by a local quadratic
-fit of u over the three samples nearest the crossing, which on the inserted
-stencil is accurate to the roundoff floor.
+fit of u over the three samples nearest the crossing, no two of them closer
+than half the stencil spacing, which on the inserted stencil is accurate to
+the roundoff floor.
 """
 
 from __future__ import annotations
@@ -280,8 +281,9 @@ def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
     """Locate perihelion passages and the per-revolution advances between them.
 
     Passages are + to - crossings of du, each refined by a quadratic fit of
-    u over the three samples nearest the crossing. Fewer than two refined
-    passages cannot define an advance and raise InsufficientSpanError.
+    u over the three samples nearest the crossing that lie at least half the
+    stencil spacing apart. Fewer than two refined passages cannot define an
+    advance and raise InsufficientSpanError.
     """
     theta, u, du = traj.theta, traj.u, traj.du
     n = len(theta)
@@ -292,10 +294,17 @@ def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
         theta_c = theta[i] + frac * (theta[i + 1] - theta[i])
         lo = max(0, i - 1)
         hi = min(n, i + 3)
-        candidates = sorted(range(lo, hi), key=lambda j: abs(theta[j] - theta_c))[:3]
+        # Nearest first, skipping a sample that nearly coincides with one
+        # already taken: an accepted step can land next to a stencil point,
+        # and a parabola through two almost equal abscissae puts its vertex
+        # off the bracket, losing the passage.
+        candidates: list[int] = []
+        for j in sorted(range(lo, hi), key=lambda j: abs(theta[j] - theta_c)):
+            if all(abs(theta[j] - theta[k]) >= 0.5 * _STENCIL_HALF_WIDTH for k in candidates):
+                candidates.append(j)
         if len(candidates) < 3:
             continue
-        j0, j1, j2 = sorted(candidates)
+        j0, j1, j2 = sorted(candidates[:3])
         vertex = _quadratic_vertex(theta[j0], theta[j1], theta[j2],
                                    u[j0], u[j1], u[j2])
         if vertex is not None:

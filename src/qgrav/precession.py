@@ -83,6 +83,16 @@ class PrecessionResult:
     provenance: Provenance
 
 
+def _check_delta(delta_arcsec: float) -> None:
+    if not (math.isfinite(delta_arcsec) and delta_arcsec >= 0):
+        raise DomainError(f"measurement error must be >= 0 arcsec, got {delta_arcsec!r}")
+
+
+def _scale(orbit: DerivedOrbit, rule: QuantumRule) -> float:
+    """The orbit length the rule multiplies: perihelion distance or semi-minor axis."""
+    return orbit.r_p if rule is QuantumRule.PERIHELION else orbit.b
+
+
 def quantum_from_error(delta_arcsec: float, orbit: DerivedOrbit,
                        rule: QuantumRule = QuantumRule.PERIHELION) -> float:
     """Space quantum implied by a measurement error of delta arcseconds.
@@ -91,10 +101,8 @@ def quantum_from_error(delta_arcsec: float, orbit: DerivedOrbit,
     scale the rule selects (perihelion distance or semi-minor axis), giving
     a length.
     """
-    if not (math.isfinite(delta_arcsec) and delta_arcsec >= 0):
-        raise DomainError(f"measurement error must be >= 0 arcsec, got {delta_arcsec!r}")
-    scale = orbit.r_p if rule is QuantumRule.PERIHELION else orbit.b
-    return arcsec_to_rad(delta_arcsec) * scale
+    _check_delta(delta_arcsec)
+    return arcsec_to_rad(delta_arcsec) * _scale(orbit, rule)
 
 
 def orbit_params(quantum: float, orbit: DerivedOrbit) -> tuple[float, float]:
@@ -185,7 +193,7 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
     formulas; the advance is evaluated from eps = q mu/h^2 directly (see
     module note) so that inverting the result recovers delta to ~1e-15.
     """
-    per_orbit, per_century = _advance_on_orbit(derive_orbit(el, mu), delta_arcsec, rule, el.name)
+    [(per_orbit, per_century)] = _advances(derive_orbit(el, mu), [delta_arcsec], rule, el.name)
     return PrecessionResult(
         per_orbit_rad=per_orbit,
         per_century_arcsec=per_century,
@@ -193,18 +201,28 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
     )
 
 
-def _advance_on_orbit(orbit: DerivedOrbit, delta_arcsec: float, rule: QuantumRule,
-                      name: str) -> tuple[float, float]:
-    """(rad/orbit, arcsec/century) on an already derived orbit.
+def _advances(orbit: DerivedOrbit, deltas: list[float], rule: QuantumRule,
+              name: str) -> list[tuple[float, float]]:
+    """(rad/orbit, arcsec/century) for each delta on an already derived orbit.
 
     The body of planet_precession, shared with sweep_delta so that a sweep
-    derives its orbit once rather than once per row.
+    reads its orbit once rather than once per row. Each row is formed as
+    quantum_from_error, orbit_params and precession_per_century would form
+    it, operation for operation, so the values agree bit for bit.
     """
-    quantum = quantum_from_error(delta_arcsec, orbit, rule)
-    eps = quantum * orbit.mu / (orbit.h * orbit.h)
-    if eps >= 1.0:
-        raise ModelBreakdownError(
-            f"quantum {quantum!r} m too large for {name}: epsilon = {eps!r} >= 1"
-        )
-    per_orbit = _advance_from_eps(eps)
-    return per_orbit, precession_per_century(per_orbit, orbit)
+    scale = _scale(orbit, rule)
+    mu = orbit.mu
+    h2 = orbit.h * orbit.h
+    orbits_per_century = orbit.orbits_per_century
+    rows = []
+    for delta_arcsec in deltas:
+        _check_delta(delta_arcsec)
+        quantum = arcsec_to_rad(delta_arcsec) * scale
+        eps = quantum * mu / h2
+        if eps >= 1.0:
+            raise ModelBreakdownError(
+                f"quantum {quantum!r} m too large for {name}: epsilon = {eps!r} >= 1"
+            )
+        per_orbit = _advance_from_eps(eps)
+        rows.append((per_orbit, per_orbit * orbits_per_century * ARCSEC_PER_RAD))
+    return rows

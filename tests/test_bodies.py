@@ -141,6 +141,17 @@ def test_load_planets_rejects_duplicate_names():
         load_planets(io.StringIO(_planets_doc(records)))
 
 
+def test_load_planets_rejects_padded_names():
+    record = {"name": "Mercury ", "a_m": 1e11, "e": 0.1, "tau_days": 10.0}
+    with pytest.raises(IngestionError, match="whitespace"):
+        load_planets(io.StringIO(_planets_doc([record])))
+    # "A " would pass the duplicate check beside "A", and no lookup finds it
+    records = [{"name": "A", "a_m": 1e11, "e": 0.1, "tau_days": 10.0},
+               {"name": "A ", "a_m": 2e11, "e": 0.2, "tau_days": 20.0}]
+    with pytest.raises(IngestionError, match="'A '"):
+        load_planets(io.StringIO(_planets_doc(records)))
+
+
 def test_load_planets_missing_file(tmp_path):
     with pytest.raises(IngestionError, match="not found"):
         load_planets(tmp_path / "nope.json")
@@ -159,6 +170,9 @@ def test_planet_elements_validation():
         PlanetElements(name="", a=1e11, e=0.1, tau_days=10.0)
     with pytest.raises(IngestionError):
         PlanetElements(name="X", a=1e11, e=math.nan, tau_days=10.0)
+    for name in (" X", "X ", "X\t", "\nX"):
+        with pytest.raises(IngestionError, match="whitespace"):
+            PlanetElements(name=name, a=1e11, e=0.1, tau_days=10.0)
     # bool subclasses int, but a flag is not a measurement
     for patch in ({"a": True}, {"e": False}, {"tau_days": True}):
         fields = {"name": "X", "a": 1e11, "e": 0.1, "tau_days": 10.0, **patch}
@@ -200,8 +214,11 @@ def test_derive_orbit_deterministic(mercury):
 
 
 def test_derive_orbit_rejects_bad_mu(mercury):
-    with pytest.raises(DomainError):
-        derive_orbit(mercury, -1.0)
+    # a failure is not cached: every call checks mu again
+    for _ in range(2):
+        for mu in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                derive_orbit(mercury, mu)
 
 
 def test_axis_ordering_property():

@@ -1,11 +1,16 @@
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgrav import (DomainError, IngestionError, ModelBreakdownError,
-                   Observation, QuantumRule, fit_delta, invert_delta,
-                   load_observations, planet_precession, sweep_delta)
+from qgrav import (CONSTANTS, DomainError, IngestionError, ModelBreakdownError,
+                   Observation, PlanetElements, QuantumRule, derive_orbit,
+                   fit_delta, invert_delta, load_observations,
+                   planet_precession, sweep_delta)
+from qgrav.bodies import _derive_orbit
 
 
 def test_load_bundled_observations():
@@ -51,6 +56,9 @@ def test_observation_validation():
     for value, sigma in ((True, True), (1.0, True), (False, 0.1)):
         with pytest.raises(IngestionError, match="finite number"):
             Observation(planet="X", value_arcsec=value, sigma_arcsec=sigma)
+    for name in ("Mercury ", " Mercury"):
+        with pytest.raises(IngestionError, match="whitespace"):
+            Observation(planet=name, value_arcsec=1.0, sigma_arcsec=0.1)
 
 
 def test_invert_delta_zero(mercury):
@@ -144,6 +152,15 @@ def test_fit_empty():
         fit_delta([])
 
 
+def test_fit_rejects_duplicate_planets(planets):
+    # FitResult is keyed by planet, so a second Mercury would be merged away
+    for second in ("Mercury", "MERCURY"):
+        obs = [Observation(planet="Mercury", value_arcsec=43.11, sigma_arcsec=0.45),
+               Observation(planet=second, value_arcsec=40.0, sigma_arcsec=0.9)]
+        with pytest.raises(IngestionError, match=f"duplicate observation '{second}'"):
+            fit_delta(obs, planets=list(planets.values()))
+
+
 def test_fit_unknown_planet(planets):
     obs = [Observation(planet="Vulcan", value_arcsec=10.0, sigma_arcsec=1.0)]
     with pytest.raises(IngestionError, match="Vulcan"):
@@ -199,3 +216,66 @@ def test_sweep_into_breakdown_raises_like_planet_precession(mercury):
     with pytest.raises(ModelBreakdownError) as swept:
         sweep_delta(mercury, 0.0, 1e6, 2)
     assert str(swept.value) == str(single.value)
+
+
+# Planets with Kepler-consistent periods (within a factor of two), so that
+# deltas up to 300 arcsec stay far from breakdown. Each example draws fresh
+# elements, so a run derives many more distinct orbits than the derive_orbit
+# cache holds and the properties below also cover evicted entries.
+@st.composite
+def _planet(draw):
+    a = draw(st.floats(0.05, 50.0)) * CONSTANTS.au
+    if draw(st.booleans()):
+        a = float(round(a))          # whole metres, so an int twin exists
+    e = draw(st.floats(0.0, 0.95))
+    kepler_days = 2.0 * math.pi * math.sqrt(a ** 3 / CONSTANTS.gm_sun) / 86400.0
+    tau_days = kepler_days * draw(st.floats(0.5, 2.0))
+    name = draw(st.text("ABCxyz", min_size=1, max_size=6))
+    return PlanetElements(name=name, a=a, e=e, tau_days=tau_days)
+
+
+_rules = st.sampled_from(list(QuantumRule))
+_deltas = st.floats(0.0, 300.0)
+
+
+@given(el=_planet(), rule=_rules, bounds=st.lists(_deltas, min_size=2, max_size=2, unique=True),
+       steps=st.integers(2, 40))
+def test_sweep_rows_are_planet_precession_bit_for_bit(el, rule, bounds, steps):
+    lo, hi = sorted(bounds)
+    for delta, value in sweep_delta(el, lo, hi, steps, rule):
+        assert value.hex() == planet_precession(el, delta, rule).per_century_arcsec.hex()
+
+
+@given(el=_planet(), rule=_rules, delta=st.floats(1e-6, 300.0))
+def test_invert_delta_undoes_planet_precession(el, rule, delta):
+    forward = planet_precession(el, delta, rule).per_century_arcsec
+    assert invert_delta(el, forward, rule) == pytest.approx(delta, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=50)
+@given(planets=st.lists(_planet(), min_size=1, max_size=8),
+       mu=st.one_of(st.integers(10 ** 10, 10 ** 21), st.floats(1e10, 1e21)))
+def test_derive_orbit_depends_on_values_alone(planets, mu):
+    first = [derive_orbit(el, mu) for el in planets]
+    for el, orbit in zip(planets, first):
+        # an equal but distinct record, with an int semi-major axis when whole
+        a = int(el.a) if el.a == int(el.a) else el.a
+        twin = PlanetElements(name=el.name, a=a, e=el.e, tau_days=el.tau_days)
+        again = derive_orbit(twin, mu)
+        assert again == orbit and type(again.mu) is type(mu)
+        # an equal mu of the other type gets its own entry, typed like it
+        other = float(mu) if isinstance(mu, int) else int(mu)
+        swapped = derive_orbit(el, other)
+        assert type(swapped.mu) is type(other)
+        assert (swapped.b, swapped.r_p, swapped.h, swapped.orbits_per_century) == \
+            (orbit.b, orbit.r_p, orbit.h, orbit.orbits_per_century)
+
+
+def test_derive_orbit_rederives_evicted_entries():
+    maxsize = _derive_orbit.cache_parameters()["maxsize"]
+    planets = [PlanetElements(name=f"P{i}", a=1e11 + i, e=0.1, tau_days=200.0)
+               for i in range(2 * maxsize)]
+    first = [derive_orbit(el) for el in planets]
+    assert _derive_orbit.cache_info().currsize == maxsize
+    for el, orbit in zip(planets, first):
+        assert derive_orbit(el) == orbit

@@ -229,7 +229,8 @@ def test_bad_planets_file_is_usage_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     record = {"name": "X", "a_m": 1e11, "e": 0.1, "tau_days": 100.0}
-    for records in ([{**record, "a_m": True}], [record, {**record, "name": "x"}]):
+    for records in ([{**record, "a_m": True}], [record, {**record, "name": "x"}],
+                    [{**record, "name": "X "}]):
         bad.write_text(json.dumps({"schema_version": 1, "planets": records}))
         proc = run_cli("table", "--planets", str(bad))
         assert proc.returncode == 2, proc.stderr
