@@ -7,9 +7,12 @@ the closed-form precessing orbit, exact numerical cross-validation, and
 calibration of the underlying measurement-error angle against observed
 planetary precession.
 
-The analytic chain needs only the standard library. The integrator layer
-(qgrav.orbit) needs numpy, so its names are resolved on first use and
-importing the package alone does not load numpy.
+The analytic chain and the integrator's stepping need only the standard
+library; numpy is loaded by the numeric API that returns arrays
+(integrate, detect_perihelia, measured_precession, closed_form_radius) on
+its first call. The integrator layer (qgrav.orbit) still takes a few
+milliseconds to import, so its names are resolved on first use and
+importing the package alone does not load it.
 """
 
 import importlib

@@ -13,7 +13,8 @@ and json on stdout always parse. Exit codes: 0 success; 2 when a flag or a
 data file is rejected before any computation; 3 when the model cannot
 evaluate valid input (model breakdown or another domain error).
 
-Only `orbit` imports the integrator layer, and with it numpy.
+Only `orbit` imports the integrator layer, and it runs the integrator's
+plain-float core, so no command loads numpy.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ import math
 import os
 import sys
 
-from .bodies import CONSTANTS_VERSION, derive_orbit, load_planets, planet_by_name
+from .bodies import CONSTANTS_VERSION, load_planets, planet_by_name
 from .calibrate import fit_delta, load_observations, sweep_delta
 from .errors import (DomainError, IngestionError, InsufficientSpanError,
                      ModelBreakdownError, QgravError, SingularityError,
                      StepFailureError)
-from .forces import QuantizedModel, gr_precession_baseline
-from .precession import QuantumRule, orbit_params, planet_precession, quantum_from_error
+from .forces import gr_precession_baseline
+from .precession import QuantumRule, planet_precession
 
 # Size flags are bounded so that no invocation can ask for unbounded work.
 MAX_ORBITS = 1000
@@ -256,35 +257,31 @@ def cmd_precess(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    from .orbit import integrate
+    # The plain-float core, not orbit.integrate: packing the samples into
+    # numpy arrays would cost the numpy import and give nothing to print.
+    from .orbit import _integrate, _perihelion_start
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    rule = QuantumRule(args.rule)
-    orbit = derive_orbit(el)
-    quantum = quantum_from_error(args.delta, orbit, rule)
-    _, freq_ratio = orbit_params(quantum, orbit)
-    model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
-    theta_max = args.orbits * (2.0 * math.pi / freq_ratio) + 0.5
-    traj = integrate(model, u0=1.0 / orbit.r_p, du0=0.0, theta_max=theta_max,
-                     tol=args.tol)
+    _, model, u0, theta_max = _perihelion_start(el, args.delta, QuantumRule(args.rule),
+                                                args.orbits)
+    thetas, us, _, n_accepted, n_rejected = _integrate(model, u0, 0.0, theta_max, args.tol)
     if args.format == "json":
         _emit_json({
             "meta": _meta(args, planet=el.name, delta_arcsec=args.delta,
                           orbits=args.orbits, tol=args.tol,
-                          steps_accepted=traj.n_accepted,
-                          steps_rejected=traj.n_rejected),
+                          steps_accepted=n_accepted,
+                          steps_rejected=n_rejected),
             "rows": [
                 {"theta_rad": t, "u_per_m": u, "r_m": 1.0 / u}
-                for t, u in zip(traj.theta.tolist(), traj.u.tolist())
+                for t, u in zip(thetas, us)
             ],
         })
     elif args.format == "csv":
         _emit_csv(["theta_rad", "u_per_m", "r_m"],
-                  [[repr(t), repr(u), repr(1.0 / u)]
-                   for t, u in zip(traj.theta.tolist(), traj.u.tolist())])
+                  [[repr(t), repr(u), repr(1.0 / u)] for t, u in zip(thetas, us)])
     else:
         print(f"{'theta_rad':>18}  {'u_per_m':>24}  {'r_m':>24}")
-        for t, u in zip(traj.theta.tolist(), traj.u.tolist()):
+        for t, u in zip(thetas, us):
             print(f"{t:18.9f}  {u:24.15e}  {1.0 / u:24.15e}")
     return 0
 

@@ -34,21 +34,20 @@ class QuantizedModel:
     mu       gravitational parameter GM, m^3/s^2
     h        specific angular momentum, m^2/s; may be None when only the
              force, not an orbit, is modelled
-    g        Newton constant, m^3 kg^-1 s^-2
+
+    The model carries GM alone: G never enters an orbit, only the
+    two-mass force laws below take it.
     """
 
     quantum: float
     mu: float
     h: float | None = None
-    g: float = NEWTON_G
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.quantum) and self.quantum >= 0):
             raise DomainError(f"space quantum must be >= 0, got {self.quantum!r}")
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise DomainError(f"gravitational parameter must be positive, got {self.mu!r}")
-        if not (math.isfinite(self.g) and self.g > 0):
-            raise DomainError(f"Newton constant must be positive, got {self.g!r}")
         if self.h is not None:
             if not (math.isfinite(self.h) and self.h > 0):
                 raise DomainError(f"angular momentum must be positive, got {self.h!r}")

@@ -18,15 +18,17 @@ apart. detect_perihelia then refines every crossing by a local quadratic
 fit of u over the three samples nearest the crossing, no two of them closer
 than half the stencil spacing, which on the inserted stencil is accurate to
 the roundoff floor.
+
+The stepper, the stencil and the sample check run on plain floats and lists
+(_integrate), so exporting a trajectory needs only the standard library;
+numpy is imported where a result is packed into arrays or analysed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .bodies import ARCSEC_PER_RAD, CONSTANTS, PlanetElements, derive_orbit
 from .errors import (DomainError, InsufficientSpanError, SingularityError,
@@ -34,6 +36,9 @@ from .errors import (DomainError, InsufficientSpanError, SingularityError,
 from .forces import QuantizedModel
 from .precession import (PrecessionResult, Provenance, QuantumRule,
                          orbit_params, quantum_from_error)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dormand-Prince 5(4) tableau (stage abscissae omitted: the system is
 # autonomous in theta).
@@ -51,11 +56,15 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _MAX_STEP = math.pi / 16          # keeps sample gaps well under pi/8
+_MAX_GAP = math.pi / 8            # a trajectory's theta gaps stay below this
 _INITIAL_STEP = math.pi / 256
 _STENCIL_HALF_WIDTH = 1e-3        # rad; extremum stencil spacing
 
 TOL_MIN = 1e-14
 TOL_MAX = 1e-6
+
+_NOT_INCREASING = "trajectory samples must be strictly increasing in theta"
+_TOO_SPARSE = "trajectory sampling too sparse: a theta gap reaches pi/8"
 
 
 @dataclass(frozen=True)
@@ -83,11 +92,12 @@ class Trajectory:
     n_rejected: int
 
     def __post_init__(self) -> None:
+        import numpy as np
         gaps = np.diff(self.theta)
         if len(self.theta) < 2 or np.any(gaps <= 0):
-            raise DomainError("trajectory samples must be strictly increasing in theta")
-        if np.max(gaps) >= math.pi / 8:
-            raise DomainError("trajectory sampling too sparse: a theta gap reaches pi/8")
+            raise DomainError(_NOT_INCREASING)
+        if np.max(gaps) >= _MAX_GAP:
+            raise DomainError(_TOO_SPARSE)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -191,13 +201,39 @@ def _refine_stencil(forcing, samples, theta_hat):
     return out
 
 
-def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
-              tol: float = 1e-12) -> Trajectory:
-    """Adaptively integrate the exact orbit equation over [0, theta_max].
+def _checked_samples(rows):
+    """Split theta-ordered (theta, u, du) rows into three lists.
 
-    Local error per step is held below tol relative to the orbit scale u0.
-    Deterministic for fixed inputs. Raises SingularityError if the radius
-    reaches the space quantum and StepFailureError on step-size underflow.
+    A row within 1e-12 rad of the one kept before it (a stencil point on an
+    accepted step) is dropped. Raises DomainError unless the kept angles
+    strictly increase, number at least two and never leave a gap of pi/8.
+    """
+    thetas: list[float] = []
+    us: list[float] = []
+    vs: list[float] = []
+    for t, uu, vv in rows:
+        if thetas:
+            gap = t - thetas[-1]
+            if gap < 1e-12:
+                if gap > -1e-12:
+                    continue
+                raise DomainError(_NOT_INCREASING)
+            if not gap < _MAX_GAP:
+                raise DomainError(_TOO_SPARSE)
+        thetas.append(t)
+        us.append(uu)
+        vs.append(vv)
+    if len(thetas) < 2:
+        raise DomainError(_NOT_INCREASING)
+    return thetas, us, vs
+
+
+def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
+               tol: float):
+    """integrate's stepping on plain floats, with no numpy.
+
+    Returns (thetas, us, dus, n_accepted, n_rejected), the samples already
+    checked as a Trajectory would check them.
     """
     if not (math.isfinite(theta_max) and theta_max > 0):
         raise DomainError(f"theta_max must be positive, got {theta_max!r}")
@@ -250,15 +286,19 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
 
     merged = samples + extras
     merged.sort(key=lambda row: row[0])
-    thetas: list[float] = []
-    us: list[float] = []
-    vs: list[float] = []
-    for t, uu, vv in merged:
-        if thetas and t - thetas[-1] < 1e-12:
-            continue
-        thetas.append(t)
-        us.append(uu)
-        vs.append(vv)
+    return (*_checked_samples(merged), n_accepted, n_rejected)
+
+
+def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
+              tol: float = 1e-12) -> Trajectory:
+    """Adaptively integrate the exact orbit equation over [0, theta_max].
+
+    Local error per step is held below tol relative to the orbit scale u0.
+    Deterministic for fixed inputs. Raises SingularityError if the radius
+    reaches the space quantum and StepFailureError on step-size underflow.
+    """
+    import numpy as np
+    thetas, us, vs, n_accepted, n_rejected = _integrate(model, u0, du0, theta_max, tol)
     return Trajectory(theta=np.array(thetas), u=np.array(us), du=np.array(vs),
                       tol=tol, n_accepted=n_accepted, n_rejected=n_rejected)
 
@@ -285,6 +325,7 @@ def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
     stencil spacing apart. Fewer than two refined passages cannot define an
     advance and raise InsufficientSpanError.
     """
+    import numpy as np
     theta, u, du = traj.theta, traj.u, traj.du
     n = len(theta)
     crossings = np.flatnonzero((du[:-1] > 0.0) & (du[1:] <= 0.0))
@@ -318,6 +359,19 @@ def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
                             advances=np.diff(angle_arr) - 2.0 * math.pi)
 
 
+def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
+                      n_periods: int, mu: float = CONSTANTS.gm_sun):
+    """(orbit, model, u0, theta_max) to integrate n_periods radial periods of
+    the exact orbit, starting at its perihelion, plus half a radian so the
+    last perihelion is bracketed."""
+    orbit = derive_orbit(el, mu)
+    quantum = quantum_from_error(delta_arcsec, orbit, rule)
+    _, freq_ratio = orbit_params(quantum, orbit)
+    model = QuantizedModel(quantum=quantum, mu=mu, h=orbit.h)
+    theta_max = n_periods * (2.0 * math.pi / freq_ratio) + 0.5
+    return orbit, model, 1.0 / orbit.r_p, theta_max
+
+
 def measured_precession(el: PlanetElements, delta_arcsec: float,
                         rule: QuantumRule = QuantumRule.PERIHELION,
                         n_orbits: int = 50, tol: float = 1e-12,
@@ -330,16 +384,11 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
     """
     if n_orbits < 2:
         raise DomainError(f"need at least 2 orbits to average advances, got {n_orbits!r}")
-    orbit = derive_orbit(el, mu)
-    quantum = quantum_from_error(delta_arcsec, orbit, rule)
-    _, freq_ratio = orbit_params(quantum, orbit)
-    model = QuantizedModel(quantum=quantum, mu=mu, h=orbit.h)
-    # Start at the exact perihelion of the integrated (not linearized) orbit.
-    u0 = 1.0 / orbit.r_p
-    theta_max = (n_orbits + 1) * (2.0 * math.pi / freq_ratio) + 0.5
+    orbit, model, u0, theta_max = _perihelion_start(el, delta_arcsec, rule,
+                                                    n_orbits + 1, mu)
     traj = integrate(model, u0=u0, du0=0.0, theta_max=theta_max, tol=tol)
     series = detect_perihelia(traj)
-    per_orbit = float(np.mean(series.advances))
+    per_orbit = float(series.advances.mean())
     per_century = per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit,
                             per_century_arcsec=per_century,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -298,13 +299,64 @@ def test_analytic_commands_do_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_orbit_export_does_not_import_numpy():
+    proc = _run_python("""
+        import contextlib, io, sys
+        import qgrav, qgrav.cli
+        argv = ["orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2"]
+        for extra in (["--format", "text"], ["--format", "csv"],
+                      ["--format", "json"], ["--format", "csv", "--tol", "1e-10"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert qgrav.cli.main(argv + extra) == 0, extra
+            assert out.getvalue(), extra
+            assert "numpy" not in sys.modules, extra
+        el = qgrav.planet_by_name(qgrav.load_planets(), "mercury")
+        orbit = qgrav.derive_orbit(el)
+        model = qgrav.QuantizedModel(quantum=0.0, mu=orbit.mu, h=orbit.h)
+        traj = qgrav.integrate(model, 1.0 / orbit.r_p, 0.0, 13.0)
+        assert "numpy" in sys.modules
+        import numpy as np
+        series = qgrav.detect_perihelia(traj)
+        for field in (traj.theta, traj.u, traj.du, series.angles, series.advances):
+            assert isinstance(field, np.ndarray) and field.dtype == np.float64
+        result = qgrav.measured_precession(el, 0.0398, n_orbits=2)
+        assert type(result.per_orbit_rad) is float
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_orbit_export_matches_integrate():
+    from qgrav import (QuantizedModel, QuantumRule, derive_orbit, integrate,
+                       load_planets, orbit_params, planet_by_name, quantum_from_error)
+    el = planet_by_name(load_planets(), "venus")
+    orbit = derive_orbit(el)
+    quantum = quantum_from_error(0.0398, orbit, QuantumRule.PERIHELION)
+    _, freq_ratio = orbit_params(quantum, orbit)
+    model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
+    theta_max = 2 * (2.0 * math.pi / freq_ratio) + 0.5
+    traj = integrate(model, 1.0 / orbit.r_p, 0.0, theta_max, tol=1e-12)
+    theta, u = traj.theta.tolist(), traj.u.tolist()
+    argv = ("orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2")
+
+    doc = json.loads(run_cli(*argv, "--format", "json").stdout)
+    assert [row["theta_rad"] for row in doc["rows"]] == theta
+    assert [row["u_per_m"] for row in doc["rows"]] == u
+    assert [row["r_m"] for row in doc["rows"]] == [1.0 / x for x in u]
+    assert doc["meta"]["steps_accepted"] == traj.n_accepted
+    assert doc["meta"]["steps_rejected"] == traj.n_rejected
+
+    rows = list(csv.reader(io.StringIO(run_cli(*argv, "--format", "csv").stdout)))
+    assert [float(row[0]) for row in rows[1:]] == theta
+    assert [float(row[1]) for row in rows[1:]] == u
+
+
 def test_orbit_names_resolve_on_first_use():
     proc = _run_python("""
         import sys
         import qgrav
         for name in qgrav.__all__:
             getattr(qgrav, name)
-        assert "numpy" in sys.modules
+        assert "numpy" not in sys.modules
         assert qgrav.integrate is qgrav.orbit.integrate
         namespace = {}
         exec("from qgrav import *", namespace)

@@ -258,3 +258,18 @@ def test_trajectory_validation():
     with pytest.raises(DomainError):
         Trajectory(theta=sparse, u=ones[:2], du=ones[:2], tol=0.0,
                    n_accepted=0, n_rejected=0)
+
+
+def test_core_sampling_check():
+    # The plain-float core serves `qgrav orbit` without building a
+    # Trajectory, so it enforces the same sampling rules itself.
+    from qgrav.orbit import _checked_samples
+    row = (1e-11, 0.0)
+    for thetas in ([0.0, 1.0, 0.5], [0.0, 1.0, 1.0 - 1e-9], [0.0, math.pi / 8],
+                   [0.0], [0.0, 5e-13]):
+        with pytest.raises(DomainError):
+            _checked_samples([(t, *row) for t in thetas])
+    # A stencil point within 1e-12 rad of a step is dropped, the first kept.
+    kept = _checked_samples([(0.0, 1.0, 2.0), (5e-13, 3.0, 4.0),
+                             (math.pi / 8 - 1e-9, 5.0, 6.0)])
+    assert kept == ([0.0, math.pi / 8 - 1e-9], [1.0, 5.0], [2.0, 6.0])
