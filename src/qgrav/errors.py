@@ -16,7 +16,12 @@ class IngestionError(QgravError, ValueError):
 
 
 class ModelBreakdownError(QgravError):
-    """The space quantum is too large for the orbit (epsilon = q mu / h^2 >= 1)."""
+    """The space quantum is too large for the orbit.
+
+    The closed form needs epsilon = q mu / h^2 < 1. Integrating from a
+    perihelion start also needs the exact orbit to be bounded, which fails
+    at smaller quanta (from epsilon = 1/4 at the latest).
+    """
 
 
 class SingularityError(QgravError):

@@ -19,20 +19,27 @@ fit of u over the three samples nearest the crossing, no two of them closer
 than half the stencil spacing, which on the inserted stencil is accurate to
 the roundoff floor.
 
-The stepper, the stencil and the sample check run on plain floats and lists
-(_integrate), so exporting a trajectory needs only the standard library;
-numpy is imported where a result is packed into arrays or analysed.
+The stepper, the stencil, the sample check (_integrate) and the perihelion
+scan (_perihelion_angles) run on plain floats and lists, so exporting a
+trajectory and measured_precession need only the standard library. numpy
+is imported only by integrate and detect_perihelia, which pack those lists
+into arrays.
+
+Before integrating from a perihelion start, _perihelion_start checks that
+the exact orbit is bounded: a quantum can leave epsilon < 1, which the
+closed form needs, and still let the orbit fall into the quantum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from .bodies import ARCSEC_PER_RAD, CONSTANTS, PlanetElements, derive_orbit
-from .errors import (DomainError, InsufficientSpanError, SingularityError,
-                     StepFailureError)
+from .errors import (DomainError, InsufficientSpanError, ModelBreakdownError,
+                     QgravError, SingularityError, StepFailureError)
 from .forces import QuantizedModel
 from .precession import (PrecessionResult, Provenance, QuantumRule,
                          orbit_params, quantum_from_error)
@@ -114,6 +121,20 @@ class PerihelionSeries:
     advances: np.ndarray
 
 
+def _binet_constants(model: QuantizedModel) -> tuple[float, float]:
+    """(c, q) of the forcing -u + c / (1 - q u), with c = mu/h^2."""
+    if model.h is None:
+        raise DomainError("orbit integration requires a model with angular momentum h")
+    return model.mu / (model.h * model.h), model.quantum
+
+
+def _forcing_error(u: float, q: float) -> QgravError:
+    """The error for a forcing evaluation at u, where u > 0 or q u < 1 fails."""
+    if not u > 0:
+        return DomainError(f"inverse radius must be positive, got {u!r}")
+    return SingularityError(1.0 / u, q)
+
+
 def binet_rhs(model: QuantizedModel) -> Callable[[float], float]:
     """Forcing term of the exact orbit equation for a model, as a function of u.
 
@@ -121,17 +142,12 @@ def binet_rhs(model: QuantizedModel) -> Callable[[float], float]:
     performed; the first-order Taylor series of the second term reproduces
     the linearized equation the closed-form solution solves.
     """
-    if model.h is None:
-        raise DomainError("orbit integration requires a model with angular momentum h")
-    c = model.mu / (model.h * model.h)
-    q = model.quantum
+    c, q = _binet_constants(model)
 
     def forcing(u: float) -> float:
-        if not u > 0:
-            raise DomainError(f"inverse radius must be positive, got {u!r}")
         qu = q * u
-        if qu >= 1.0:
-            raise SingularityError(1.0 / u, q)
+        if qu >= 1.0 or not u > 0:
+            raise _forcing_error(u, q)
         return -u + c / (1.0 - qu)
 
     return forcing
@@ -233,7 +249,9 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     """integrate's stepping on plain floats, with no numpy.
 
     Returns (thetas, us, dus, n_accepted, n_rejected), the samples already
-    checked as a Trajectory would check them.
+    checked as a Trajectory would check them. The step is _dopri_step and
+    the forcing binet_rhs written out in the loop, operation for operation,
+    so the two give the same floats; the extremum stencil calls them.
     """
     if not (math.isfinite(theta_max) and theta_max > 0):
         raise DomainError(f"theta_max must be positive, got {theta_max!r}")
@@ -245,6 +263,15 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
         raise DomainError(f"initial slope must be finite, got {du0!r}")
 
     forcing = binet_rhs(model)
+    c, q = _binet_constants(model)
+    a21 = _A21
+    a31, a32 = _A31, _A32
+    a41, a42, a43 = _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    sqrt = math.sqrt
     atol = tol * u0
 
     samples: list[tuple[float, float, float]] = [(0.0, u0, du0)]
@@ -255,15 +282,66 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     n_accepted = 0
     n_rejected = 0
 
-    end_slack = 1e-12 * max(1.0, theta_max)
-    while theta < theta_max - end_slack:
-        if h < 1e-13 * max(1.0, theta):
+    theta_end = theta_max - 1e-12 * max(1.0, theta_max)
+    # min and max of two floats are written as the conditional expressions
+    # they evaluate (min(a, b) is `b if b < a else a`), with no calls.
+    while theta < theta_end:
+        if h < 1e-13 * (theta if theta > 1.0 else 1.0):
             raise StepFailureError(f"step size underflow at theta = {theta!r}")
-        h = min(h, theta_max - theta)
-        u_new, v_new, f_new, err_u, err_v = _dopri_step(forcing, u, v, h, f1v)
-        scale_u = atol + tol * max(abs(u), abs(u_new))
-        scale_v = atol + tol * max(abs(v), abs(v_new))
-        norm = math.sqrt(0.5 * ((err_u / scale_u) ** 2 + (err_v / scale_v) ** 2))
+        rest = theta_max - theta
+        if rest < h:
+            h = rest
+
+        # One Dormand-Prince step from (u, v); stage 1 is (v, f1v).
+        u2 = u + h * (a21 * v)
+        k2u = v + h * (a21 * f1v)
+        qu = q * u2
+        if qu >= 1.0 or not u2 > 0:
+            raise _forcing_error(u2, q)
+        k2v = -u2 + c / (1.0 - qu)
+
+        u3 = u + h * (a31 * v + a32 * k2u)
+        k3u = v + h * (a31 * f1v + a32 * k2v)
+        qu = q * u3
+        if qu >= 1.0 or not u3 > 0:
+            raise _forcing_error(u3, q)
+        k3v = -u3 + c / (1.0 - qu)
+
+        u4 = u + h * (a41 * v + a42 * k2u + a43 * k3u)
+        k4u = v + h * (a41 * f1v + a42 * k2v + a43 * k3v)
+        qu = q * u4
+        if qu >= 1.0 or not u4 > 0:
+            raise _forcing_error(u4, q)
+        k4v = -u4 + c / (1.0 - qu)
+
+        u5 = u + h * (a51 * v + a52 * k2u + a53 * k3u + a54 * k4u)
+        k5u = v + h * (a51 * f1v + a52 * k2v + a53 * k3v + a54 * k4v)
+        qu = q * u5
+        if qu >= 1.0 or not u5 > 0:
+            raise _forcing_error(u5, q)
+        k5v = -u5 + c / (1.0 - qu)
+
+        u6 = u + h * (a61 * v + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+        k6u = v + h * (a61 * f1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+        qu = q * u6
+        if qu >= 1.0 or not u6 > 0:
+            raise _forcing_error(u6, q)
+        k6v = -u6 + c / (1.0 - qu)
+
+        u_new = u + h * (b1 * v + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        v_new = v + h * (b1 * f1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+        qu = q * u_new
+        if qu >= 1.0 or not u_new > 0:
+            raise _forcing_error(u_new, q)
+        f_new = -u_new + c / (1.0 - qu)
+
+        err_u = h * (e1 * v + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * v_new)
+        err_v = h * (e1 * f1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * f_new)
+        # u and u_new passed the forcing check, so both are positive.
+        scale_u = atol + tol * (u_new if u_new > u else u)
+        av, av_new = abs(v), abs(v_new)
+        scale_v = atol + tol * (av_new if av_new > av else av)
+        norm = sqrt(0.5 * ((err_u / scale_u) ** 2 + (err_v / scale_v) ** 2))
         if norm > 1.0:
             n_rejected += 1
             h *= max(_MIN_FACTOR, min(1.0, _SAFETY * norm ** -0.2))
@@ -280,12 +358,18 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
                 extras.extend(_refine_stencil(forcing, samples, theta_hat))
         samples.append((theta_new, u_new, v_new))
         theta, u, v, f1v = theta_new, u_new, v_new, f_new
-        factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR,
-                                                     max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-        h = min(h * factor, _MAX_STEP)
+        if norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * norm ** -0.2
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+        h *= factor
+        if _MAX_STEP < h:
+            h = _MAX_STEP
 
     merged = samples + extras
-    merged.sort(key=lambda row: row[0])
+    merged.sort(key=itemgetter(0))
     return (*_checked_samples(merged), n_accepted, n_rejected)
 
 
@@ -294,8 +378,11 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     """Adaptively integrate the exact orbit equation over [0, theta_max].
 
     Local error per step is held below tol relative to the orbit scale u0.
-    Deterministic for fixed inputs. Raises SingularityError if the radius
-    reaches the space quantum and StepFailureError on step-size underflow.
+    Deterministic for fixed inputs. An orbit falling into the quantum raises
+    SingularityError if a stage evaluates the force at or inside the quantum,
+    or StepFailureError if the step size underflows first as the force
+    diverges; measured_precession and `qgrav orbit` refuse such a start
+    beforehand with ModelBreakdownError.
     """
     import numpy as np
     thetas, us, vs, n_accepted, n_rejected = _integrate(model, u0, du0, theta_max, tol)
@@ -317,20 +404,19 @@ def _quadratic_vertex(t0, t1, t2, u0, u1, u2):
     return vertex
 
 
-def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
-    """Locate perihelion passages and the per-revolution advances between them.
+def _perihelion_angles(theta, u, du):
+    """detect_perihelia on plain float sequences: (angles, advances) as lists.
 
-    Passages are + to - crossings of du, each refined by a quadratic fit of
-    u over the three samples nearest the crossing that lie at least half the
-    stencil spacing apart. Fewer than two refined passages cannot define an
-    advance and raise InsufficientSpanError.
+    One pass finds the + to - crossings of du; each is refined by a
+    quadratic fit of u over the three samples nearest the crossing that lie
+    at least half the stencil spacing apart. Raises InsufficientSpanError
+    below two refined passages.
     """
-    import numpy as np
-    theta, u, du = traj.theta, traj.u, traj.du
     n = len(theta)
-    crossings = np.flatnonzero((du[:-1] > 0.0) & (du[1:] <= 0.0))
     angles: list[float] = []
-    for i in crossings:
+    for i in range(n - 1):
+        if not du[i] > 0.0 >= du[i + 1]:
+            continue
         frac = du[i] / (du[i] - du[i + 1])
         theta_c = theta[i] + frac * (theta[i + 1] - theta[i])
         lo = max(0, i - 1)
@@ -354,22 +440,71 @@ def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
         raise InsufficientSpanError(
             f"trajectory spans {len(angles)} perihelion passage(s); need at least 2"
         )
-    angle_arr = np.array(angles)
-    return PerihelionSeries(angles=angle_arr,
-                            advances=np.diff(angle_arr) - 2.0 * math.pi)
+    two_pi = 2.0 * math.pi
+    return angles, [(b - a) - two_pi for a, b in zip(angles, angles[1:])]
+
+
+def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
+    """Locate perihelion passages and the per-revolution advances between them.
+
+    Passages are + to - crossings of du, each refined by a quadratic fit of
+    u over the three samples nearest the crossing that lie at least half the
+    stencil spacing apart. Fewer than two refined passages cannot define an
+    advance and raise InsufficientSpanError.
+    """
+    import numpy as np
+    angles, advances = _perihelion_angles(traj.theta.tolist(), traj.u.tolist(),
+                                          traj.du.tolist())
+    return PerihelionSeries(angles=np.array(angles), advances=np.array(advances))
 
 
 def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
                       n_periods: int, mu: float = CONSTANTS.gm_sun):
     """(orbit, model, u0, theta_max) to integrate n_periods radial periods of
     the exact orbit, starting at its perihelion, plus half a radian so the
-    last perihelion is bracketed."""
+    last perihelion is bracketed.
+
+    Raises ModelBreakdownError when that orbit is unbounded (see
+    _check_bounded), where the closed form's epsilon < 1 still holds.
+    """
     orbit = derive_orbit(el, mu)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
     _, freq_ratio = orbit_params(quantum, orbit)
     model = QuantizedModel(quantum=quantum, mu=mu, h=orbit.h)
+    u0 = 1.0 / orbit.r_p
+    _check_bounded(model, u0)
     theta_max = n_periods * (2.0 * math.pi / freq_ratio) + 0.5
-    return orbit, model, 1.0 / orbit.r_p, theta_max
+    return orbit, model, u0, theta_max
+
+
+def _check_bounded(model: QuantizedModel, u_p: float) -> None:
+    """Raise ModelBreakdownError unless the exact orbit from rest at u_p is bounded.
+
+    With the first integral u'^2/2 + W(u) = W(u_p), where
+    W(u) = u^2/2 + (c/q) log1p(-q u), the orbit stays bounded only behind
+    the barrier of W at u+ = (1 + sqrt(1 - 4 eps))/(2q), the larger root of
+    u (1 - q u) = c. It falls into the quantum if eps >= 1/4 (no barrier),
+    u_p >= u+, or W(u_p) >= W(u+). Both sides are compared as
+    q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
+    1 - x+ = 2 eps/(1 + s) formed without cancellation. eps = 0 (q = 0,
+    Newton's conic) is not checked.
+    """
+    eps = model.epsilon
+    if eps == 0.0:
+        return
+    x_p = model.quantum * u_p
+    if eps < 0.25:
+        s = math.sqrt(1.0 - 4.0 * eps)
+        x_plus = 0.5 * (1.0 + s)
+        if x_p < x_plus:
+            w_p = 0.5 * x_p * x_p + eps * math.log1p(-x_p)
+            w_plus = 0.5 * x_plus * x_plus + eps * math.log(2.0 * eps / (1.0 + s))
+            if w_p < w_plus:
+                return
+    raise ModelBreakdownError(
+        f"quantum {model.quantum!r} m too large for this orbit: the exact orbit "
+        f"from perihelion is unbounded (epsilon = {eps!r})"
+    )
 
 
 def measured_precession(el: PlanetElements, delta_arcsec: float,
@@ -380,15 +515,17 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
 
     Integrates n_orbits + 1 radial periods so that n_orbits inter-perihelion
     gaps are observable, averages the refined advances, and extrapolates to a
-    century exactly as the analytic chain does.
+    century exactly as the analytic chain does. Runs on plain floats, with no
+    numpy; the mean is math.fsum over the advances, divided by their count.
+    Raises ModelBreakdownError when the exact orbit is unbounded.
     """
     if n_orbits < 2:
         raise DomainError(f"need at least 2 orbits to average advances, got {n_orbits!r}")
     orbit, model, u0, theta_max = _perihelion_start(el, delta_arcsec, rule,
                                                     n_orbits + 1, mu)
-    traj = integrate(model, u0=u0, du0=0.0, theta_max=theta_max, tol=tol)
-    series = detect_perihelia(traj)
-    per_orbit = float(series.advances.mean())
+    theta, u, du, _, _ = _integrate(model, u0, 0.0, theta_max, tol)
+    _, advances = _perihelion_angles(theta, u, du)
+    per_orbit = math.fsum(advances) / len(advances)
     per_century = per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit,
                             per_century_arcsec=per_century,

@@ -252,6 +252,25 @@ def test_invert_delta_undoes_planet_precession(el, rule, delta):
     assert invert_delta(el, forward, rule) == pytest.approx(delta, rel=1e-12, abs=0.0)
 
 
+@given(el=_planet(), rule=_rules, deltas=st.lists(_deltas, min_size=2, max_size=2))
+def test_planet_precession_is_non_decreasing_in_delta(el, rule, deltas):
+    lo, hi = sorted(deltas)
+    low = planet_precession(el, lo, rule)
+    high = planet_precession(el, hi, rule)
+    assert low.per_orbit_rad <= high.per_orbit_rad
+    assert low.per_century_arcsec <= high.per_century_arcsec
+
+
+@given(el=_planet(), delta=_deltas)
+def test_semiminor_rule_never_predicts_less(el, delta):
+    # b = a sqrt(1 - e^2) >= a (1 - e) = r_p, so the semi-minor rule's
+    # quantum, and with it the advance, is never the smaller
+    perihelion = planet_precession(el, delta, QuantumRule.PERIHELION)
+    semiminor = planet_precession(el, delta, QuantumRule.SEMIMINOR)
+    assert semiminor.per_orbit_rad >= perihelion.per_orbit_rad
+    assert semiminor.per_century_arcsec >= perihelion.per_century_arcsec
+
+
 @settings(max_examples=50)
 @given(planets=st.lists(_planet(), min_size=1, max_size=8),
        mu=st.one_of(st.integers(10 ** 10, 10 ** 21), st.floats(1e10, 1e21)))

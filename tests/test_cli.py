@@ -197,6 +197,16 @@ def test_model_breakdown_exit_code():
     assert "epsilon" in proc.stderr
 
 
+def test_orbit_breakdown_exit_code():
+    # epsilon = 0.40 < 1, but the exact orbit from perihelion falls into
+    # the quantum: refused before integrating, not a step-size underflow
+    proc = run_cli("orbit", "--planet", "mercury", "--delta", "1e5")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "exact orbit from perihelion is unbounded" in proc.stderr
+    assert "underflow" not in proc.stderr
+
+
 def test_bad_flag_values_are_usage_errors():
     assert run_cli("table", "--format", "yaml").returncode == 2
     assert run_cli("precess", "--planet", "mercury", "--delta", "-1").returncode == 2
@@ -321,6 +331,20 @@ def test_orbit_export_does_not_import_numpy():
             assert isinstance(field, np.ndarray) and field.dtype == np.float64
         result = qgrav.measured_precession(el, 0.0398, n_orbits=2)
         assert type(result.per_orbit_rad) is float
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_measured_precession_does_not_import_numpy():
+    proc = _run_python("""
+        import sys
+        import qgrav
+        results = [qgrav.measured_precession(el, delta, n_orbits=2)
+                   for el in qgrav.load_planets() for delta in (0.0, 0.0398)]
+        assert "numpy" not in sys.modules
+        for result in results:
+            assert type(result.per_orbit_rad) is float
+            assert type(result.per_century_arcsec) is float
     """)
     assert proc.returncode == 0, proc.stderr
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qgrav import (DomainError, InsufficientSpanError,
-                   Provenance, QuantizedModel, SingularityError, Trajectory,
+from qgrav import (DomainError, InsufficientSpanError, ModelBreakdownError,
+                   Provenance, QuantumRule, QuantizedModel, SingularityError, Trajectory,
                    analytic_orbit, binet_rhs, closed_form_radius, derive_orbit,
                    detect_perihelia, integrate, measured_precession,
                    orbit_params, quantum_from_error, rad_to_arcsec)
@@ -205,6 +205,28 @@ def test_measured_precession_keeps_every_perihelion(mercury):
     assert abs(result.per_orbit_rad) < 1e-9
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-10])
+@pytest.mark.parametrize("delta", [0.0, 0.0398])
+def test_measured_precession_equals_array_path(planets, delta, tol):
+    # measured_precession runs on lists and averages with fsum; the array
+    # path (integrate, detect_perihelia, ndarray.mean) gives the same float
+    from qgrav.orbit import _perihelion_start
+    for el in planets.values():
+        _, model, u0, theta_max = _perihelion_start(el, delta, QuantumRule.PERIHELION, 51)
+        series = detect_perihelia(integrate(model, u0, 0.0, theta_max, tol=tol))
+        result = measured_precession(el, delta, tol=tol)
+        assert result.per_orbit_rad == float(series.advances.mean())
+
+
+def test_measured_precession_breakdown(mercury):
+    # epsilon = 0.237 still gives a bounded exact orbit; 0.241 and 0.40 do not
+    result = measured_precession(mercury, 5.9e4, n_orbits=3, tol=1e-10)
+    assert result.per_orbit_rad > 0.0
+    for delta in (6e4, 1e5):
+        with pytest.raises(ModelBreakdownError, match="unbounded"):
+            measured_precession(mercury, delta, n_orbits=3, tol=1e-10)
+
+
 def test_measured_precession_validation(mercury):
     with pytest.raises(DomainError):
         measured_precession(mercury, 0.0398, n_orbits=1)
@@ -247,6 +269,33 @@ def test_integrate_singularity_stop(mercury_orbit):
     model = QuantizedModel(quantum=q, mu=mercury_orbit.mu, h=mercury_orbit.h)
     with pytest.raises(SingularityError):
         integrate(model, 19.0 / mercury_orbit.r_p, 5e-9, 40.0 * math.pi, tol=1e-9)
+
+
+def test_integrate_inlined_step_equals_dopri_step(mercury_orbit):
+    # _integrate writes the step out in its loop; the extremum stencil still
+    # calls _dopri_step, so the two copies must give the same floats
+    from qgrav.orbit import _dopri_step, _integrate
+    model, _ = _mercury_model(mercury_orbit, delta=300.0)
+    u0 = 1.0 / mercury_orbit.r_p
+    du0 = 0.3 * u0
+    theta_max = 1e-3
+    thetas, us, dus, n_accepted, n_rejected = _integrate(model, u0, du0, theta_max, 1e-12)
+    assert (n_accepted, n_rejected) == (2, 0)
+    forcing = binet_rhs(model)
+    h = theta_max / 2.0
+    u1, v1, f1, _, _ = _dopri_step(forcing, u0, du0, h, forcing(u0))
+    u2, v2, _, _, _ = _dopri_step(forcing, u1, v1, h, f1)
+    assert thetas == [0.0, h, 2.0 * h]
+    assert us == [u0, u1, u2]
+    assert dus == [du0, v1, v2]
+
+
+def test_integrate_inlined_forcing_checks(mercury_orbit):
+    model, _ = _mercury_model(mercury_orbit)
+    u0 = 1.0 / mercury_orbit.r_p
+    # a slope steep enough that the first stage lands at negative u
+    with pytest.raises(DomainError, match="inverse radius must be positive"):
+        integrate(model, u0, -1e4 * u0, 1.0)
 
 
 def test_trajectory_validation():
