@@ -9,9 +9,10 @@ planetary precession.
 
 The analytic chain, the integrator and measured_precession need only the
 standard library; numpy is loaded by the functions that return arrays
-(integrate, detect_perihelia, closed_form_radius) on their first call. The integrator layer (qgrav.orbit) still takes a few
-milliseconds to import, so its names are resolved on first use and
-importing the package alone does not load it.
+(integrate, detect_perihelia, closed_form_radius) on their first call.
+The integrator layer (qgrav.orbit) still takes a few milliseconds to
+import, so its names are resolved on first use and importing the package
+alone does not load it.
 """
 
 import importlib

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from .bodies import ARCSEC_PER_RAD, CONSTANTS, PlanetElements, derive_orbit
@@ -135,6 +134,14 @@ def _forcing_error(u: float, q: float) -> QgravError:
     return SingularityError(1.0 / u, q)
 
 
+def _forcing(c: float, q: float, u: float) -> float:
+    """-u + c / (1 - q u), raising as binet_rhs documents."""
+    qu = q * u
+    if qu >= 1.0 or not u > 0:
+        raise _forcing_error(u, q)
+    return -u + c / (1.0 - qu)
+
+
 def binet_rhs(model: QuantizedModel) -> Callable[[float], float]:
     """Forcing term of the exact orbit equation for a model, as a function of u.
 
@@ -145,44 +152,61 @@ def binet_rhs(model: QuantizedModel) -> Callable[[float], float]:
     c, q = _binet_constants(model)
 
     def forcing(u: float) -> float:
-        qu = q * u
-        if qu >= 1.0 or not u > 0:
-            raise _forcing_error(u, q)
-        return -u + c / (1.0 - qu)
+        return _forcing(c, q, u)
 
     return forcing
 
 
-def _dopri_step(forcing, u, v, h, f1v):
-    """One Dormand-Prince step from (u, v); f1v is forcing(u) (FSAL reuse).
+def _dopri_step(c, q, u, v, h, f1v):
+    """One Dormand-Prince step from (u, v) for the forcing -u + c / (1 - q u);
+    f1v is the forcing at u (FSAL reuse).
 
+    The forcing and its checks (_forcing) are written out at each stage.
     Returns (u_new, v_new, f_new, err_u, err_v).
     """
     k1u, k1v = v, f1v
 
     u2 = u + h * (_A21 * k1u)
     k2u = v + h * (_A21 * k1v)
-    k2v = forcing(u2)
+    qu = q * u2
+    if qu >= 1.0 or not u2 > 0:
+        raise _forcing_error(u2, q)
+    k2v = -u2 + c / (1.0 - qu)
 
     u3 = u + h * (_A31 * k1u + _A32 * k2u)
     k3u = v + h * (_A31 * k1v + _A32 * k2v)
-    k3v = forcing(u3)
+    qu = q * u3
+    if qu >= 1.0 or not u3 > 0:
+        raise _forcing_error(u3, q)
+    k3v = -u3 + c / (1.0 - qu)
 
     u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
     k4u = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-    k4v = forcing(u4)
+    qu = q * u4
+    if qu >= 1.0 or not u4 > 0:
+        raise _forcing_error(u4, q)
+    k4v = -u4 + c / (1.0 - qu)
 
     u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
     k5u = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-    k5v = forcing(u5)
+    qu = q * u5
+    if qu >= 1.0 or not u5 > 0:
+        raise _forcing_error(u5, q)
+    k5v = -u5 + c / (1.0 - qu)
 
     u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
     k6u = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-    k6v = forcing(u6)
+    qu = q * u6
+    if qu >= 1.0 or not u6 > 0:
+        raise _forcing_error(u6, q)
+    k6v = -u6 + c / (1.0 - qu)
 
     u_new = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
     v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-    f_new = forcing(u_new)
+    qu = q * u_new
+    if qu >= 1.0 or not u_new > 0:
+        raise _forcing_error(u_new, q)
+    f_new = -u_new + c / (1.0 - qu)
     k7u, k7v = v_new, f_new
 
     err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
@@ -190,7 +214,7 @@ def _dopri_step(forcing, u, v, h, f1v):
     return u_new, v_new, f_new, err_u, err_v
 
 
-def _refine_stencil(forcing, samples, theta_hat):
+def _refine_stencil(c, q, samples, theta_hat):
     """Re-integrate from the last accepted sample before the stencil and return
     three states at theta_hat -/0/+ s, each propagated with fixed sub-steps no
     larger than the accepted ones (local error at machine level over s)."""
@@ -204,15 +228,15 @@ def _refine_stencil(forcing, samples, theta_hat):
     if anchor is None:
         return []
     theta_a, u, v = anchor
-    f1v = forcing(u)
+    f1v = _forcing(c, q, u)
     approach = start - theta_a
     if approach > 0.0:
         half = approach / 2.0
         for _ in range(2):
-            u, v, f1v, _, _ = _dopri_step(forcing, u, v, half, f1v)
+            u, v, f1v, _, _ = _dopri_step(c, q, u, v, half, f1v)
     out = [(start, u, v)]
     for i in (0, 1):
-        u, v, f1v, _, _ = _dopri_step(forcing, u, v, s, f1v)
+        u, v, f1v, _, _ = _dopri_step(c, q, u, v, s, f1v)
         out.append((theta_hat + i * s, u, v))
     return out
 
@@ -249,9 +273,7 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     """integrate's stepping on plain floats, with no numpy.
 
     Returns (thetas, us, dus, n_accepted, n_rejected), the samples already
-    checked as a Trajectory would check them. The step is _dopri_step and
-    the forcing binet_rhs written out in the loop, operation for operation,
-    so the two give the same floats; the extremum stencil calls them.
+    checked as a Trajectory would check them.
     """
     if not (math.isfinite(theta_max) and theta_max > 0):
         raise DomainError(f"theta_max must be positive, got {theta_max!r}")
@@ -262,29 +284,22 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     if not math.isfinite(du0):
         raise DomainError(f"initial slope must be finite, got {du0!r}")
 
-    forcing = binet_rhs(model)
     c, q = _binet_constants(model)
-    a21 = _A21
-    a31, a32 = _A31, _A32
-    a41, a42, a43 = _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     sqrt = math.sqrt
     atol = tol * u0
 
     samples: list[tuple[float, float, float]] = [(0.0, u0, du0)]
     extras: list[tuple[float, float, float]] = []
     theta, u, v = 0.0, u0, du0
-    f1v = forcing(u0)
+    f1v = _forcing(c, q, u0)
     h = min(_INITIAL_STEP, _MAX_STEP, theta_max / 2.0)
     n_accepted = 0
     n_rejected = 0
 
     theta_end = theta_max - 1e-12 * max(1.0, theta_max)
     # min and max of two floats are written as the conditional expressions
-    # they evaluate (min(a, b) is `b if b < a else a`), with no calls.
+    # they evaluate (min(a, b) is `b if b < a else a`), sparing about ten
+    # builtin calls per step.
     while theta < theta_end:
         if h < 1e-13 * (theta if theta > 1.0 else 1.0):
             raise StepFailureError(f"step size underflow at theta = {theta!r}")
@@ -292,51 +307,7 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
         if rest < h:
             h = rest
 
-        # One Dormand-Prince step from (u, v); stage 1 is (v, f1v).
-        u2 = u + h * (a21 * v)
-        k2u = v + h * (a21 * f1v)
-        qu = q * u2
-        if qu >= 1.0 or not u2 > 0:
-            raise _forcing_error(u2, q)
-        k2v = -u2 + c / (1.0 - qu)
-
-        u3 = u + h * (a31 * v + a32 * k2u)
-        k3u = v + h * (a31 * f1v + a32 * k2v)
-        qu = q * u3
-        if qu >= 1.0 or not u3 > 0:
-            raise _forcing_error(u3, q)
-        k3v = -u3 + c / (1.0 - qu)
-
-        u4 = u + h * (a41 * v + a42 * k2u + a43 * k3u)
-        k4u = v + h * (a41 * f1v + a42 * k2v + a43 * k3v)
-        qu = q * u4
-        if qu >= 1.0 or not u4 > 0:
-            raise _forcing_error(u4, q)
-        k4v = -u4 + c / (1.0 - qu)
-
-        u5 = u + h * (a51 * v + a52 * k2u + a53 * k3u + a54 * k4u)
-        k5u = v + h * (a51 * f1v + a52 * k2v + a53 * k3v + a54 * k4v)
-        qu = q * u5
-        if qu >= 1.0 or not u5 > 0:
-            raise _forcing_error(u5, q)
-        k5v = -u5 + c / (1.0 - qu)
-
-        u6 = u + h * (a61 * v + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
-        k6u = v + h * (a61 * f1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-        qu = q * u6
-        if qu >= 1.0 or not u6 > 0:
-            raise _forcing_error(u6, q)
-        k6v = -u6 + c / (1.0 - qu)
-
-        u_new = u + h * (b1 * v + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
-        v_new = v + h * (b1 * f1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        qu = q * u_new
-        if qu >= 1.0 or not u_new > 0:
-            raise _forcing_error(u_new, q)
-        f_new = -u_new + c / (1.0 - qu)
-
-        err_u = h * (e1 * v + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * v_new)
-        err_v = h * (e1 * f1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * f_new)
+        u_new, v_new, f_new, err_u, err_v = _dopri_step(c, q, u, v, h, f1v)
         # u and u_new passed the forcing check, so both are positive.
         scale_u = atol + tol * (u_new if u_new > u else u)
         av, av_new = abs(v), abs(v_new)
@@ -355,7 +326,7 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
             theta_hat = theta + h * (v / (v - v_new))
             if (theta_hat - 2.0 * _STENCIL_HALF_WIDTH > 0.0
                     and theta_hat + 2.0 * _STENCIL_HALF_WIDTH < theta_max):
-                extras.extend(_refine_stencil(forcing, samples, theta_hat))
+                extras.extend(_refine_stencil(c, q, samples, theta_hat))
         samples.append((theta_new, u_new, v_new))
         theta, u, v, f1v = theta_new, u_new, v_new, f_new
         if norm == 0.0:
@@ -369,7 +340,7 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
             h = _MAX_STEP
 
     merged = samples + extras
-    merged.sort(key=itemgetter(0))
+    merged.sort(key=lambda row: row[0])
     return (*_checked_samples(merged), n_accepted, n_rejected)
 
 
