@@ -36,8 +36,8 @@ from .precession import (AnalyticOrbit, PrecessionResult, Provenance,
 
 __version__ = "0.1.0"
 
-_ORBIT_NAMES = frozenset({"BinetState", "PerihelionSeries", "Trajectory",
-                          "binet_rhs", "detect_perihelia", "integrate",
+_ORBIT_NAMES = frozenset({"PerihelionSeries", "Trajectory", "binet_rhs",
+                          "detect_perihelia", "integrate",
                           "measured_precession"})
 
 
@@ -61,7 +61,7 @@ __all__ = [
     "ModelBreakdownError", "QgravError", "SingularityError", "StepFailureError",
     "NEWTON_G", "QuantizedModel", "corrected_force", "gr_precession_baseline",
     "newtonian_force", "state_weight", "weight_increment",
-    "BinetState", "PerihelionSeries", "Trajectory", "binet_rhs",
+    "PerihelionSeries", "Trajectory", "binet_rhs",
     "detect_perihelia", "integrate", "measured_precession",
     "AnalyticOrbit", "PrecessionResult", "Provenance", "QuantumRule",
     "amplitude_from_perihelion", "analytic_orbit", "closed_form_radius",

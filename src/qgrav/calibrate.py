@@ -18,8 +18,9 @@ from .bodies import (ARCSEC_PER_RAD, CONSTANTS, OBSERVATIONS_FILENAME,
                      PlanetElements, _check_unique, _check_unpadded,
                      _is_finite_number, _read_json, bundled_data_path,
                      derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
-from .errors import DomainError, IngestionError, ModelBreakdownError
-from .precession import QuantumRule, _advances, _scale, planet_precession
+from .errors import DomainError, IngestionError
+from .precession import (_EPS_BOX, _X_BOX, QuantumRule, _advances,
+                         _check_bounded, _scale, planet_precession)
 
 # Linearization point for the per-planet slopes d(precession)/d(delta).
 DELTA_REF = 0.01
@@ -131,11 +132,9 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     # 1 - x^2 = (1 - x)(1 + x) with 1 - x = advance / (2 pi + advance): no
     # cancellation, unlike forming 1 - freq_ratio**2 near freq_ratio = 1.
     eps = (advance / (two_pi + advance)) * (1.0 + freq_ratio)
-    if eps >= 1.0:
-        raise ModelBreakdownError(
-            f"target {target_arcsec!r} arcsec/century implies epsilon = {eps!r} >= 1"
-        )
     quantum = eps * orbit.h * orbit.h / orbit.mu
+    if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
+        _check_bounded(quantum, eps, quantum / orbit.r_p)
     return rad_to_arcsec(quantum / _scale(orbit, rule))
 
 
@@ -200,5 +199,5 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     # endpoints are hit exactly, not via accumulated float arithmetic
     deltas = [delta_min + span * i / (steps - 1) for i in range(steps - 1)] + [delta_max]
     # the same values as planet_precession(el, delta, rule, mu), bit for bit
-    advances = _advances(derive_orbit(el, mu), deltas, rule, el.name)
+    advances = _advances(derive_orbit(el, mu), deltas, rule)
     return [(delta, per_century) for delta, (_, per_century) in zip(deltas, advances)]

@@ -18,9 +18,9 @@ class IngestionError(QgravError, ValueError):
 class ModelBreakdownError(QgravError):
     """The space quantum is too large for the orbit.
 
-    The closed form needs epsilon = q mu / h^2 < 1. Integrating from a
-    perihelion start also needs the exact orbit to be bounded, which fails
-    at smaller quanta (from epsilon = 1/4 at the latest).
+    Every path (the closed form, its inversion, the model and the
+    integrator) applies one rule: the exact orbit from the perihelion must
+    be bounded, which fails from epsilon = q mu / h^2 = 1/4 at the latest.
     """
 
 

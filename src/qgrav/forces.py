@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .bodies import CONSTANTS, ARCSEC_PER_RAD, PlanetElements, derive_orbit
-from .errors import DomainError, ModelBreakdownError, SingularityError
-from .precession import PrecessionResult, Provenance
+from .errors import DomainError, SingularityError
+from .precession import PrecessionResult, Provenance, _check_bounded
 
 # CODATA Newton constant, m^3 kg^-1 s^-2. Kept independent of the quantum:
 # every orbital computation uses GM directly, so G never enters the pipeline.
@@ -36,7 +36,8 @@ class QuantizedModel:
              force, not an orbit, is modelled
 
     The model carries GM alone: G never enters an orbit, only the
-    two-mass force laws below take it.
+    two-mass force laws below take it. With h set, epsilon >= 1/4, where
+    no exact orbit is bounded, raises ModelBreakdownError.
     """
 
     quantum: float
@@ -51,11 +52,7 @@ class QuantizedModel:
         if self.h is not None:
             if not (math.isfinite(self.h) and self.h > 0):
                 raise DomainError(f"angular momentum must be positive, got {self.h!r}")
-            if self.epsilon >= 1.0:
-                raise ModelBreakdownError(
-                    f"quantum {self.quantum!r} m too large for this orbit: "
-                    f"epsilon = {self.epsilon!r} >= 1"
-                )
+            _check_bounded(self.quantum, self.epsilon)
 
     @property
     def epsilon(self) -> float:

@@ -25,9 +25,9 @@ trajectory and measured_precession need only the standard library. numpy
 is imported only by integrate and detect_perihelia, which pack those lists
 into arrays.
 
-Before integrating from a perihelion start, _perihelion_start checks that
-the exact orbit is bounded: a quantum can leave epsilon < 1, which the
-closed form needs, and still let the orbit fall into the quantum.
+_perihelion_start refuses, through precession.orbit_params and the
+breakdown rule every path shares, a quantum whose exact orbit from the
+perihelion is unbounded.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .bodies import ARCSEC_PER_RAD, CONSTANTS, PlanetElements, derive_orbit
-from .errors import (DomainError, InsufficientSpanError, ModelBreakdownError,
-                     QgravError, SingularityError, StepFailureError)
+from .errors import (DomainError, InsufficientSpanError, QgravError,
+                     SingularityError, StepFailureError)
 from .forces import QuantizedModel
 from .precession import (PrecessionResult, Provenance, QuantumRule,
                          orbit_params, quantum_from_error)
@@ -74,19 +74,6 @@ _TOO_SPARSE = "trajectory sampling too sparse: a theta gap reaches pi/8"
 
 
 @dataclass(frozen=True)
-class BinetState:
-    """One sample of the inverse-radius system: angle, u = 1/r, du/dtheta."""
-
-    theta: float
-    u: float
-    du: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.u) and self.u > 0):
-            raise DomainError(f"inverse radius must be positive, got {self.u!r}")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Ordered integration samples plus integrator metadata."""
 
@@ -98,18 +85,10 @@ class Trajectory:
     n_rejected: int
 
     def __post_init__(self) -> None:
-        import numpy as np
-        gaps = np.diff(self.theta)
-        if len(self.theta) < 2 or np.any(gaps <= 0):
-            raise DomainError(_NOT_INCREASING)
-        if np.max(gaps) >= _MAX_GAP:
-            raise DomainError(_TOO_SPARSE)
+        _check_sampling(self.theta.tolist())
 
     def __len__(self) -> int:
         return len(self.theta)
-
-    def state(self, i: int) -> BinetState:
-        return BinetState(float(self.theta[i]), float(self.u[i]), float(self.du[i]))
 
 
 @dataclass(frozen=True)
@@ -241,30 +220,35 @@ def _refine_stencil(c, q, samples, theta_hat):
     return out
 
 
+def _check_sampling(thetas: list[float]) -> None:
+    """Raise DomainError unless the angles strictly increase, number at least
+    two and never leave a gap of pi/8."""
+    if len(thetas) < 2:
+        raise DomainError(_NOT_INCREASING)
+    for a, b in zip(thetas, thetas[1:]):
+        gap = b - a
+        if not gap > 0.0:
+            raise DomainError(_NOT_INCREASING)
+        if not gap < _MAX_GAP:
+            raise DomainError(_TOO_SPARSE)
+
+
 def _checked_samples(rows):
     """Split theta-ordered (theta, u, du) rows into three lists.
 
     A row within 1e-12 rad of the one kept before it (a stencil point on an
-    accepted step) is dropped. Raises DomainError unless the kept angles
-    strictly increase, number at least two and never leave a gap of pi/8.
+    accepted step) is dropped. The kept angles must pass _check_sampling.
     """
     thetas: list[float] = []
     us: list[float] = []
     vs: list[float] = []
     for t, uu, vv in rows:
-        if thetas:
-            gap = t - thetas[-1]
-            if gap < 1e-12:
-                if gap > -1e-12:
-                    continue
-                raise DomainError(_NOT_INCREASING)
-            if not gap < _MAX_GAP:
-                raise DomainError(_TOO_SPARSE)
+        if thetas and -1e-12 < t - thetas[-1] < 1e-12:
+            continue
         thetas.append(t)
         us.append(uu)
         vs.append(vv)
-    if len(thetas) < 2:
-        raise DomainError(_NOT_INCREASING)
+    _check_sampling(thetas)
     return thetas, us, vs
 
 
@@ -435,47 +419,16 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     the exact orbit, starting at its perihelion, plus half a radian so the
     last perihelion is bracketed.
 
-    Raises ModelBreakdownError when that orbit is unbounded (see
-    _check_bounded), where the closed form's epsilon < 1 still holds.
+    Raises ModelBreakdownError when that orbit is unbounded, through
+    orbit_params.
     """
     orbit = derive_orbit(el, mu)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
     _, freq_ratio = orbit_params(quantum, orbit)
     model = QuantizedModel(quantum=quantum, mu=mu, h=orbit.h)
     u0 = 1.0 / orbit.r_p
-    _check_bounded(model, u0)
     theta_max = n_periods * (2.0 * math.pi / freq_ratio) + 0.5
     return orbit, model, u0, theta_max
-
-
-def _check_bounded(model: QuantizedModel, u_p: float) -> None:
-    """Raise ModelBreakdownError unless the exact orbit from rest at u_p is bounded.
-
-    With the first integral u'^2/2 + W(u) = W(u_p), where
-    W(u) = u^2/2 + (c/q) log1p(-q u), the orbit stays bounded only behind
-    the barrier of W at u+ = (1 + sqrt(1 - 4 eps))/(2q), the larger root of
-    u (1 - q u) = c. It falls into the quantum if eps >= 1/4 (no barrier),
-    u_p >= u+, or W(u_p) >= W(u+). Both sides are compared as
-    q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
-    1 - x+ = 2 eps/(1 + s) formed without cancellation. eps = 0 (q = 0,
-    Newton's conic) is not checked.
-    """
-    eps = model.epsilon
-    if eps == 0.0:
-        return
-    x_p = model.quantum * u_p
-    if eps < 0.25:
-        s = math.sqrt(1.0 - 4.0 * eps)
-        x_plus = 0.5 * (1.0 + s)
-        if x_p < x_plus:
-            w_p = 0.5 * x_p * x_p + eps * math.log1p(-x_p)
-            w_plus = 0.5 * x_plus * x_plus + eps * math.log(2.0 * eps / (1.0 + s))
-            if w_p < w_plus:
-                return
-    raise ModelBreakdownError(
-        f"quantum {model.quantum!r} m too large for this orbit: the exact orbit "
-        f"from perihelion is unbounded (epsilon = {eps!r})"
-    )
 
 
 def measured_precession(el: PlanetElements, delta_arcsec: float,

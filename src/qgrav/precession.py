@@ -109,19 +109,60 @@ def orbit_params(quantum: float, orbit: DerivedOrbit) -> tuple[float, float]:
     """Semi-latus rectum p and frequency ratio x for a quantum on an orbit.
 
     p = (h^2 - q mu)/mu and x = sqrt(1 - eps) with eps = q mu/h^2, so
-    x^2 + eps = 1 exactly. eps >= 1 means the quantum exceeds what the
-    orbit can sustain.
+    x^2 + eps = 1 exactly. Raises ModelBreakdownError when the quantum is
+    too large for the orbit: when the exact orbit from its perihelion is
+    unbounded (see _check_bounded), which holds for every eps >= 1/4.
     """
     if not (math.isfinite(quantum) and quantum >= 0):
         raise DomainError(f"space quantum must be >= 0, got {quantum!r}")
     eps = quantum * orbit.mu / (orbit.h * orbit.h)
-    if eps >= 1.0:
-        raise ModelBreakdownError(
-            f"quantum {quantum!r} m too large for this orbit: epsilon = {eps!r} >= 1"
-        )
+    _check_bounded(quantum, eps, quantum / orbit.r_p)
     x = math.sqrt(1.0 - eps)
     p = (orbit.h * orbit.h - quantum * orbit.mu) / orbit.mu
     return p, x
+
+
+# _check_bounded passes inside eps < _EPS_BOX, x_p < _X_BOX (see its
+# docstring), so row loops test this box inline and call it only outside.
+_EPS_BOX = 0.01
+_X_BOX = 0.9
+
+
+def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None:
+    """The breakdown rule: raise ModelBreakdownError unless the exact orbit is bounded.
+
+    eps = q mu/h^2, and x_p = q/r_p places the orbit's perihelion. With the
+    first integral u'^2/2 + W(u) = W(u_p), where
+    W(u) = u^2/2 + (c/q) log1p(-q u) and c = mu/h^2, the orbit from rest at
+    its perihelion stays bounded only behind the barrier of W at
+    u+ = (1 + sqrt(1 - 4 eps))/(2q), the larger root of u (1 - q u) = c.
+    It falls into the quantum if eps >= 1/4 (no barrier), u_p >= u+, or
+    W(u_p) >= W(u+). Both sides are compared as
+    q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
+    1 - x+ = 2 eps/(1 + s) formed without cancellation. With x_p omitted
+    (a model with no perihelion) only eps >= 1/4 is refused. eps = 0 (q = 0,
+    Newton's conic) always passes.
+
+    The box eps < 0.01, x_p < 0.9 always passes:
+    - x+ falls as eps grows and is 0.9899 at eps = 0.01, above 0.9 > x_p;
+    - q^2 W(x+) falls as eps grows, since its derivative in eps is
+      log(1 - x+) < 0 (W' vanishes at x+), and is 0.444 at eps = 0.01,
+      above x_p^2/2 < 0.405, which bounds q^2 W(x_p) because log1p(-x_p) < 0.
+    """
+    if eps < 0.25:
+        if x_p is None or eps == 0.0:
+            return
+        s = math.sqrt(1.0 - 4.0 * eps)
+        x_plus = 0.5 * (1.0 + s)
+        if x_p < x_plus:
+            w_p = 0.5 * x_p * x_p + eps * math.log1p(-x_p)
+            w_plus = 0.5 * x_plus * x_plus + eps * math.log(2.0 * eps / (1.0 + s))
+            if w_p < w_plus:
+                return
+    raise ModelBreakdownError(
+        f"quantum {quantum!r} m too large for this orbit: the exact orbit "
+        f"from perihelion is unbounded (epsilon = {eps!r})"
+    )
 
 
 def amplitude_from_perihelion(semi_latus: float, r_p: float) -> float:
@@ -193,7 +234,7 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
     formulas; the advance is evaluated from eps = q mu/h^2 directly (see
     module note) so that inverting the result recovers delta to ~1e-15.
     """
-    [(per_orbit, per_century)] = _advances(derive_orbit(el, mu), [delta_arcsec], rule, el.name)
+    [(per_orbit, per_century)] = _advances(derive_orbit(el, mu), [delta_arcsec], rule)
     return PrecessionResult(
         per_orbit_rad=per_orbit,
         per_century_arcsec=per_century,
@@ -201,8 +242,8 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
     )
 
 
-def _advances(orbit: DerivedOrbit, deltas: list[float], rule: QuantumRule,
-              name: str) -> list[tuple[float, float]]:
+def _advances(orbit: DerivedOrbit, deltas: list[float],
+              rule: QuantumRule) -> list[tuple[float, float]]:
     """(rad/orbit, arcsec/century) for each delta on an already derived orbit.
 
     The body of planet_precession, shared with sweep_delta so that a sweep
@@ -213,16 +254,15 @@ def _advances(orbit: DerivedOrbit, deltas: list[float], rule: QuantumRule,
     scale = _scale(orbit, rule)
     mu = orbit.mu
     h2 = orbit.h * orbit.h
+    quantum_box = _X_BOX * orbit.r_p
     orbits_per_century = orbit.orbits_per_century
     rows = []
     for delta_arcsec in deltas:
         _check_delta(delta_arcsec)
         quantum = arcsec_to_rad(delta_arcsec) * scale
         eps = quantum * mu / h2
-        if eps >= 1.0:
-            raise ModelBreakdownError(
-                f"quantum {quantum!r} m too large for {name}: epsilon = {eps!r} >= 1"
-            )
+        if not (eps < _EPS_BOX and quantum < quantum_box):
+            _check_bounded(quantum, eps, quantum / orbit.r_p)
         per_orbit = _advance_from_eps(eps)
         rows.append((per_orbit, per_orbit * orbits_per_century * ARCSEC_PER_RAD))
     return rows

@@ -84,6 +84,9 @@ def test_invert_delta_round_trip(planets):
 def test_invert_delta_breakdown(mercury):
     with pytest.raises(ModelBreakdownError):
         invert_delta(mercury, 1e25)
+    # epsilon = 0.41 < 1: the exact orbit from perihelion is unbounded
+    with pytest.raises(ModelBreakdownError, match="unbounded"):
+        invert_delta(mercury, 1.6e8)
     with pytest.raises(DomainError):
         invert_delta(mercury, -1.0)
 

@@ -207,6 +207,29 @@ def test_orbit_breakdown_exit_code():
     assert "underflow" not in proc.stderr
 
 
+@pytest.mark.parametrize("delta, code", [("5.9e4", 0), ("6e4", 3), ("1e5", 3)])
+def test_breakdown_exit_code_agrees_across_commands(tmp_path, delta, code):
+    # One breakdown rule: the analytic commands refuse a quantum exactly
+    # where the integrator does (epsilon = 0.237, 0.241, 0.40 for Mercury).
+    # A Mercury-only file keeps table from reaching Venus, which breaks
+    # down earlier.
+    path = tmp_path / "planets.json"
+    path.write_text(json.dumps({"schema_version": 1, "planets": [
+        {"name": "Mercury", "a_m": 5.79092e10, "e": 0.20563069, "tau_days": 87.96926}]}))
+    planets = ("--planets", str(path))
+    procs = [run_cli("precess", *planets, "--planet", "mercury", "--delta", delta),
+             run_cli("table", *planets, "--deltas", delta),
+             run_cli("sweep", *planets, "--planet", "mercury", "--delta-max", delta,
+                     "--steps", "2"),
+             run_cli("orbit", *planets, "--planet", "mercury", "--delta", delta,
+                     "--orbits", "1", "--tol", "1e-8")]
+    assert [proc.returncode for proc in procs] == [code] * 4
+    if code == 3:
+        assert all(proc.stdout == "" for proc in procs)
+        assert "exact orbit from perihelion is unbounded" in procs[0].stderr
+        assert all(proc.stderr == procs[0].stderr for proc in procs)
+
+
 def test_bad_flag_values_are_usage_errors():
     assert run_cli("table", "--format", "yaml").returncode == 2
     assert run_cli("precess", "--planet", "mercury", "--delta", "-1").returncode == 2

@@ -120,6 +120,9 @@ def test_quantized_model_validation():
         QuantizedModel(quantum=0.0, mu=1.3e20, h=-1.0)
     with pytest.raises(ModelBreakdownError):
         QuantizedModel(quantum=1e12, mu=1.3e20, h=2.7e15)
+    # epsilon = 0.3 < 1, but past 1/4 no exact orbit is bounded
+    with pytest.raises(ModelBreakdownError):
+        QuantizedModel(quantum=0.3 * 2.7e15 ** 2 / 1.3e20, mu=1.3e20, h=2.7e15)
     with pytest.raises(DomainError):
         QuantizedModel(quantum=0.0, mu=1.3e20).epsilon
 

@@ -73,6 +73,23 @@ def test_orbit_params_breakdown(mercury_orbit):
         orbit_params(q_edge * (1.0 + 1e-12), mercury_orbit)
     with pytest.raises(ModelBreakdownError):
         orbit_params(2.0 * q_edge, mercury_orbit)
+    # epsilon = 0.3 < 1, past the 1/4 where the exact orbit stops being bounded
+    with pytest.raises(ModelBreakdownError, match="unbounded"):
+        orbit_params(0.3 * q_edge, mercury_orbit)
+
+
+def test_breakdown_box_passes():
+    # The row loops skip the rule inside eps < _EPS_BOX, x_p < _X_BOX; the
+    # rule itself must pass there, up to the corners.
+    from qgrav.precession import _EPS_BOX, _X_BOX, _check_bounded
+    for eps in (math.nextafter(_EPS_BOX, 0.0), 1e-3, 1e-7, 5e-324):
+        for x_p in (math.nextafter(_X_BOX, 0.0), 0.5, 1e-7, 0.0):
+            _check_bounded(1.0, eps, x_p)
+    # just outside the box in x_p the rule still passes at small eps, and
+    # refuses a perihelion at or past the barrier
+    _check_bounded(1.0, 1e-3, _X_BOX)
+    with pytest.raises(ModelBreakdownError):
+        _check_bounded(1.0, 1e-3, 0.999)
 
 
 def test_orbit_params_exactness(mercury_orbit, venus, earth):
