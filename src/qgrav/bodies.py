@@ -2,16 +2,16 @@
 
 All internal computation is SI (m, s, rad); periods are stored in days and
 converted on derivation. Angles for reporting are arcseconds per Julian
-century (36525 days).
+century (36525 days). Every orbit is a solar orbit: GM and c are the bundled
+CONSTANTS, and each PlanetElements derives its orbit once, when it is built.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import IO
@@ -82,39 +82,13 @@ def rad_to_arcsec(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class PlanetElements:
-    """Named orbital elements: semi-major axis (m), eccentricity, sidereal period (days)."""
-
-    name: str
-    a: float
-    e: float
-    tau_days: float
-
-    def __post_init__(self) -> None:
-        label = self.name if self.name else "<unnamed>"
-        if not self.name or not isinstance(self.name, str):
-            raise IngestionError(f"planet record {label!r}: name must be a non-empty string")
-        _check_unpadded(self.name, "planet")
-        for field in ("a", "e", "tau_days"):
-            value = getattr(self, field)
-            if not _is_finite_number(value):
-                raise IngestionError(f"planet {label!r}: {field} must be a finite number, got {value!r}")
-        if self.a <= 0:
-            raise IngestionError(f"planet {label!r}: semi-major axis must be positive, got {self.a!r}")
-        if not 0.0 <= self.e < 1.0:
-            raise IngestionError(f"planet {label!r}: eccentricity must satisfy 0 <= e < 1, got {self.e!r}")
-        if self.tau_days <= 0:
-            raise IngestionError(f"planet {label!r}: period must be positive, got {self.tau_days!r}")
-
-
-@dataclass(frozen=True)
 class DerivedOrbit:
     """Orbit quantities the precession pipeline consumes.
 
     b    semi-minor axis, m
     r_p  perihelion distance, m
     h    specific angular momentum 2*pi*a*b/tau, m^2/s
-    mu   gravitational parameter GM of the central body, m^3/s^2
+    mu   gravitational parameter GM of the Sun, m^3/s^2
     orbits_per_century  revolutions per 36525 days
     """
 
@@ -125,27 +99,58 @@ class DerivedOrbit:
     orbits_per_century: float
 
 
-def derive_orbit(el: PlanetElements, mu: float = CONSTANTS.gm_sun) -> DerivedOrbit:
-    """Derive b, r_p, h and orbit count per century from named elements.
+@dataclass(frozen=True)
+class PlanetElements:
+    """Named orbital elements: semi-major axis (m), eccentricity, sidereal period (days).
 
-    Pure and deterministic: identical inputs give bit-identical outputs.
-    Results are cached per (elements, mu), so a planet seen again costs a
-    lookup; both types are frozen, so a cached orbit cannot change.
+    Construction validates the elements and derives their solar orbit, which
+    derive_orbit returns. The orbit takes no part in equality, hashing or
+    repr; those rest on the four elements alone.
     """
-    if not (math.isfinite(mu) and mu > 0):
-        raise DomainError(f"gravitational parameter must be positive, got {mu!r}")
-    return _derive_orbit(el, mu)
+
+    name: str
+    a: float
+    e: float
+    tau_days: float
+    orbit: DerivedOrbit = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        label = self.name if self.name else "<unnamed>"
+        if not self.name or not isinstance(self.name, str):
+            raise IngestionError(f"planet record {label!r}: name must be a non-empty string")
+        _check_unpadded(self.name, "planet")
+        for attr in ("a", "e", "tau_days"):
+            value = getattr(self, attr)
+            if not _is_finite_number(value):
+                raise IngestionError(f"planet {label!r}: {attr} must be a finite number, got {value!r}")
+        if self.a <= 0:
+            raise IngestionError(f"planet {label!r}: semi-major axis must be positive, got {self.a!r}")
+        if not 0.0 <= self.e < 1.0:
+            raise IngestionError(f"planet {label!r}: eccentricity must satisfy 0 <= e < 1, got {self.e!r}")
+        if self.tau_days <= 0:
+            raise IngestionError(f"planet {label!r}: period must be positive, got {self.tau_days!r}")
+        b = self.a * math.sqrt(1.0 - self.e * self.e)
+        r_p = self.a * (1.0 - self.e)
+        h = 2.0 * math.pi * self.a * b / (self.tau_days * DAY_S)
+        orbits_per_century = CONSTANTS.century_days / self.tau_days
+        # epsilon divides by h^2 and every centurial figure multiplies by the
+        # orbit count, so elements whose floats over- or underflow there are
+        # refused here rather than turned into a crash or a nan later.
+        for quantity, value in (("h^2", h * h), ("orbits per century", orbits_per_century)):
+            if not (math.isfinite(value) and value > 0):
+                raise IngestionError(
+                    f"planet {label!r}: derived {quantity} must be finite and positive, got {value!r}")
+        object.__setattr__(self, "orbit", DerivedOrbit(
+            b=b, r_p=r_p, h=h, mu=CONSTANTS.gm_sun, orbits_per_century=orbits_per_century))
 
 
-# typed: mu is copied into the result, so an int mu must not be served the
-# orbit cached for an equal float mu.
-@functools.lru_cache(typed=True)
-def _derive_orbit(el: PlanetElements, mu: float) -> DerivedOrbit:
-    b = el.a * math.sqrt(1.0 - el.e * el.e)
-    r_p = el.a * (1.0 - el.e)
-    h = 2.0 * math.pi * el.a * b / (el.tau_days * DAY_S)
-    orbits_per_century = CONSTANTS.century_days / el.tau_days
-    return DerivedOrbit(b=b, r_p=r_p, h=h, mu=mu, orbits_per_century=orbits_per_century)
+def derive_orbit(el: PlanetElements) -> DerivedOrbit:
+    """b, r_p, h, GM and orbit count per century of the named elements.
+
+    The orbit was derived when the elements were built, so this returns that
+    one object: repeated calls cost an attribute read and agree bit for bit.
+    """
+    return el.orbit
 
 
 _PLANET_FIELDS = {"name", "a_m", "e", "tau_days"}
@@ -165,6 +170,11 @@ def _read_json(source: str | Path | IO[str], what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{what} file {origin} is not valid JSON: {exc}") from exc
+
+
+def _is_version_one(value: object) -> bool:
+    """True for the schema version 1; bool is excluded although True == 1."""
+    return value == 1 and not isinstance(value, bool)
 
 
 def _check_unpadded(name: str, what: str) -> None:
@@ -219,7 +229,7 @@ def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetEleme
     extra = set(doc) - {"schema_version", "planets"}
     if extra:
         raise IngestionError(f"planets file has unknown top-level fields: {sorted(extra)}")
-    if doc.get("schema_version") != 1:
+    if not _is_version_one(doc.get("schema_version")):
         raise IngestionError(f"planets file schema_version must be 1, got {doc.get('schema_version')!r}")
     records = doc.get("planets")
     if not isinstance(records, list):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from .bodies import (ARCSEC_PER_RAD, CONSTANTS, OBSERVATIONS_FILENAME,
-                     PlanetElements, _check_unique, _check_unpadded,
-                     _is_finite_number, _read_json, bundled_data_path,
+from .bodies import (ARCSEC_PER_RAD, OBSERVATIONS_FILENAME, PlanetElements,
+                     _check_unique, _check_unpadded, _is_finite_number,
+                     _is_version_one, _read_json, bundled_data_path,
                      derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
 from .errors import DomainError, IngestionError
 from .precession import (_EPS_BOX, _X_BOX, QuantumRule, _advances,
@@ -85,7 +85,7 @@ def load_observations(source: str | Path | IO[str] | None = None) -> list[Observ
     extra = set(doc) - {"schema_version", "observations"}
     if extra:
         raise IngestionError(f"observations file has unknown top-level fields: {sorted(extra)}")
-    if "schema_version" in doc and doc["schema_version"] != 1:
+    if "schema_version" in doc and not _is_version_one(doc["schema_version"]):
         raise IngestionError(
             f"observations file schema_version must be 1, got {doc['schema_version']!r}"
         )
@@ -113,8 +113,7 @@ def load_observations(source: str | Path | IO[str] | None = None) -> list[Observ
 
 
 def invert_delta(el: PlanetElements, target_arcsec: float,
-                 rule: QuantumRule = QuantumRule.PERIHELION,
-                 mu: float = CONSTANTS.gm_sun) -> float:
+                 rule: QuantumRule = QuantumRule.PERIHELION) -> float:
     """Error angle delta whose predicted centurial precession equals target.
 
     Closed-form inversion of the analytic chain: the per-orbit advance is
@@ -125,7 +124,7 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     """
     if not (math.isfinite(target_arcsec) and target_arcsec >= 0):
         raise DomainError(f"target precession must be >= 0, got {target_arcsec!r}")
-    orbit = derive_orbit(el, mu)
+    orbit = derive_orbit(el)
     advance = target_arcsec / (orbit.orbits_per_century * ARCSEC_PER_RAD)
     two_pi = 2.0 * math.pi
     freq_ratio = two_pi / (two_pi + advance)
@@ -140,8 +139,7 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
 
 def fit_delta(observations: list[Observation],
               rule: QuantumRule = QuantumRule.PERIHELION,
-              planets: list[PlanetElements] | None = None,
-              mu: float = CONSTANTS.gm_sun) -> FitResult:
+              planets: list[PlanetElements] | None = None) -> FitResult:
     """Weighted least squares for one delta shared by all observed planets.
 
     The model is predicted_i = s_i * delta with slope s_i evaluated at
@@ -159,7 +157,7 @@ def fit_delta(observations: list[Observation],
     elements = {obs.planet: planet_by_name(planets, obs.planet) for obs in observations}
 
     slopes = {
-        obs.planet: planet_precession(elements[obs.planet], DELTA_REF, rule, mu).per_century_arcsec / DELTA_REF
+        obs.planet: planet_precession(elements[obs.planet], DELTA_REF, rule).per_century_arcsec / DELTA_REF
         for obs in observations
     }
     wsum_so = 0.0
@@ -174,7 +172,7 @@ def fit_delta(observations: list[Observation],
     delta_sigma = wsum_ss ** -0.5
 
     predicted = {
-        obs.planet: planet_precession(elements[obs.planet], delta_star, rule, mu).per_century_arcsec
+        obs.planet: planet_precession(elements[obs.planet], delta_star, rule).per_century_arcsec
         for obs in observations
     }
     residuals = {obs.planet: obs.value_arcsec - predicted[obs.planet] for obs in observations}
@@ -184,8 +182,8 @@ def fit_delta(observations: list[Observation],
 
 
 def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
-                steps: int, rule: QuantumRule = QuantumRule.PERIHELION,
-                mu: float = CONSTANTS.gm_sun) -> list[tuple[float, float]]:
+                steps: int,
+                rule: QuantumRule = QuantumRule.PERIHELION) -> list[tuple[float, float]]:
     """Evenly spaced (delta, arcsec/century) rows over [delta_min, delta_max]."""
     if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
         raise DomainError("sweep bounds must be finite")
@@ -198,6 +196,6 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     span = delta_max - delta_min
     # endpoints are hit exactly, not via accumulated float arithmetic
     deltas = [delta_min + span * i / (steps - 1) for i in range(steps - 1)] + [delta_max]
-    # the same values as planet_precession(el, delta, rule, mu), bit for bit
-    advances = _advances(derive_orbit(el, mu), deltas, rule)
+    # the same values as planet_precession(el, delta, rule), bit for bit
+    advances = _advances(derive_orbit(el), deltas, rule)
     return [(delta, per_century) for delta, (_, per_century) in zip(deltas, advances)]

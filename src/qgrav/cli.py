@@ -28,9 +28,7 @@ import sys
 
 from .bodies import CONSTANTS_VERSION, load_planets, planet_by_name
 from .calibrate import fit_delta, load_observations, sweep_delta
-from .errors import (DomainError, IngestionError, InsufficientSpanError,
-                     ModelBreakdownError, QgravError, SingularityError,
-                     StepFailureError)
+from .errors import IngestionError, QgravError
 from .forces import gr_precession_baseline
 from .precession import QuantumRule, planet_precession
 
@@ -362,10 +360,6 @@ def main(argv: list[str] | None = None) -> int:
     except IngestionError as exc:
         print(f"qgrav: error: {exc}", file=sys.stderr)
         return 2
-    except (ModelBreakdownError, SingularityError, DomainError,
-            InsufficientSpanError, StepFailureError) as exc:
-        print(f"qgrav: error: {exc}", file=sys.stderr)
-        return 3
     except QgravError as exc:
         print(f"qgrav: error: {exc}", file=sys.stderr)
         return 3

@@ -106,18 +106,16 @@ def newtonian_force(g: float, m1: float, m2: float, separation: float) -> float:
     return corrected_force(g, m1, m2, separation, 0.0)
 
 
-def gr_precession_baseline(el: PlanetElements, mu: float = CONSTANTS.gm_sun,
-                           c: float = CONSTANTS.c) -> PrecessionResult:
+def gr_precession_baseline(el: PlanetElements) -> PrecessionResult:
     """Standard general-relativity per-orbit perihelion advance, as a baseline.
 
     Uses the textbook 6 pi GM / (c^2 a (1 - e^2)) per revolution. This is
     standard-literature material included only for comparison tables; it is
     not part of the quantized-force model.
     """
-    if not (math.isfinite(c) and c > 0):
-        raise DomainError(f"speed of light must be positive, got {c!r}")
-    orbit = derive_orbit(el, mu)
-    per_orbit = 6.0 * math.pi * mu / (c * c * el.a * (1.0 - el.e * el.e))
+    orbit = derive_orbit(el)
+    c = CONSTANTS.c
+    per_orbit = 6.0 * math.pi * orbit.mu / (c * c * el.a * (1.0 - el.e * el.e))
     per_century = per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit, per_century_arcsec=per_century,
                             provenance=Provenance.GR_BASELINE)

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .bodies import ARCSEC_PER_RAD, CONSTANTS, PlanetElements, derive_orbit
+from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import (DomainError, InsufficientSpanError, QgravError,
                      SingularityError, StepFailureError)
 from .forces import QuantizedModel
@@ -414,7 +414,7 @@ def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
 
 
 def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
-                      n_periods: int, mu: float = CONSTANTS.gm_sun):
+                      n_periods: int):
     """(orbit, model, u0, theta_max) to integrate n_periods radial periods of
     the exact orbit, starting at its perihelion, plus half a radian so the
     last perihelion is bracketed.
@@ -422,10 +422,10 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     Raises ModelBreakdownError when that orbit is unbounded, through
     orbit_params.
     """
-    orbit = derive_orbit(el, mu)
+    orbit = derive_orbit(el)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
     _, freq_ratio = orbit_params(quantum, orbit)
-    model = QuantizedModel(quantum=quantum, mu=mu, h=orbit.h)
+    model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
     u0 = 1.0 / orbit.r_p
     theta_max = n_periods * (2.0 * math.pi / freq_ratio) + 0.5
     return orbit, model, u0, theta_max
@@ -433,8 +433,7 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
 
 def measured_precession(el: PlanetElements, delta_arcsec: float,
                         rule: QuantumRule = QuantumRule.PERIHELION,
-                        n_orbits: int = 50, tol: float = 1e-12,
-                        mu: float = CONSTANTS.gm_sun) -> PrecessionResult:
+                        n_orbits: int = 50, tol: float = 1e-12) -> PrecessionResult:
     """Measure the perihelion advance by exact integration from a perihelion start.
 
     Integrates n_orbits + 1 radial periods so that n_orbits inter-perihelion
@@ -445,8 +444,7 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
     """
     if n_orbits < 2:
         raise DomainError(f"need at least 2 orbits to average advances, got {n_orbits!r}")
-    orbit, model, u0, theta_max = _perihelion_start(el, delta_arcsec, rule,
-                                                    n_orbits + 1, mu)
+    orbit, model, u0, theta_max = _perihelion_start(el, delta_arcsec, rule, n_orbits + 1)
     theta, u, du, _, _ = _integrate(model, u0, 0.0, theta_max, tol)
     _, advances = _perihelion_angles(theta, u, du)
     per_orbit = math.fsum(advances) / len(advances)

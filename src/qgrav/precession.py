@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .bodies import (ARCSEC_PER_RAD, CONSTANTS, DerivedOrbit, PlanetElements,
+from .bodies import (ARCSEC_PER_RAD, DerivedOrbit, PlanetElements,
                      arcsec_to_rad, derive_orbit)
 from .errors import DomainError, ModelBreakdownError
 
@@ -226,15 +226,14 @@ def _advance_from_eps(eps: float) -> float:
 
 
 def planet_precession(el: PlanetElements, delta_arcsec: float,
-                      rule: QuantumRule = QuantumRule.PERIHELION,
-                      mu: float = CONSTANTS.gm_sun) -> PrecessionResult:
+                      rule: QuantumRule = QuantumRule.PERIHELION) -> PrecessionResult:
     """Full analytic chain: elements + measurement error -> centurial precession.
 
     Composes derive_orbit, quantum_from_error, orbit_params and the advance
     formulas; the advance is evaluated from eps = q mu/h^2 directly (see
     module note) so that inverting the result recovers delta to ~1e-15.
     """
-    [(per_orbit, per_century)] = _advances(derive_orbit(el, mu), [delta_arcsec], rule)
+    [(per_orbit, per_century)] = _advances(derive_orbit(el), [delta_arcsec], rule)
     return PrecessionResult(
         per_orbit_rad=per_orbit,
         per_century_arcsec=per_century,

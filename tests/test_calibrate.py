@@ -10,7 +10,6 @@ from qgrav import (CONSTANTS, DomainError, IngestionError, ModelBreakdownError,
                    Observation, PlanetElements, QuantumRule, derive_orbit,
                    fit_delta, invert_delta, load_observations,
                    planet_precession, sweep_delta)
-from qgrav.bodies import _derive_orbit
 
 
 def test_load_bundled_observations():
@@ -38,6 +37,10 @@ def test_load_observations_validation(tmp_path):
         load_observations(io.StringIO(json.dumps(bad_fields)))
     with pytest.raises(IngestionError, match="not found"):
         load_observations(tmp_path / "nope.json")
+    # True == 1, but a flag is not a version
+    bad_version = {"schema_version": True, **good}
+    with pytest.raises(IngestionError, match="schema_version"):
+        load_observations(io.StringIO(json.dumps(bad_version)))
 
 
 def test_load_observations_rejects_duplicate_planets():
@@ -223,8 +226,7 @@ def test_sweep_into_breakdown_raises_like_planet_precession(mercury):
 
 # Planets with Kepler-consistent periods (within a factor of two), so that
 # deltas up to 300 arcsec stay far from breakdown. Each example draws fresh
-# elements, so a run derives many more distinct orbits than the derive_orbit
-# cache holds and the properties below also cover evicted entries.
+# elements, and each record derives its own orbit when it is built.
 @st.composite
 def _planet(draw):
     a = draw(st.floats(0.05, 50.0)) * CONSTANTS.au
@@ -275,29 +277,22 @@ def test_semiminor_rule_never_predicts_less(el, delta):
 
 
 @settings(max_examples=50)
-@given(planets=st.lists(_planet(), min_size=1, max_size=8),
-       mu=st.one_of(st.integers(10 ** 10, 10 ** 21), st.floats(1e10, 1e21)))
-def test_derive_orbit_depends_on_values_alone(planets, mu):
-    first = [derive_orbit(el, mu) for el in planets]
-    for el, orbit in zip(planets, first):
+@given(planets=st.lists(_planet(), min_size=1, max_size=8))
+def test_derive_orbit_depends_on_values_alone(planets):
+    for el in planets:
         # an equal but distinct record, with an int semi-major axis when whole
         a = int(el.a) if el.a == int(el.a) else el.a
         twin = PlanetElements(name=el.name, a=a, e=el.e, tau_days=el.tau_days)
-        again = derive_orbit(twin, mu)
-        assert again == orbit and type(again.mu) is type(mu)
-        # an equal mu of the other type gets its own entry, typed like it
-        other = float(mu) if isinstance(mu, int) else int(mu)
-        swapped = derive_orbit(el, other)
-        assert type(swapped.mu) is type(other)
-        assert (swapped.b, swapped.r_p, swapped.h, swapped.orbits_per_century) == \
-            (orbit.b, orbit.r_p, orbit.h, orbit.orbits_per_century)
+        assert twin == el and hash(twin) == hash(el)
+        assert derive_orbit(twin) == derive_orbit(el)
 
 
-def test_derive_orbit_rederives_evicted_entries():
-    maxsize = _derive_orbit.cache_parameters()["maxsize"]
-    planets = [PlanetElements(name=f"P{i}", a=1e11 + i, e=0.1, tau_days=200.0)
-               for i in range(2 * maxsize)]
-    first = [derive_orbit(el) for el in planets]
-    assert _derive_orbit.cache_info().currsize == maxsize
-    for el, orbit in zip(planets, first):
-        assert derive_orbit(el) == orbit
+@given(el=_planet())
+def test_derive_orbit_equals_the_element_formulas(el):
+    orbit = derive_orbit(el)
+    b = el.a * math.sqrt(1.0 - el.e * el.e)
+    expected = (b, el.a * (1.0 - el.e),
+                2.0 * math.pi * el.a * b / (el.tau_days * 86400.0),
+                CONSTANTS.gm_sun, 36525.0 / el.tau_days)
+    stored = (orbit.b, orbit.r_p, orbit.h, orbit.mu, orbit.orbits_per_century)
+    assert [x.hex() for x in stored] == [x.hex() for x in expected]

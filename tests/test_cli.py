@@ -263,8 +263,11 @@ def test_bad_planets_file_is_usage_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     record = {"name": "X", "a_m": 1e11, "e": 0.1, "tau_days": 100.0}
+    # the last three are valid elements whose orbit over- or underflows,
+    # which would otherwise crash, exit 3 on a nan epsilon, or print nan
     for records in ([{**record, "a_m": True}], [record, {**record, "name": "x"}],
-                    [{**record, "name": "X "}]):
+                    [{**record, "name": "X "}], [{**record, "a_m": 1e-90}],
+                    [{**record, "a_m": 1e300}], [{**record, "tau_days": 1e-320}]):
         bad.write_text(json.dumps({"schema_version": 1, "planets": records}))
         proc = run_cli("table", "--planets", str(bad))
         assert proc.returncode == 2, proc.stderr

@@ -146,8 +146,3 @@ def test_gr_baseline_consistency(mercury):
     orbit = derive_orbit(mercury)
     assert result.per_century_arcsec == pytest.approx(
         result.per_orbit_rad * orbit.orbits_per_century * ARCSEC_PER_RAD, rel=1e-13)
-
-
-def test_gr_baseline_rejects_bad_c(mercury):
-    with pytest.raises(DomainError):
-        gr_precession_baseline(mercury, c=0.0)
