@@ -48,6 +48,13 @@ class Observation:
             raise IngestionError(
                 f"observation {self.planet!r}: sigma must be positive, got {self.sigma_arcsec!r}"
             )
+        # The fit weighs by 1/sigma^2, which must not under- or overflow.
+        sigma2 = self.sigma_arcsec * self.sigma_arcsec
+        if not (math.isfinite(sigma2) and sigma2 > 0 and math.isfinite(1.0 / sigma2)):
+            raise IngestionError(
+                f"observation {self.planet!r}: sigma^2 and its inverse must be finite and "
+                f"positive, got sigma {self.sigma_arcsec!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,14 @@ def _parse_deltas(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad delta list {text!r}: {exc}") from exc
     if any(not math.isfinite(v) or v < 0 for v in values):
         raise argparse.ArgumentTypeError("delta values must be finite and >= 0")
-    return sorted(set(values))
+    # + 0.0 turns -0 into 0. Labels rise with the value, so equal labels
+    # are neighbours.
+    values = sorted({v + 0.0 for v in values})
+    for a, b in zip(values, values[1:]):
+        if _fmt_delta(a) == _fmt_delta(b):
+            raise argparse.ArgumentTypeError(
+                f"delta values {a!r} and {b!r} share the column label {_fmt_delta(a)!r}")
+    return values
 
 
 def _nonnegative_float(text: str) -> float:
@@ -68,7 +75,7 @@ def _nonnegative_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
+    return value + 0.0  # -0 becomes 0
 
 
 def _bounded_int(low: int, high: int):

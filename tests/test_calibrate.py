@@ -62,6 +62,11 @@ def test_observation_validation():
     for name in ("Mercury ", " Mercury"):
         with pytest.raises(IngestionError, match="whitespace"):
             Observation(planet=name, value_arcsec=1.0, sigma_arcsec=0.1)
+    # sigma^2 underflows to 0 or overflows to inf, or its inverse, the fit
+    # weight, overflows
+    for sigma in (1e-200, 1e200, 1e-160):
+        with pytest.raises(IngestionError, match=r"sigma\^2"):
+            Observation(planet="X", value_arcsec=1.0, sigma_arcsec=sigma)
 
 
 def test_invert_delta_zero(mercury):

@@ -77,6 +77,29 @@ def test_table_deltas_sorted_ascending():
     assert doc["meta"]["deltas"] == [0.01, 0.03, 0.05]
 
 
+def test_table_refuses_deltas_with_one_label():
+    # both would print as delta=0.0398, and json would keep only one of them
+    for fmt in ("text", "csv", "json"):
+        proc = run_cli("table", "--deltas", "0.0398,0.03980001", "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "0.0398 and 0.03980001" in proc.stderr
+
+
+def test_negative_zero_delta_prints_as_zero():
+    cases = [(("precess", "--planet", "mercury"), "--delta=-0", "--delta=0"),
+             (("table",), "--deltas=-0", "--deltas=0"),
+             (("table",), "--deltas=-0,0.05", "--deltas=0,0.05"),
+             (("sweep", "--planet", "mercury", "--steps", "2"),
+              "--delta-min=-0", "--delta-min=0")]
+    for argv, negative, zero in cases:
+        for fmt in ("text", "csv", "json"):
+            proc = run_cli(*argv, negative, "--format", fmt)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == run_cli(*argv, zero, "--format", fmt).stdout
+            assert "-0" not in proc.stdout
+
+
 def test_table_empty_planets(tmp_path):
     empty = tmp_path / "planets.json"
     empty.write_text(json.dumps({"schema_version": 1, "planets": []}))
@@ -284,6 +307,19 @@ def test_duplicate_observations_are_usage_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "duplicate observation 'Mercury'" in proc.stderr
+
+
+def test_observation_sigma_out_of_range_is_usage_error(tmp_path):
+    # sigma^2 underflowed to 0 (a ZeroDivisionError) or overflowed to inf
+    # (every weight 0), or the weight 1/sigma^2 overflowed (a nan fit)
+    path = tmp_path / "observations.json"
+    for sigma in (1e-200, 1e200, 1e-160):
+        path.write_text(json.dumps({"observations": [
+            {"planet": "Mercury", "value_arcsec": 43.11, "sigma_arcsec": sigma}]}))
+        proc = run_cli("fit", "--observations", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "sigma^2" in proc.stderr
 
 
 def test_custom_planets_file(tmp_path):

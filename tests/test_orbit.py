@@ -123,11 +123,41 @@ def test_integrate_deterministic(mercury_orbit):
     assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
 
 
-def _analytic_trajectory(p, e, x, periods, samples_per_period=4096):
+# A grid of this many samples per period is incommensurate with it, so the
+# location errors of successive passages do not cancel in the advances.
+_OFF_GRID = 4096.38
+_ECCENTRICITIES = (0.0068, 0.2056, 0.9)
+
+
+def _analytic_trajectory(p, e, x, periods, samples_per_period=4096, nudge=0.0):
+    """Samples of u = (1 + e cos x theta)/p. A positive nudge adds a sample
+    that far after the sample before each + to - crossing of du."""
     theta = np.arange(0, periods * samples_per_period + 1) * (2.0 * math.pi / x) / samples_per_period
-    u = (1.0 + e * np.cos(x * theta)) / p
     du = -e * x * np.sin(x * theta) / p
+    if nudge:
+        before = np.flatnonzero((du[:-1] > 0.0) & (du[1:] <= 0.0))
+        theta = np.insert(theta, before + 1, theta[before] + nudge)
+        du = -e * x * np.sin(x * theta) / p
+    u = (1.0 + e * np.cos(x * theta)) / p
     return Trajectory(theta=theta, u=u, du=du, tol=0.0, n_accepted=0, n_rejected=0)
+
+
+def _off_grid_trajectories(x):
+    # the off-grid sampling, bare and with a sample 1e-9 rad after the one
+    # before each crossing, for every eccentricity
+    for e in _ECCENTRICITIES:
+        for nudge in (0.0, 1e-9):
+            yield _analytic_trajectory(p=5.546074e10, e=e, x=x, periods=5,
+                                       samples_per_period=_OFF_GRID, nudge=nudge)
+
+
+def _assert_at_perihelia(series, x):
+    # passage n lies within 1e-10 rad of 2 pi n / x: none lost, none repeated
+    period = 2.0 * math.pi / x
+    n = np.rint(series.angles / period)
+    assert np.array_equal(n, np.arange(1, len(n) + 1))
+    assert len(n) >= 4
+    assert np.max(np.abs(series.angles - n * period)) < 1e-10
 
 
 def test_detect_perihelia_closed_ellipse():
@@ -135,6 +165,11 @@ def test_detect_perihelia_closed_ellipse():
     series = detect_perihelia(traj)
     assert len(series.angles) >= 3
     assert np.max(np.abs(series.advances)) < 1e-9
+    _assert_at_perihelia(series, 1.0)
+    for traj in _off_grid_trajectories(1.0):
+        series = detect_perihelia(traj)
+        _assert_at_perihelia(series, 1.0)
+        assert np.max(np.abs(series.advances)) < 1e-9
 
 
 def test_detect_perihelia_rosette():
@@ -144,6 +179,25 @@ def test_detect_perihelia_rosette():
     expected = 2.0 * math.pi * (1.0 - x) / x  # generator is the oracle
     assert expected == pytest.approx(5.0281e-07, rel=1e-3)
     assert np.all(np.abs(series.advances - expected) < 1e-9)
+    _assert_at_perihelia(series, x)
+    for x_off in (x, 1.0 - 1e-3):
+        expected = 2.0 * math.pi * (1.0 - x_off) / x_off
+        for traj in _off_grid_trajectories(x_off):
+            series = detect_perihelia(traj)
+            _assert_at_perihelia(series, x_off)
+            assert np.all(np.abs(series.advances - expected) < 1e-9)
+
+
+def test_detect_perihelia_zero_slope_sample():
+    # du exactly 0 at a sample: that passage counts once, at the sample.
+    # theta[i] + 1.0 * (theta[i + 1] - theta[i]) is exact for i >= 1.
+    traj = _analytic_trajectory(p=5.546074e10, e=0.20563069, x=1.0, periods=3)
+    at_perihelion = np.arange(1, 4) * 4096
+    du = traj.du.copy()
+    du[at_perihelion] = 0.0
+    series = detect_perihelia(Trajectory(theta=traj.theta, u=traj.u, du=du, tol=0.0,
+                                         n_accepted=0, n_rejected=0))
+    assert np.array_equal(series.angles, traj.theta[at_perihelion])
 
 
 def test_detect_perihelia_insufficient_span():
