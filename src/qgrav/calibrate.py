@@ -18,7 +18,7 @@ from .bodies import (ARCSEC_PER_RAD, OBSERVATIONS_FILENAME, PlanetElements,
                      _check_unique, _check_unpadded, _is_finite_number,
                      _is_version_one, _read_json, bundled_data_path,
                      derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
-from .errors import DomainError, IngestionError
+from .errors import DomainError, IngestionError, naming_planet
 from .precession import (_EPS_BOX, _X_BOX, QuantumRule, _advances,
                          _check_bounded, _scale, planet_precession)
 
@@ -163,29 +163,49 @@ def fit_delta(observations: list[Observation],
         planets = load_planets()
     elements = {obs.planet: planet_by_name(planets, obs.planet) for obs in observations}
 
-    slopes = {
-        obs.planet: planet_precession(elements[obs.planet], DELTA_REF, rule).per_century_arcsec / DELTA_REF
-        for obs in observations
-    }
-    wsum_so = 0.0
-    wsum_ss = 0.0
-    for obs in observations:
-        w = 1.0 / (obs.sigma_arcsec * obs.sigma_arcsec)
-        s = slopes[obs.planet]
-        wsum_so += w * s * obs.value_arcsec
-        wsum_ss += w * s * s
+    def per_century(planet: str, delta: float) -> float:
+        el = elements[planet]
+        with naming_planet(el.name):
+            return planet_precession(el, delta, rule).per_century_arcsec
+
+    slopes = [per_century(obs.planet, DELTA_REF) / DELTA_REF for obs in observations]
+    weights = [1.0 / (obs.sigma_arcsec * obs.sigma_arcsec) for obs in observations]
+    wsum_so, wsum_ss = _weighted_sums(observations, slopes, weights)
+    # A weight near the top of the float range overflows w * s * s. Every
+    # weight is then scaled by 4**-k, an exact power of two, which leaves
+    # delta_star as it is and divides delta_sigma by 2**k; k stays 0 for
+    # sums that are finite unscaled, so those fits keep every bit.
+    k = 0
+    if not (math.isfinite(wsum_so) and math.isfinite(wsum_ss)):
+        k = (math.frexp(max(weights))[1] + 1) // 2
+        wsum_so, wsum_ss = _weighted_sums(observations, slopes,
+                                          [math.ldexp(w, -2 * k) for w in weights])
     # A quantum length cannot be negative; clamp the unconstrained optimum.
     delta_star = max(wsum_so / wsum_ss, 0.0)
-    delta_sigma = wsum_ss ** -0.5
+    delta_sigma = math.ldexp(wsum_ss ** -0.5, -k)
 
-    predicted = {
-        obs.planet: planet_precession(elements[obs.planet], delta_star, rule).per_century_arcsec
-        for obs in observations
-    }
+    predicted = {obs.planet: per_century(obs.planet, delta_star) for obs in observations}
     residuals = {obs.planet: obs.value_arcsec - predicted[obs.planet] for obs in observations}
-    chi2 = sum((residuals[obs.planet] / obs.sigma_arcsec) ** 2 for obs in observations)
+    try:
+        chi2 = sum((residuals[obs.planet] / obs.sigma_arcsec) ** 2 for obs in observations)
+    except OverflowError:
+        chi2 = math.inf
+    if not math.isfinite(chi2):
+        raise DomainError("chi2 exceeds the float range: the residuals lie too many "
+                          "sigma from the fitted prediction")
     return FitResult(delta_star=delta_star, delta_sigma=delta_sigma,
                      residuals=residuals, predicted=predicted, chi2=chi2)
+
+
+def _weighted_sums(observations: list[Observation], slopes: list[float],
+                   weights: list[float]) -> tuple[float, float]:
+    """(sum w s o, sum w s s) over the observations, in their order."""
+    wsum_so = 0.0
+    wsum_ss = 0.0
+    for obs, s, w in zip(observations, slopes, weights):
+        wsum_so += w * s * obs.value_arcsec
+        wsum_ss += w * s * s
+    return wsum_so, wsum_ss
 
 
 def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,

@@ -15,6 +15,11 @@ evaluate valid input (model breakdown or another domain error).
 
 Only `orbit` imports the integrator layer, and it runs the integrator's
 plain-float core, so no command loads numpy.
+
+Output reaches stdout in a few large writes, each joining up to _BATCH json
+tokens, csv rows or text lines, because a stdout write costs microseconds
+whatever its size, and a system call of its own when stdout is unbuffered
+(python -u or PYTHONUNBUFFERED).
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, islice
 
 from .bodies import CONSTANTS_VERSION, load_planets, planet_by_name
 from .calibrate import fit_delta, load_observations, sweep_delta
-from .errors import IngestionError, QgravError
+from .errors import IngestionError, QgravError, naming_planet
 from .forces import gr_precession_baseline
 from .precession import QuantumRule, planet_precession
 
@@ -36,6 +43,9 @@ from .precession import QuantumRule, planet_precession
 MAX_ORBITS = 1000
 MAX_SWEEP_STEPS = 100_000
 MAX_DELTAS = 100
+
+# Pieces of output joined into one stdout write.
+_BATCH = 1024
 
 _RULE_HELP = (
     "length scale converting the error angle to the space quantum: 'perihelion' "
@@ -168,15 +178,30 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
+def _emit(pieces: Iterable[str]) -> None:
+    """Write the strings of pieces to stdout, _BATCH of them to a write."""
+    write = sys.stdout.write
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, _BATCH)):
+        write("".join(batch))
+
+
 def _emit_json(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # The encoder and chunks json.dump(doc, fp, indent=2) would use.
+    _emit(chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]))
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+class _Echo:
+    """A file for csv.writer: writerow returns what write returns, the row."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    _emit(map(writer.writerow, chain([header], rows)))
 
 
 def _fmt_delta(delta: float) -> str:
@@ -194,8 +219,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     for el in planets:
         obs = obs_by_planet.get(el.name.lower())
         baseline = gr_precession_baseline(el)
-        model = {delta: planet_precession(el, delta, rule).per_century_arcsec
-                 for delta in deltas}
+        with naming_planet(el.name):
+            model = {delta: planet_precession(el, delta, rule).per_century_arcsec
+                     for delta in deltas}
         rows.append((el, obs, baseline, model))
 
     if args.format == "json":
@@ -233,9 +259,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             table.append([el.name, obs_text, f"{baseline.per_century_arcsec:.2f}"]
                          + [f"{model[d]:.2f}" for d in deltas])
         widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-        for line in table:
-            print("  ".join(cell.rjust(width) if j else cell.ljust(width)
-                            for j, (cell, width) in enumerate(zip(line, widths))))
+        _emit("  ".join(cell.rjust(width) if j else cell.ljust(width)
+                        for j, (cell, width) in enumerate(zip(line, widths))) + "\n"
+              for line in table)
     return 0
 
 
@@ -243,7 +269,8 @@ def cmd_precess(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     rule = QuantumRule(args.rule)
-    result = planet_precession(el, args.delta, rule)
+    with naming_planet(el.name):
+        result = planet_precession(el, args.delta, rule)
     if args.format == "json":
         _emit_json({
             "meta": _meta(args, planet=el.name, delta_arcsec=args.delta),
@@ -257,7 +284,7 @@ def cmd_precess(args: argparse.Namespace) -> int:
                   [[el.name, repr(args.delta), rule.value, repr(result.per_orbit_rad),
                     repr(result.per_century_arcsec), result.provenance.value]])
     else:
-        print(f"{result.per_century_arcsec:.2f} arcsec/century")
+        _emit([f"{result.per_century_arcsec:.2f} arcsec/century\n"])
     return 0
 
 
@@ -267,8 +294,9 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     from .orbit import _integrate, _perihelion_start
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    _, model, u0, theta_max = _perihelion_start(el, args.delta, QuantumRule(args.rule),
-                                                args.orbits)
+    with naming_planet(el.name):
+        _, model, u0, theta_max = _perihelion_start(el, args.delta, QuantumRule(args.rule),
+                                                    args.orbits)
     thetas, us, _, n_accepted, n_rejected = _integrate(model, u0, 0.0, theta_max, args.tol)
     if args.format == "json":
         _emit_json({
@@ -283,11 +311,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         _emit_csv(["theta_rad", "u_per_m", "r_m"],
-                  [[repr(t), repr(u), repr(1.0 / u)] for t, u in zip(thetas, us)])
+                  ([repr(t), repr(u), repr(1.0 / u)] for t, u in zip(thetas, us)))
     else:
-        print(f"{'theta_rad':>18}  {'u_per_m':>24}  {'r_m':>24}")
-        for t, u in zip(thetas, us):
-            print(f"{t:18.9f}  {u:24.15e}  {1.0 / u:24.15e}")
+        _emit(chain([f"{'theta_rad':>18}  {'u_per_m':>24}  {'r_m':>24}\n"],
+                    (f"{t:18.9f}  {u:24.15e}  {1.0 / u:24.15e}\n" for t, u in zip(thetas, us))))
     return 0
 
 
@@ -322,11 +349,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     repr(result.delta_star), repr(result.delta_sigma), repr(result.chi2)]
                    for obs in observations])
     else:
-        print(f"delta* = {result.delta_star:.5f} ± {result.delta_sigma:.5f} arcsec "
-              f"(chi2 = {result.chi2:.2f})")
-        for planet in obs_order:
-            print(f"  {planet:<10} predicted {result.predicted[planet]:7.2f}  "
-                  f"residual {result.residuals[planet]:+7.2f}")
+        _emit(chain([f"delta* = {result.delta_star:.5f} ± {result.delta_sigma:.5f} arcsec "
+                     f"(chi2 = {result.chi2:.2f})\n"],
+                    (f"  {planet:<10} predicted {result.predicted[planet]:7.2f}  "
+                     f"residual {result.residuals[planet]:+7.2f}\n" for planet in obs_order)))
     return 0
 
 
@@ -334,7 +360,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     rule = QuantumRule(args.rule)
-    rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, rule)
+    with naming_planet(el.name):
+        rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, rule)
     if args.format == "json":
         _emit_json({
             "meta": _meta(args, planet=el.name, delta_min=args.delta_min,
@@ -343,11 +370,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         _emit_csv(["delta_arcsec", "per_century_arcsec"],
-                  [[repr(d), repr(v)] for d, v in rows])
+                  ([repr(d), repr(v)] for d, v in rows))
     else:
-        print(f"{'delta_arcsec':>14}  {'arcsec/century':>16}")
-        for d, v in rows:
-            print(f"{d:14.5f}  {v:16.2f}")
+        _emit(chain([f"{'delta_arcsec':>14}  {'arcsec/century':>16}\n"],
+                    (f"{d:14.5f}  {v:16.2f}\n" for d, v in rows)))
     return 0
 
 

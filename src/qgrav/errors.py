@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 
 class QgravError(Exception):
     """Base class for all errors raised by this package."""
@@ -42,3 +45,12 @@ class InsufficientSpanError(QgravError):
 
 class StepFailureError(QgravError):
     """Adaptive integrator step size underflowed before meeting the tolerance."""
+
+
+@contextmanager
+def naming_planet(planet: str) -> Iterator[None]:
+    """Put the planet's name in front of a ModelBreakdownError raised inside."""
+    try:
+        yield
+    except ModelBreakdownError as exc:
+        raise ModelBreakdownError(f"{planet}: {exc}") from exc

@@ -132,6 +132,27 @@ def test_fit_weight_limit(mercury, planets):
     assert result.delta_star == pytest.approx(invert_delta(mercury, 43.11), rel=1e-6)
 
 
+def test_fit_keeps_the_plain_sums_when_they_are_finite(planets):
+    # Weights are rescaled only when the plain sums overflow; every other
+    # fit keeps the bits of the plain weighted sums.
+    listing = list(planets.values())
+
+    def plain(observations):
+        so = ss = 0.0
+        for obs in observations:
+            w = 1.0 / (obs.sigma_arcsec * obs.sigma_arcsec)
+            s = planet_precession(planets[obs.planet], 0.01).per_century_arcsec / 0.01
+            so += w * s * obs.value_arcsec
+            ss += w * s * s
+        return max(so / ss, 0.0), ss ** -0.5
+
+    for observations in (load_observations(),
+                         [Observation(planet="Mercury", value_arcsec=43.11,
+                                      sigma_arcsec=1e-150)]):
+        result = fit_delta(observations, planets=listing)
+        assert (result.delta_star, result.delta_sigma) == plain(observations)
+
+
 def test_fit_synthetic_recovery(planets):
     # noise-free synthetic observations generated at a known delta are
     # recovered exactly (slopes defined at the same linearization point)

@@ -213,11 +213,22 @@ def test_unknown_planet_is_usage_error():
     assert "pluto" in proc.stderr
 
 
-def test_model_breakdown_exit_code():
+def test_model_breakdown_exit_code(tmp_path):
     proc = run_cli("precess", "--planet", "mercury", "--delta", "1e6")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "epsilon" in proc.stderr
+    # The message names the planet that broke down: Venus, the least
+    # eccentric, breaks first in a table, and a fit to an observation no
+    # small quantum explains breaks on that planet.
+    path = tmp_path / "observations.json"
+    path.write_text(json.dumps({"observations": [
+        {"planet": "Mercury", "value_arcsec": 1e9, "sigma_arcsec": 1.0}]}))
+    for proc, planet in [(run_cli("table", "--deltas", "5.9e4"), "Venus"),
+                         (run_cli("fit", "--observations", str(path)), "Mercury")]:
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"qgrav: error: {planet}: quantum ")
 
 
 def test_orbit_breakdown_exit_code():
@@ -250,6 +261,7 @@ def test_breakdown_exit_code_agrees_across_commands(tmp_path, delta, code):
     if code == 3:
         assert all(proc.stdout == "" for proc in procs)
         assert "exact orbit from perihelion is unbounded" in procs[0].stderr
+        assert procs[0].stderr.startswith("qgrav: error: Mercury: ")
         assert all(proc.stderr == procs[0].stderr for proc in procs)
 
 
@@ -320,6 +332,35 @@ def test_observation_sigma_out_of_range_is_usage_error(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "sigma^2" in proc.stderr
+
+
+@pytest.mark.parametrize("sigma", [1e-152, 1e-154])
+def test_fit_near_the_largest_weight(tmp_path, sigma):
+    # 1/sigma^2 is finite, but w * s * s alone would overflow
+    def fit(sigma):
+        path = tmp_path / "observations.json"
+        path.write_text(json.dumps({"observations": [
+            {"planet": "Mercury", "value_arcsec": 43.11, "sigma_arcsec": sigma}]}))
+        proc = run_cli("fit", "--observations", str(path), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+    doc, unit = fit(sigma), fit(1.0)
+    assert doc["delta_star_arcsec"] == pytest.approx(unit["delta_star_arcsec"], rel=1e-15)
+    assert doc["delta_sigma_arcsec"] == pytest.approx(sigma * unit["delta_sigma_arcsec"],
+                                                      rel=1e-15)
+
+
+def test_fit_chi2_beyond_the_float_range(tmp_path):
+    # Residuals of about 1e158 sigma: chi2 has no float, and inf would
+    # not be JSON.
+    path = tmp_path / "observations.json"
+    path.write_text(json.dumps({"observations": [
+        {"planet": "Mercury", "value_arcsec": 43.11, "sigma_arcsec": 1e-154},
+        {"planet": "Venus", "value_arcsec": 8.4, "sigma_arcsec": 1e-154}]}))
+    proc = run_cli("fit", "--observations", str(path), "--format", "json")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qgrav: error: chi2 exceeds the float range")
 
 
 def test_custom_planets_file(tmp_path):
@@ -412,8 +453,9 @@ def test_measured_precession_does_not_import_numpy():
 
 
 def test_orbit_export_matches_integrate():
-    from qgrav import (QuantizedModel, QuantumRule, derive_orbit, integrate,
-                       load_planets, orbit_params, planet_by_name, quantum_from_error)
+    from qgrav import (CONSTANTS_VERSION, QuantizedModel, QuantumRule, derive_orbit,
+                       integrate, load_planets, orbit_params, planet_by_name,
+                       quantum_from_error)
     el = planet_by_name(load_planets(), "venus")
     orbit = derive_orbit(el)
     quantum = quantum_from_error(0.0398, orbit, QuantumRule.PERIHELION)
@@ -424,16 +466,68 @@ def test_orbit_export_matches_integrate():
     theta, u = traj.theta.tolist(), traj.u.tolist()
     argv = ("orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2")
 
-    doc = json.loads(run_cli(*argv, "--format", "json").stdout)
+    stdout = run_cli(*argv, "--format", "json").stdout
+    doc = json.loads(stdout)
     assert [row["theta_rad"] for row in doc["rows"]] == theta
     assert [row["u_per_m"] for row in doc["rows"]] == u
     assert [row["r_m"] for row in doc["rows"]] == [1.0 / x for x in u]
     assert doc["meta"]["steps_accepted"] == traj.n_accepted
     assert doc["meta"]["steps_rejected"] == traj.n_rejected
+    # byte for byte what json.dumps and csv.writer make of the trajectory
+    expected = {
+        "meta": {"command": "orbit", "constants_version": CONSTANTS_VERSION,
+                 "rule": "perihelion", "planet": "Venus", "delta_arcsec": 0.0398,
+                 "orbits": 2, "tol": 1e-12, "steps_accepted": traj.n_accepted,
+                 "steps_rejected": traj.n_rejected},
+        "rows": [{"theta_rad": t, "u_per_m": x, "r_m": 1.0 / x} for t, x in zip(theta, u)],
+    }
+    assert stdout == json.dumps(expected, indent=2) + "\n"
 
-    rows = list(csv.reader(io.StringIO(run_cli(*argv, "--format", "csv").stdout)))
+    stdout = run_cli(*argv, "--format", "csv").stdout
+    rows = list(csv.reader(io.StringIO(stdout)))
     assert [float(row[0]) for row in rows[1:]] == theta
     assert [float(row[1]) for row in rows[1:]] == u
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["theta_rad", "u_per_m", "r_m"])
+    writer.writerows([repr(t), repr(x), repr(1.0 / x)] for t, x in zip(theta, u))
+    assert stdout == buf.getvalue()
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_orbit_export_writes_in_batches(monkeypatch, fmt):
+    # 25 orbits are about 6.6k samples: one write per json token, csv row
+    # or text line would be 7k to 106k writes.
+    from qgrav import cli
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["orbit", "--planet", "mercury", "--delta", "0.0398",
+                     "--orbits", "25", "--format", fmt]) == 0
+    assert out.getvalue().count("\n") > 6000
+    assert out.writes <= 200
+
+
+def test_closed_pipe_is_not_an_error():
+    # The reader stops after a few bytes of a 200-orbit export.
+    with subprocess.Popen([sys.executable, "-m", "qgrav", "orbit", "--planet", "mercury",
+                           "--delta", "0.0398", "--orbits", "200", "--format", "json"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 0
+    assert stderr == b""
 
 
 def test_orbit_names_resolve_on_first_use():
