@@ -10,12 +10,10 @@ planetary precession.
 The analytic chain, the integrator and measured_precession need only the
 standard library; numpy is loaded by the functions that return arrays
 (integrate, detect_perihelia, closed_form_radius) on their first call.
-The integrator layer (qgrav.orbit) still takes a few milliseconds to
-import, so its names are resolved on first use and importing the package
-alone does not load it.
+The value classes are plain frozen records (qgrav.record), not dataclasses,
+so the package, the integrator layer (qgrav.orbit) included, imports
+without the dataclasses and inspect modules.
 """
-
-import importlib
 
 from .bodies import (ARCSEC_PER_RAD, CONSTANTS, CONSTANTS_VERSION, Constants,
                      DerivedOrbit, PlanetElements, arcsec_to_rad, derive_orbit,
@@ -28,6 +26,8 @@ from .errors import (DomainError, IngestionError, InsufficientSpanError,
 from .forces import (NEWTON_G, QuantizedModel, corrected_force,
                      gr_precession_baseline, newtonian_force, state_weight,
                      weight_increment)
+from .orbit import (PerihelionSeries, Trajectory, binet_rhs, detect_perihelia,
+                    integrate, measured_precession)
 from .precession import (AnalyticOrbit, PrecessionResult, Provenance,
                          QuantumRule, amplitude_from_perihelion, analytic_orbit,
                          closed_form_radius, orbit_params, planet_precession,
@@ -35,21 +35,6 @@ from .precession import (AnalyticOrbit, PrecessionResult, Provenance,
                          quantum_from_error)
 
 __version__ = "0.1.0"
-
-_ORBIT_NAMES = frozenset({"PerihelionSeries", "Trajectory", "binet_rhs",
-                          "detect_perihelia", "integrate",
-                          "measured_precession"})
-
-
-def __getattr__(name: str):
-    # Looked up on every access and never stored here, so a later rebinding
-    # at qgrav.orbit (a test double, a profiler's wrapper) is seen through
-    # the package too.
-    if name == "orbit" or name in _ORBIT_NAMES:
-        orbit = importlib.import_module(".orbit", __name__)
-        return orbit if name == "orbit" else getattr(orbit, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ARCSEC_PER_RAD", "CONSTANTS", "CONSTANTS_VERSION", "Constants",

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import IO
 
 from .errors import DomainError, IngestionError
+from .record import Record
 
 # 1 rad = 648000/pi arcsec; by definition of the arcsecond.
 ARCSEC_PER_RAD = 648000.0 / math.pi
@@ -38,8 +37,7 @@ def _is_finite_number(value: object) -> bool:
             and math.isfinite(value))
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(Record):
     """Solar-system constants used by the precession pipeline.
 
     gm_sun is the heliocentric gravitational parameter GM (m^3/s^2); every
@@ -47,16 +45,21 @@ class Constants:
     to be separated from the solar mass.
     """
 
-    gm_sun: float = 1.32712440018e20   # m^3 s^-2
-    c: float = 299792458.0             # m s^-1
-    au: float = 1.495978707e11         # m
-    julian_year_days: float = 365.25
-    century_days: float = 36525.0
-    arcsec_per_rad: float = ARCSEC_PER_RAD
+    _fields = ("gm_sun", "c", "au", "julian_year_days", "century_days", "arcsec_per_rad")
+
+    def __init__(self,
+                 gm_sun: float = 1.32712440018e20,   # m^3 s^-2
+                 c: float = 299792458.0,             # m s^-1
+                 au: float = 1.495978707e11,         # m
+                 julian_year_days: float = 365.25,
+                 century_days: float = 36525.0,
+                 arcsec_per_rad: float = ARCSEC_PER_RAD) -> None:
+        self.__dict__.update(gm_sun=gm_sun, c=c, au=au, julian_year_days=julian_year_days,
+                             century_days=century_days, arcsec_per_rad=arcsec_per_rad)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        for field in ("gm_sun", "c", "au", "julian_year_days", "century_days",
-                      "arcsec_per_rad"):
+        for field in self._fields:
             value = getattr(self, field)
             if not (_is_finite_number(value) and value > 0):
                 raise DomainError(f"constant {field} must be finite and positive, got {value!r}")
@@ -81,8 +84,7 @@ def rad_to_arcsec(x: float) -> float:
     return x * ARCSEC_PER_RAD
 
 
-@dataclass(frozen=True)
-class DerivedOrbit:
+class DerivedOrbit(Record):
     """Orbit quantities the precession pipeline consumes.
 
     b    semi-minor axis, m
@@ -92,15 +94,14 @@ class DerivedOrbit:
     orbits_per_century  revolutions per 36525 days
     """
 
-    b: float
-    r_p: float
-    h: float
-    mu: float
-    orbits_per_century: float
+    _fields = ("b", "r_p", "h", "mu", "orbits_per_century")
+
+    def __init__(self, b: float, r_p: float, h: float, mu: float,
+                 orbits_per_century: float) -> None:
+        self.__dict__.update(b=b, r_p=r_p, h=h, mu=mu, orbits_per_century=orbits_per_century)
 
 
-@dataclass(frozen=True)
-class PlanetElements:
+class PlanetElements(Record):
     """Named orbital elements: semi-major axis (m), eccentricity, sidereal period (days).
 
     Construction validates the elements and derives their solar orbit, which
@@ -108,11 +109,11 @@ class PlanetElements:
     repr; those rest on the four elements alone.
     """
 
-    name: str
-    a: float
-    e: float
-    tau_days: float
-    orbit: DerivedOrbit = field(init=False, repr=False, compare=False)
+    _fields = ("name", "a", "e", "tau_days")
+
+    def __init__(self, name: str, a: float, e: float, tau_days: float) -> None:
+        self.__dict__.update(name=name, a=a, e=e, tau_days=tau_days)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         label = self.name if self.name else "<unnamed>"
@@ -140,8 +141,8 @@ class PlanetElements:
             if not (math.isfinite(value) and value > 0):
                 raise IngestionError(
                     f"planet {label!r}: derived {quantity} must be finite and positive, got {value!r}")
-        object.__setattr__(self, "orbit", DerivedOrbit(
-            b=b, r_p=r_p, h=h, mu=CONSTANTS.gm_sun, orbits_per_century=orbits_per_century))
+        self.__dict__["orbit"] = DerivedOrbit(
+            b=b, r_p=r_p, h=h, mu=CONSTANTS.gm_sun, orbits_per_century=orbits_per_century)
 
 
 def derive_orbit(el: PlanetElements) -> DerivedOrbit:
@@ -208,8 +209,8 @@ def bundled_data_path(filename: str) -> Path:
     override = data_dir_override()
     if override is not None:
         return override / filename
-    # The package ships as a plain directory, so the traversable is a real path.
-    return Path(str(resources.files("qgrav").joinpath("data", filename)))
+    # The package ships as a plain directory, so its data sit beside this file.
+    return Path(__file__).parent / "data" / filename
 
 
 def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetElements]:

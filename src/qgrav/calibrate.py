@@ -10,7 +10,6 @@ iterative optimizer is warranted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
@@ -21,18 +20,21 @@ from .bodies import (ARCSEC_PER_RAD, OBSERVATIONS_FILENAME, PlanetElements,
 from .errors import DomainError, IngestionError, naming_planet
 from .precession import (_EPS_BOX, _X_BOX, QuantumRule, _advances,
                          _check_bounded, _scale, planet_precession)
+from .record import Record
 
 # Linearization point for the per-planet slopes d(precession)/d(delta).
 DELTA_REF = 0.01
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(Record):
     """Observed centurial precession for one planet, with 1-sigma error."""
 
-    planet: str
-    value_arcsec: float
-    sigma_arcsec: float
+    _fields = ("planet", "value_arcsec", "sigma_arcsec")
+
+    def __init__(self, planet: str, value_arcsec: float, sigma_arcsec: float) -> None:
+        self.__dict__.update(planet=planet, value_arcsec=value_arcsec,
+                             sigma_arcsec=sigma_arcsec)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.planet or not isinstance(self.planet, str):
@@ -57,8 +59,7 @@ class Observation:
             )
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Weighted-least-squares estimate of the shared error angle delta.
 
     delta_star / delta_sigma are the estimate and its formal standard error
@@ -66,11 +67,12 @@ class FitResult:
     planet (arcsec/century); chi2 is the weighted residual sum of squares.
     """
 
-    delta_star: float
-    delta_sigma: float
-    residuals: dict[str, float]
-    predicted: dict[str, float]
-    chi2: float
+    _fields = ("delta_star", "delta_sigma", "residuals", "predicted", "chi2")
+
+    def __init__(self, delta_star: float, delta_sigma: float, residuals: dict[str, float],
+                 predicted: dict[str, float], chi2: float) -> None:
+        self.__dict__.update(delta_star=delta_star, delta_sigma=delta_sigma,
+                             residuals=residuals, predicted=predicted, chi2=chi2)
 
 
 _OBS_FIELDS = {"planet", "value_arcsec", "sigma_arcsec"}

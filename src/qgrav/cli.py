@@ -13,8 +13,7 @@ and json on stdout always parse. Exit codes: 0 success; 2 when a flag or a
 data file is rejected before any computation; 3 when the model cannot
 evaluate valid input (model breakdown or another domain error).
 
-Only `orbit` imports the integrator layer, and it runs the integrator's
-plain-float core, so no command loads numpy.
+`orbit` runs the integrator's plain-float core, so no command loads numpy.
 
 Output reaches stdout in a few large writes, each joining up to _BATCH json
 tokens, csv rows or text lines, because a stdout write costs microseconds
@@ -37,6 +36,7 @@ from .bodies import CONSTANTS_VERSION, load_planets, planet_by_name
 from .calibrate import fit_delta, load_observations, sweep_delta
 from .errors import IngestionError, QgravError, naming_planet
 from .forces import gr_precession_baseline
+from .orbit import TOL_MAX, TOL_MIN, _integrate, _perihelion_start
 from .precession import QuantumRule, planet_precession
 
 # Size flags are bounded so that no invocation can ask for unbounded work.
@@ -69,8 +69,8 @@ def _parse_deltas(text: str) -> list[float]:
     if any(not math.isfinite(v) or v < 0 for v in values):
         raise argparse.ArgumentTypeError("delta values must be finite and >= 0")
     # + 0.0 turns -0 into 0. Labels rise with the value, so equal labels
-    # are neighbours.
-    values = sorted({v + 0.0 for v in values})
+    # (a repeated value among them) are neighbours.
+    values = sorted(v + 0.0 for v in values)
     for a, b in zip(values, values[1:]):
         if _fmt_delta(a) == _fmt_delta(b):
             raise argparse.ArgumentTypeError(
@@ -101,9 +101,6 @@ def _bounded_int(low: int, high: int):
 
 
 def _tolerance(text: str) -> float:
-    # Runs only when `orbit --tol` is given, so the analytic commands never
-    # import the integrator layer for its bounds.
-    from .orbit import TOL_MAX, TOL_MIN
     value = _nonnegative_float(text)
     if not TOL_MIN <= value <= TOL_MAX:
         raise argparse.ArgumentTypeError(f"must lie in [{TOL_MIN}, {TOL_MAX}], got {text!r}")
@@ -291,7 +288,6 @@ def cmd_precess(args: argparse.Namespace) -> int:
 def cmd_orbit(args: argparse.Namespace) -> int:
     # The plain-float core, not orbit.integrate: packing the samples into
     # numpy arrays would cost the numpy import and give nothing to print.
-    from .orbit import _integrate, _perihelion_start
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     with naming_planet(el.name):

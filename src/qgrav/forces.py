@@ -15,19 +15,18 @@ quantum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bodies import CONSTANTS, ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import DomainError, SingularityError
 from .precession import PrecessionResult, Provenance, _check_bounded
+from .record import Record
 
 # CODATA Newton constant, m^3 kg^-1 s^-2. Kept independent of the quantum:
 # every orbital computation uses GM directly, so G never enters the pipeline.
 NEWTON_G = 6.6743e-11
 
 
-@dataclass(frozen=True)
-class QuantizedModel:
+class QuantizedModel(Record):
     """One planet/quantum pairing: the force and orbit model instance.
 
     quantum  space quantum, m (0 recovers Newton)
@@ -40,9 +39,11 @@ class QuantizedModel:
     no exact orbit is bounded, raises ModelBreakdownError.
     """
 
-    quantum: float
-    mu: float
-    h: float | None = None
+    _fields = ("quantum", "mu", "h")
+
+    def __init__(self, quantum: float, mu: float, h: float | None = None) -> None:
+        self.__dict__.update(quantum=quantum, mu=mu, h=h)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.quantum) and self.quantum >= 0):

@@ -32,7 +32,6 @@ perihelion is unbounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
@@ -41,6 +40,7 @@ from .errors import (DomainError, InsufficientSpanError, QgravError,
 from .forces import QuantizedModel
 from .precession import (PrecessionResult, Provenance, QuantumRule,
                          orbit_params, quantum_from_error)
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,16 +72,16 @@ _NOT_INCREASING = "trajectory samples must be strictly increasing in theta"
 _TOO_SPARSE = "trajectory sampling too sparse: a theta gap reaches pi/8"
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Ordered integration samples plus integrator metadata."""
 
-    theta: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    tol: float
-    n_accepted: int
-    n_rejected: int
+    _fields = ("theta", "u", "du", "tol", "n_accepted", "n_rejected")
+
+    def __init__(self, theta: np.ndarray, u: np.ndarray, du: np.ndarray, tol: float,
+                 n_accepted: int, n_rejected: int) -> None:
+        self.__dict__.update(theta=theta, u=u, du=du, tol=tol, n_accepted=n_accepted,
+                             n_rejected=n_rejected)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_sampling(self.theta.tolist())
@@ -90,12 +90,13 @@ class Trajectory:
         return len(self.theta)
 
 
-@dataclass(frozen=True)
-class PerihelionSeries:
+class PerihelionSeries(Record):
     """Perihelion angles and the advance of each revolution over 2 pi."""
 
-    angles: np.ndarray
-    advances: np.ndarray
+    _fields = ("angles", "advances")
+
+    def __init__(self, angles: np.ndarray, advances: np.ndarray) -> None:
+        self.__dict__.update(angles=angles, advances=advances)
 
 
 def _binet_constants(model: QuantizedModel) -> tuple[float, float]:

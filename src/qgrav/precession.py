@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .bodies import (ARCSEC_PER_RAD, DerivedOrbit, PlanetElements,
                      arcsec_to_rad, derive_orbit)
 from .errors import DomainError, ModelBreakdownError
+from .record import Record
 
 
 class QuantumRule(enum.Enum):
@@ -48,8 +48,7 @@ class Provenance(enum.Enum):
     GR_BASELINE = "gr-baseline"
 
 
-@dataclass(frozen=True)
-class AnalyticOrbit:
+class AnalyticOrbit(Record):
     """Closed-form rosette orbit r = p / (1 + A p cos(x theta)).
 
     semi_latus  p, m
@@ -57,9 +56,11 @@ class AnalyticOrbit:
     amplitude   A, 1/m; the orbit is bound iff |A| p < 1
     """
 
-    semi_latus: float
-    freq_ratio: float
-    amplitude: float
+    _fields = ("semi_latus", "freq_ratio", "amplitude")
+
+    def __init__(self, semi_latus: float, freq_ratio: float, amplitude: float) -> None:
+        self.__dict__.update(semi_latus=semi_latus, freq_ratio=freq_ratio, amplitude=amplitude)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.semi_latus) and self.semi_latus > 0):
@@ -74,13 +75,15 @@ class AnalyticOrbit:
         return abs(self.amplitude) * self.semi_latus < 1.0
 
 
-@dataclass(frozen=True)
-class PrecessionResult:
+class PrecessionResult(Record):
     """Perihelion advance per orbit (rad) and per Julian century (arcsec)."""
 
-    per_orbit_rad: float
-    per_century_arcsec: float
-    provenance: Provenance
+    _fields = ("per_orbit_rad", "per_century_arcsec", "provenance")
+
+    def __init__(self, per_orbit_rad: float, per_century_arcsec: float,
+                 provenance: Provenance) -> None:
+        self.__dict__.update(per_orbit_rad=per_orbit_rad, per_century_arcsec=per_century_arcsec,
+                             provenance=provenance)
 
 
 def _check_delta(delta_arcsec: float) -> None:

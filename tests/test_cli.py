@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,12 +79,18 @@ def test_table_deltas_sorted_ascending():
 
 
 def test_table_refuses_deltas_with_one_label():
-    # both would print as delta=0.0398, and json would keep only one of them
-    for fmt in ("text", "csv", "json"):
-        proc = run_cli("table", "--deltas", "0.0398,0.03980001", "--format", fmt)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "0.0398 and 0.03980001" in proc.stderr
+    # each pair would print as one column label, and json would keep only one
+    # of them; a repeated value, -0 beside 0 included, is no different
+    cases = [("0.0398,0.03980001", "0.0398 and 0.03980001"),
+             ("0.01,0.01", "0.01 and 0.01"),
+             ("0,-0", "0.0 and 0.0")]
+    for deltas, message in cases:
+        for fmt in ("text", "csv", "json"):
+            proc = run_cli("table", "--deltas", deltas, "--format", fmt)
+            assert proc.returncode == 2, deltas
+            assert proc.stdout == ""
+            assert message in proc.stderr
+            assert "share the column label" in proc.stderr
 
 
 def test_negative_zero_delta_prints_as_zero():
@@ -389,18 +396,34 @@ def test_data_dir_env_override(tmp_path):
     assert doc_out["rows"][0]["observation"]["value_arcsec"] == 10.0
 
 
-def _run_python(code):
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
-                          capture_output=True, text=True)
+def _run_python(*parts):
+    code = "\n".join(textwrap.dedent(part) for part in parts)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+# Runs first in a child: check_start_up(where) asserts that nothing since
+# this snapshot loaded dataclasses, or inspect, which it pulls in. qgrav's
+# value classes are plain records, so start-up needs neither. Comparing with
+# the snapshot leaves out whatever the child's site module loads.
+_START_UP_SNAPSHOT = """
+import sys
+_before = set(sys.modules)
+
+
+def check_start_up(where):
+    for name in ("dataclasses", "inspect"):
+        assert name in _before or name not in sys.modules, (name, where)
+"""
 
 
 def test_analytic_commands_do_not_import_numpy():
     # The test process has numpy loaded already, so the check runs in a child.
-    proc = _run_python("""
+    proc = _run_python(_START_UP_SNAPSHOT, """
         import contextlib, io, sys
         import qgrav
         import qgrav.cli
         assert "numpy" not in sys.modules, "import"
+        check_start_up("import")
         for argv in (["precess", "--planet", "mercury", "--delta", "0.0398"],
                      ["table", "--format", "csv"],
                      ["fit", "--format", "json"],
@@ -408,12 +431,13 @@ def test_analytic_commands_do_not_import_numpy():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert qgrav.cli.main(argv) == 0, argv
             assert "numpy" not in sys.modules, argv[0]
+            check_start_up(argv[0])
     """)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_orbit_export_does_not_import_numpy():
-    proc = _run_python("""
+    proc = _run_python(_START_UP_SNAPSHOT, """
         import contextlib, io, sys
         import qgrav, qgrav.cli
         argv = ["orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2"]
@@ -423,6 +447,7 @@ def test_orbit_export_does_not_import_numpy():
                 assert qgrav.cli.main(argv + extra) == 0, extra
             assert out.getvalue(), extra
             assert "numpy" not in sys.modules, extra
+            check_start_up(extra)
         el = qgrav.planet_by_name(qgrav.load_planets(), "mercury")
         orbit = qgrav.derive_orbit(el)
         model = qgrav.QuantizedModel(quantum=0.0, mu=orbit.mu, h=orbit.h)
@@ -439,12 +464,13 @@ def test_orbit_export_does_not_import_numpy():
 
 
 def test_measured_precession_does_not_import_numpy():
-    proc = _run_python("""
+    proc = _run_python(_START_UP_SNAPSHOT, """
         import sys
         import qgrav
         results = [qgrav.measured_precession(el, delta, n_orbits=2)
                    for el in qgrav.load_planets() for delta in (0.0, 0.0398)]
         assert "numpy" not in sys.modules
+        check_start_up("measured_precession")
         for result in results:
             assert type(result.per_orbit_rad) is float
             assert type(result.per_century_arcsec) is float
@@ -530,10 +556,11 @@ def test_closed_pipe_is_not_an_error():
     assert stderr == b""
 
 
-def test_orbit_names_resolve_on_first_use():
+def test_package_names_resolve():
     proc = _run_python("""
         import sys
         import qgrav
+        assert "qgrav.orbit" in sys.modules
         for name in qgrav.__all__:
             getattr(qgrav, name)
         assert "numpy" not in sys.modules
@@ -553,10 +580,18 @@ def test_orbit_names_resolve_on_first_use():
 
 
 def test_console_script_entrypoint():
+    argv = ["precess", "--planet", "earth", "--delta", "0.01"]
     try:
-        proc = subprocess.run(["qgrav", "precess", "--planet", "earth",
-                               "--delta", "0.01"], capture_output=True, text=True)
+        proc = subprocess.run(["qgrav", *argv], capture_output=True, text=True)
     except FileNotFoundError:
-        pytest.skip("console script not on PATH")
-    assert proc.returncode == 0
+        # Not installed: run the [project.scripts] target as its wrapper would.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qgrav"]
+        module, function = target.split(":")
+        wrapper = (f"import sys; from {module} import {function}; "
+                   f"sys.argv[0] = 'qgrav'; sys.exit({function}())")
+        proc = subprocess.run([sys.executable, "-c", wrapper, *argv],
+                              capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert "3.09 arcsec/century" in proc.stdout

@@ -1,0 +1,112 @@
+"""The value-class contract: frozen, compared and hashed by field, printed as
+Name(field=value, ...), and restored whole by pickle and copy.deepcopy."""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from qgrav import (AnalyticOrbit, Constants, DerivedOrbit, FitResult, Observation,
+                   PerihelionSeries, PlanetElements, PrecessionResult, Provenance,
+                   QuantizedModel, Trajectory)
+
+# Shared so that equal records hold the same arrays: numpy's == is elementwise,
+# so the field tuples compare only through the identity shortcut.
+THETA = np.array([0.0, 0.25])
+U = np.array([1.0, 1.5])
+DU = np.array([0.5, -0.5])
+ANGLES = np.array([0.0])
+
+# (class, a factory of equal fresh records, a record that differs in one
+# field, the repr). Each repr is the one the frozen dataclasses printed.
+CASES = [
+    (Constants, lambda: Constants(), lambda: Constants(au=1.5e11),
+     "Constants(gm_sun=1.32712440018e+20, c=299792458.0, au=149597870700.0, "
+     "julian_year_days=365.25, century_days=36525.0, arcsec_per_rad=206264.80624709636)"),
+    (DerivedOrbit, lambda: DerivedOrbit(b=1.0, r_p=2.0, h=3.0, mu=4.0, orbits_per_century=5.0),
+     lambda: DerivedOrbit(1.0, 2.0, 3.0, 4.0, 6.0),
+     "DerivedOrbit(b=1.0, r_p=2.0, h=3.0, mu=4.0, orbits_per_century=5.0)"),
+    (PlanetElements, lambda: PlanetElements("Mercury", 5.79e10, 0.2056, 87.969),
+     lambda: PlanetElements("Mercury", 5.79e10, 0.2056, 88.0),
+     "PlanetElements(name='Mercury', a=57900000000.0, e=0.2056, tau_days=87.969)"),
+    (Observation, lambda: Observation("Mercury", 43.0, 0.5),
+     lambda: Observation(planet="Mercury", value_arcsec=43.0, sigma_arcsec=0.45),
+     "Observation(planet='Mercury', value_arcsec=43.0, sigma_arcsec=0.5)"),
+    (FitResult, lambda: FitResult(0.04, 0.001, {"Mercury": 0.1}, {"Mercury": 42.9}, 0.04),
+     lambda: FitResult(0.04, 0.001, {"Mercury": 0.1}, {"Mercury": 42.9}, 0.05),
+     "FitResult(delta_star=0.04, delta_sigma=0.001, residuals={'Mercury': 0.1}, "
+     "predicted={'Mercury': 42.9}, chi2=0.04)"),
+    (QuantizedModel, lambda: QuantizedModel(quantum=1.0, mu=2.0),
+     lambda: QuantizedModel(1.0, 2.0, 3.0),
+     "QuantizedModel(quantum=1.0, mu=2.0, h=None)"),
+    (AnalyticOrbit, lambda: AnalyticOrbit(semi_latus=1.0, freq_ratio=0.5, amplitude=0.25),
+     lambda: AnalyticOrbit(1.0, 0.5, 0.5),
+     "AnalyticOrbit(semi_latus=1.0, freq_ratio=0.5, amplitude=0.25)"),
+    (PrecessionResult, lambda: PrecessionResult(1e-7, 43.0, Provenance.ANALYTIC),
+     lambda: PrecessionResult(1e-7, 43.0, Provenance.NUMERIC),
+     "PrecessionResult(per_orbit_rad=1e-07, per_century_arcsec=43.0, "
+     "provenance=<Provenance.ANALYTIC: 'analytic'>)"),
+    (Trajectory, lambda: Trajectory(THETA, U, DU, 1e-12, 2, 0),
+     lambda: Trajectory(THETA, U, DU, 1e-10, 2, 0),
+     "Trajectory(theta=array([0.  , 0.25]), u=array([1. , 1.5]), "
+     "du=array([ 0.5, -0.5]), tol=1e-12, n_accepted=2, n_rejected=0)"),
+    (PerihelionSeries, lambda: PerihelionSeries(ANGLES, np.array([1e-7])),
+     lambda: PerihelionSeries(ANGLES, np.array([2e-7])),
+     "PerihelionSeries(angles=array([0.]), advances=array([1.e-07]))"),
+]
+
+# Records with a dict or array field are unhashable, as a tuple of those fields is.
+UNHASHABLE = {FitResult, Trajectory, PerihelionSeries}
+
+
+def _same_state(a, b):
+    """Same class and equal __dict__, arrays compared by value."""
+    if type(a) is not type(b) or vars(a).keys() != vars(b).keys():
+        return False
+    return all(np.array_equal(x, vars(b)[k]) if isinstance(x, np.ndarray) else x == vars(b)[k]
+               for k, x in vars(a).items())
+
+
+@pytest.mark.parametrize("cls, make, make_other, expected_repr", CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_value_class_contract(cls, make, make_other, expected_repr):
+    record = make()
+    assert type(record) is cls
+    state = dict(vars(record))
+    for name in list(state) + ["not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert vars(record) == state
+
+    assert record == make()
+    assert not record != make()
+    assert record != make_other()
+    assert record.__eq__(object()) is NotImplemented
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(make())
+        assert len({record, make(), make_other()}) == 2
+
+    assert repr(record) == expected_repr
+
+    for restored in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert _same_state(restored, record)
+        if not any(isinstance(x, np.ndarray) for x in vars(record).values()):
+            assert restored == record
+        with pytest.raises(AttributeError):
+            setattr(restored, next(iter(state)), 1.0)
+
+
+def test_planet_elements_compare_without_orbit():
+    planet = PlanetElements("Mercury", 5.79e10, 0.2056, 87.969)
+    twin = PlanetElements("Mercury", 5.79e10, 0.2056, 87.969)
+    vars(twin)["orbit"] = DerivedOrbit(1.0, 2.0, 3.0, 4.0, 5.0)
+    assert planet.orbit != twin.orbit
+    assert planet == twin and hash(planet) == hash(twin)
+    assert repr(planet) == repr(twin)
+    assert "orbit" not in repr(planet)
