@@ -3,16 +3,15 @@
 A minimal measurable length q turns Newton's inverse square into
 F = G m1 m2 / (L (L - q)), which opens closed Keplerian ellipses into
 slowly precessing rosettes. This package provides the corrected force law,
-the closed-form precessing orbit, exact numerical cross-validation, and
+the closed-form perihelion advance, exact numerical cross-validation, and
 calibration of the underlying measurement-error angle against observed
 planetary precession.
 
-The analytic chain, the integrator and measured_precession need only the
-standard library; numpy is loaded by the functions that return arrays
-(integrate, detect_perihelia, closed_form_radius) on their first call.
-The value classes are plain frozen records (qgrav.record), not dataclasses,
-so the package, the integrator layer (qgrav.orbit) included, imports
-without the dataclasses and inspect modules.
+The package needs only the standard library. integrate and
+detect_perihelia return records whose sample fields are array('d'). The
+value classes are plain frozen records (qgrav.record), not dataclasses, so
+the package, the integrator layer (qgrav.orbit) included, imports without
+the dataclasses and inspect modules.
 """
 
 from .bodies import (ARCSEC_PER_RAD, CONSTANTS, CONSTANTS_VERSION, Constants,
@@ -28,11 +27,8 @@ from .forces import (NEWTON_G, QuantizedModel, corrected_force,
                      weight_increment)
 from .orbit import (PerihelionSeries, Trajectory, binet_rhs, detect_perihelia,
                     integrate, measured_precession)
-from .precession import (AnalyticOrbit, PrecessionResult, Provenance,
-                         QuantumRule, amplitude_from_perihelion, analytic_orbit,
-                         closed_form_radius, orbit_params, planet_precession,
-                         precession_per_century, precession_per_orbit,
-                         quantum_from_error)
+from .precession import (PrecessionResult, Provenance, QuantumRule,
+                         orbit_params, planet_precession, quantum_from_error)
 
 __version__ = "0.1.0"
 
@@ -48,9 +44,7 @@ __all__ = [
     "newtonian_force", "state_weight", "weight_increment",
     "PerihelionSeries", "Trajectory", "binet_rhs",
     "detect_perihelia", "integrate", "measured_precession",
-    "AnalyticOrbit", "PrecessionResult", "Provenance", "QuantumRule",
-    "amplitude_from_perihelion", "analytic_orbit", "closed_form_radius",
-    "orbit_params", "planet_precession", "precession_per_century",
-    "precession_per_orbit", "quantum_from_error",
+    "PrecessionResult", "Provenance", "QuantumRule",
+    "orbit_params", "planet_precession", "quantum_from_error",
     "__version__",
 ]

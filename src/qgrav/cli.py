@@ -13,7 +13,7 @@ and json on stdout always parse. Exit codes: 0 success; 2 when a flag or a
 data file is rejected before any computation; 3 when the model cannot
 evaluate valid input (model breakdown or another domain error).
 
-`orbit` runs the integrator's plain-float core, so no command loads numpy.
+Every command, `orbit` included, runs on the standard library alone.
 
 Output reaches stdout in a few large writes, each joining up to _BATCH json
 tokens, csv rows or text lines, because a stdout write costs microseconds
@@ -36,7 +36,7 @@ from .bodies import CONSTANTS_VERSION, load_planets, planet_by_name
 from .calibrate import fit_delta, load_observations, sweep_delta
 from .errors import IngestionError, QgravError, naming_planet
 from .forces import gr_precession_baseline
-from .orbit import TOL_MAX, TOL_MIN, _integrate, _perihelion_start
+from .orbit import TOL_MAX, TOL_MIN, _perihelion_start, integrate
 from .precession import QuantumRule, planet_precession
 
 # Size flags are bounded so that no invocation can ask for unbounded work.
@@ -286,20 +286,19 @@ def cmd_precess(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    # The plain-float core, not orbit.integrate: packing the samples into
-    # numpy arrays would cost the numpy import and give nothing to print.
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     with naming_planet(el.name):
         _, model, u0, theta_max = _perihelion_start(el, args.delta, QuantumRule(args.rule),
                                                     args.orbits)
-    thetas, us, _, n_accepted, n_rejected = _integrate(model, u0, 0.0, theta_max, args.tol)
+    traj = integrate(model, u0, 0.0, theta_max, args.tol)
+    thetas, us = traj.theta, traj.u
     if args.format == "json":
         _emit_json({
             "meta": _meta(args, planet=el.name, delta_arcsec=args.delta,
                           orbits=args.orbits, tol=args.tol,
-                          steps_accepted=n_accepted,
-                          steps_rejected=n_rejected),
+                          steps_accepted=traj.n_accepted,
+                          steps_rejected=traj.n_rejected),
             "rows": [
                 {"theta_rad": t, "u_per_m": u, "r_m": 1.0 / u}
                 for t, u in zip(thetas, us)

@@ -18,11 +18,9 @@ re-integrates a short fixed-step segment and inserts three extra samples
 1e-3 rad apart around it; the stencil exists to make the chord zero
 accurate.
 
-The stepper, the stencil, the sample check (_integrate) and the perihelion
-scan (_perihelion_angles) run on plain floats and lists, so exporting a
-trajectory and measured_precession need only the standard library. numpy
-is imported only by integrate and detect_perihelia, which pack those lists
-into arrays.
+integrate and detect_perihelia run on plain floats and return records of
+array('d') fields, so the whole module, measured_precession and the orbit
+export included, needs only the standard library.
 
 _perihelion_start refuses, through precession.orbit_params and the
 breakdown rule every path shares, a quantum whose exact orbit from the
@@ -32,7 +30,8 @@ perihelion is unbounded.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from collections.abc import Iterable
+from typing import Callable
 
 from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import (DomainError, InsufficientSpanError, QgravError,
@@ -41,9 +40,6 @@ from .forces import QuantizedModel
 from .precession import (PrecessionResult, Provenance, QuantumRule,
                          orbit_params, quantum_from_error)
 from .record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Dormand-Prince 5(4) tableau (stage abscissae omitted: the system is
 # autonomous in theta).
@@ -73,30 +69,50 @@ _TOO_SPARSE = "trajectory sampling too sparse: a theta gap reaches pi/8"
 
 
 class Trajectory(Record):
-    """Ordered integration samples plus integrator metadata."""
+    """Ordered integration samples plus integrator metadata.
+
+    theta, u and du are copied into array('d') fields of one length. The
+    angles must strictly increase, number at least two and never leave a gap
+    of pi/8; anything else raises DomainError.
+    """
 
     _fields = ("theta", "u", "du", "tol", "n_accepted", "n_rejected")
 
-    def __init__(self, theta: np.ndarray, u: np.ndarray, du: np.ndarray, tol: float,
-                 n_accepted: int, n_rejected: int) -> None:
-        self.__dict__.update(theta=theta, u=u, du=du, tol=tol, n_accepted=n_accepted,
-                             n_rejected=n_rejected)
+    def __init__(self, theta: Iterable[float], u: Iterable[float], du: Iterable[float],
+                 tol: float, n_accepted: int, n_rejected: int) -> None:
+        from array import array
+        self.__dict__.update(theta=array("d", theta), u=array("d", u), du=array("d", du),
+                             tol=tol, n_accepted=n_accepted, n_rejected=n_rejected)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _check_sampling(self.theta.tolist())
+        thetas = self.theta
+        if not len(thetas) == len(self.u) == len(self.du):
+            raise DomainError(
+                f"trajectory fields differ in length: theta {len(thetas)}, "
+                f"u {len(self.u)}, du {len(self.du)}"
+            )
+        if len(thetas) < 2:
+            raise DomainError(_NOT_INCREASING)
+        for a, b in zip(thetas, thetas[1:]):
+            gap = b - a
+            if not gap > 0.0:
+                raise DomainError(_NOT_INCREASING)
+            if not gap < _MAX_GAP:
+                raise DomainError(_TOO_SPARSE)
 
     def __len__(self) -> int:
         return len(self.theta)
 
 
 class PerihelionSeries(Record):
-    """Perihelion angles and the advance of each revolution over 2 pi."""
+    """Perihelion angles and the advance of each revolution over 2 pi, as array('d')."""
 
     _fields = ("angles", "advances")
 
-    def __init__(self, angles: np.ndarray, advances: np.ndarray) -> None:
-        self.__dict__.update(angles=angles, advances=advances)
+    def __init__(self, angles: Iterable[float], advances: Iterable[float]) -> None:
+        from array import array
+        self.__dict__.update(angles=array("d", angles), advances=array("d", advances))
 
 
 def _binet_constants(model: QuantizedModel) -> tuple[float, float]:
@@ -220,44 +236,35 @@ def _refine_stencil(c, q, samples, theta_hat):
     return out
 
 
-def _check_sampling(thetas: list[float]) -> None:
-    """Raise DomainError unless the angles strictly increase, number at least
-    two and never leave a gap of pi/8."""
-    if len(thetas) < 2:
-        raise DomainError(_NOT_INCREASING)
-    for a, b in zip(thetas, thetas[1:]):
-        gap = b - a
-        if not gap > 0.0:
-            raise DomainError(_NOT_INCREASING)
-        if not gap < _MAX_GAP:
-            raise DomainError(_TOO_SPARSE)
-
-
-def _checked_samples(rows):
-    """Split theta-ordered (theta, u, du) rows into three lists.
+def _distinct_samples(rows):
+    """Split theta-ordered (theta, u, du) rows into three array('d').
 
     A row within 1e-12 rad of the one kept before it (a stencil point on an
-    accepted step) is dropped. The kept angles must pass _check_sampling.
+    accepted step) is dropped.
     """
-    thetas: list[float] = []
-    us: list[float] = []
-    vs: list[float] = []
+    from array import array
+    thetas, us, vs = array("d"), array("d"), array("d")
+    last = -math.inf
     for t, uu, vv in rows:
-        if thetas and -1e-12 < t - thetas[-1] < 1e-12:
+        if -1e-12 < t - last < 1e-12:
             continue
+        last = t
         thetas.append(t)
         us.append(uu)
         vs.append(vv)
-    _check_sampling(thetas)
     return thetas, us, vs
 
 
-def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
-               tol: float):
-    """integrate's stepping on plain floats, with no numpy.
+def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
+              tol: float = 1e-12) -> Trajectory:
+    """Adaptively integrate the exact orbit equation over [0, theta_max].
 
-    Returns (thetas, us, dus, n_accepted, n_rejected), the samples already
-    checked as a Trajectory would check them.
+    Local error per step is held below tol relative to the orbit scale u0.
+    Deterministic for fixed inputs. An orbit falling into the quantum raises
+    SingularityError if a stage evaluates the force at or inside the quantum,
+    or StepFailureError if the step size underflows first as the force
+    diverges; measured_precession and `qgrav orbit` refuse such a start
+    beforehand with ModelBreakdownError.
     """
     if not (math.isfinite(theta_max) and theta_max > 0):
         raise DomainError(f"theta_max must be positive, got {theta_max!r}")
@@ -325,44 +332,9 @@ def _integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
 
     merged = samples + extras
     merged.sort(key=lambda row: row[0])
-    return (*_checked_samples(merged), n_accepted, n_rejected)
-
-
-def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
-              tol: float = 1e-12) -> Trajectory:
-    """Adaptively integrate the exact orbit equation over [0, theta_max].
-
-    Local error per step is held below tol relative to the orbit scale u0.
-    Deterministic for fixed inputs. An orbit falling into the quantum raises
-    SingularityError if a stage evaluates the force at or inside the quantum,
-    or StepFailureError if the step size underflows first as the force
-    diverges; measured_precession and `qgrav orbit` refuse such a start
-    beforehand with ModelBreakdownError.
-    """
-    import numpy as np
-    thetas, us, vs, n_accepted, n_rejected = _integrate(model, u0, du0, theta_max, tol)
-    return Trajectory(theta=np.array(thetas), u=np.array(us), du=np.array(vs),
-                      tol=tol, n_accepted=n_accepted, n_rejected=n_rejected)
-
-
-def _perihelion_angles(theta, du):
-    """detect_perihelia on plain float sequences: (angles, advances) as lists.
-
-    Each + to - crossing of du is placed at the zero of the chord of du
-    between the two samples that bracket it. Raises InsufficientSpanError
-    below two passages.
-    """
-    angles: list[float] = []
-    for i in range(len(theta) - 1):
-        if du[i] > 0.0 >= du[i + 1]:
-            frac = du[i] / (du[i] - du[i + 1])
-            angles.append(theta[i] + frac * (theta[i + 1] - theta[i]))
-    if len(angles) < 2:
-        raise InsufficientSpanError(
-            f"trajectory spans {len(angles)} perihelion passage(s); need at least 2"
-        )
-    two_pi = 2.0 * math.pi
-    return angles, [(b - a) - two_pi for a, b in zip(angles, angles[1:])]
+    theta, u, du = _distinct_samples(merged)
+    return Trajectory(theta=theta, u=u, du=du, tol=tol, n_accepted=n_accepted,
+                      n_rejected=n_rejected)
 
 
 def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
@@ -373,9 +345,19 @@ def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
     exactly 0 is its own passage. Fewer than two passages cannot define an advance
     and raise InsufficientSpanError.
     """
-    import numpy as np
-    angles, advances = _perihelion_angles(traj.theta.tolist(), traj.du.tolist())
-    return PerihelionSeries(angles=np.array(angles), advances=np.array(advances))
+    theta, du = traj.theta, traj.du
+    angles: list[float] = []
+    for i in range(len(theta) - 1):
+        if du[i] > 0.0 >= du[i + 1]:
+            frac = du[i] / (du[i] - du[i + 1])
+            angles.append(theta[i] + frac * (theta[i + 1] - theta[i]))
+    if len(angles) < 2:
+        raise InsufficientSpanError(
+            f"trajectory spans {len(angles)} perihelion passage(s); need at least 2"
+        )
+    two_pi = 2.0 * math.pi
+    return PerihelionSeries(angles=angles,
+                            advances=[(b - a) - two_pi for a, b in zip(angles, angles[1:])])
 
 
 def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
@@ -403,15 +385,14 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
 
     Integrates n_orbits + 1 radial periods so that n_orbits inter-perihelion
     gaps are observable, averages the advances, and extrapolates to a
-    century exactly as the analytic chain does. Runs on plain floats, with no
-    numpy; the mean is math.fsum over the advances, divided by their count.
-    Raises ModelBreakdownError when the exact orbit is unbounded.
+    century exactly as the analytic chain does. The mean is math.fsum over
+    detect_perihelia's advances, divided by their count. Raises
+    ModelBreakdownError when the exact orbit is unbounded.
     """
     if n_orbits < 2:
         raise DomainError(f"need at least 2 orbits to average advances, got {n_orbits!r}")
     orbit, model, u0, theta_max = _perihelion_start(el, delta_arcsec, rule, n_orbits + 1)
-    theta, _, du, _, _ = _integrate(model, u0, 0.0, theta_max, tol)
-    _, advances = _perihelion_angles(theta, du)
+    advances = detect_perihelia(integrate(model, u0, 0.0, theta_max, tol)).advances
     per_orbit = math.fsum(advances) / len(advances)
     per_century = per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit,

@@ -48,33 +48,6 @@ class Provenance(enum.Enum):
     GR_BASELINE = "gr-baseline"
 
 
-class AnalyticOrbit(Record):
-    """Closed-form rosette orbit r = p / (1 + A p cos(x theta)).
-
-    semi_latus  p, m
-    freq_ratio  x in (0, 1]; x < 1 makes the perihelion precess
-    amplitude   A, 1/m; the orbit is bound iff |A| p < 1
-    """
-
-    _fields = ("semi_latus", "freq_ratio", "amplitude")
-
-    def __init__(self, semi_latus: float, freq_ratio: float, amplitude: float) -> None:
-        self.__dict__.update(semi_latus=semi_latus, freq_ratio=freq_ratio, amplitude=amplitude)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.semi_latus) and self.semi_latus > 0):
-            raise DomainError(f"semi-latus rectum must be positive, got {self.semi_latus!r}")
-        if not 0.0 < self.freq_ratio <= 1.0:
-            raise DomainError(f"frequency ratio must lie in (0, 1], got {self.freq_ratio!r}")
-        if not math.isfinite(self.amplitude):
-            raise DomainError(f"amplitude must be finite, got {self.amplitude!r}")
-
-    @property
-    def bound(self) -> bool:
-        return abs(self.amplitude) * self.semi_latus < 1.0
-
-
 class PrecessionResult(Record):
     """Perihelion advance per orbit (rad) and per Julian century (arcsec)."""
 
@@ -168,59 +141,6 @@ def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None
     )
 
 
-def amplitude_from_perihelion(semi_latus: float, r_p: float) -> float:
-    """Amplitude fixing theta = 0 as a perihelion at distance r_p: A = 1/r_p - 1/p."""
-    if not (math.isfinite(semi_latus) and semi_latus > 0):
-        raise DomainError(f"semi-latus rectum must be positive, got {semi_latus!r}")
-    if not (math.isfinite(r_p) and r_p > 0):
-        raise DomainError(f"perihelion distance must be positive, got {r_p!r}")
-    return 1.0 / r_p - 1.0 / semi_latus
-
-
-def analytic_orbit(quantum: float, orbit: DerivedOrbit) -> AnalyticOrbit:
-    """Closed-form orbit for a quantum, anchored at the orbit's perihelion."""
-    p, x = orbit_params(quantum, orbit)
-    return AnalyticOrbit(semi_latus=p, freq_ratio=x,
-                         amplitude=amplitude_from_perihelion(p, orbit.r_p))
-
-
-def closed_form_radius(sol: AnalyticOrbit, theta):
-    """Radius r(theta) = p / (1 + A p cos(x theta)); accepts scalars or arrays.
-
-    Periodic with period 2 pi / x; minima (perihelia) at theta = 2 n pi / x.
-    """
-    import numpy as np  # only here: the rest of the analytic chain is plain math
-
-    if not sol.bound:
-        raise DomainError(
-            f"orbit is unbound (|A| p = {abs(sol.amplitude) * sol.semi_latus!r} >= 1)"
-        )
-    th = np.asarray(theta, dtype=float)
-    r = sol.semi_latus / (1.0 + sol.amplitude * sol.semi_latus
-                          * np.cos(sol.freq_ratio * th))
-    if np.ndim(theta) == 0:
-        return float(r)
-    return r
-
-
-def precession_per_orbit(freq_ratio: float) -> float:
-    """Perihelion advance per revolution, 2 pi (1/x - 1) >= 0.
-
-    Formed as 2 pi (1 - x)/x: for x in [0.5, 1] the difference 1 - x is
-    exact in floating point, so no precision is lost to cancellation.
-    """
-    if not (math.isfinite(freq_ratio) and 0.0 < freq_ratio <= 1.0):
-        raise DomainError(f"frequency ratio must lie in (0, 1], got {freq_ratio!r}")
-    return 2.0 * math.pi * (1.0 - freq_ratio) / freq_ratio
-
-
-def precession_per_century(per_orbit_rad: float, orbit: DerivedOrbit) -> float:
-    """Per-century advance in arcseconds: per-orbit x orbits/century x arcsec/rad."""
-    if not (math.isfinite(per_orbit_rad) and per_orbit_rad >= 0):
-        raise DomainError(f"per-orbit advance must be >= 0 rad, got {per_orbit_rad!r}")
-    return per_orbit_rad * orbit.orbits_per_century * ARCSEC_PER_RAD
-
-
 def _advance_from_eps(eps: float) -> float:
     # 2 pi (1/x - 1) with x = sqrt(1 - eps), written so the small advance is
     # produced from eps at full relative precision.
@@ -249,9 +169,10 @@ def _advances(orbit: DerivedOrbit, deltas: list[float],
     """(rad/orbit, arcsec/century) for each delta on an already derived orbit.
 
     The body of planet_precession, shared with sweep_delta so that a sweep
-    reads its orbit once rather than once per row. Each row is formed as
-    quantum_from_error, orbit_params and precession_per_century would form
-    it, operation for operation, so the values agree bit for bit.
+    reads its orbit once rather than once per row. Each quantum and eps is
+    formed as quantum_from_error and orbit_params form it, operation for
+    operation, so the values agree bit for bit; the century figure is the
+    per-orbit advance times orbits per century times arcsec per radian.
     """
     scale = _scale(orbit, rule)
     mu = orbit.mu

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgrav import (DomainError, InsufficientSpanError, ModelBreakdownError,
-                   Provenance, QuantumRule, QuantizedModel, SingularityError, Trajectory,
-                   analytic_orbit, binet_rhs, closed_form_radius, derive_orbit,
-                   detect_perihelia, integrate, measured_precession,
-                   orbit_params, quantum_from_error, rad_to_arcsec)
+from qgrav import (CONSTANTS, DomainError, InsufficientSpanError, ModelBreakdownError,
+                   PlanetElements, Provenance, QuantumRule, QuantizedModel,
+                   SingularityError, Trajectory, binet_rhs, detect_perihelia,
+                   integrate, measured_precession, orbit_params,
+                   quantum_from_error, rad_to_arcsec)
 
 GM = 1.32712440018e20
 
@@ -60,13 +62,15 @@ def test_binet_rhs_singularity(mercury_orbit):
 
 
 def test_integrate_newtonian_conic(mercury_orbit):
-    # known exact solution: u = (1 + e cos theta)/p
-    sol = analytic_orbit(0.0, mercury_orbit)
+    # known exact solution: u = (1 + A p cos theta)/p, A p = e, with the
+    # amplitude A = 1/r_p - 1/p that puts the perihelion at theta = 0
+    p, _ = orbit_params(0.0, mercury_orbit)
+    amplitude = 1.0 / mercury_orbit.r_p - 1.0 / p
     model = QuantizedModel(quantum=0.0, mu=mercury_orbit.mu, h=mercury_orbit.h)
     for tol in (1e-12, 1e-9):
         traj = integrate(model, 1.0 / mercury_orbit.r_p, 0.0, 20.0 * math.pi, tol=tol)
-        u_conic = (1.0 + sol.amplitude * sol.semi_latus * np.cos(traj.theta)) / sol.semi_latus
-        dev = np.max(np.abs(traj.u - u_conic) / u_conic)
+        u_conic = (1.0 + amplitude * p * np.cos(traj.theta)) / p
+        dev = np.max(np.abs(np.asarray(traj.u) - u_conic) / u_conic)
         assert dev <= 100.0 * tol
 
 
@@ -74,16 +78,19 @@ def test_integrate_circular_fixed_point(mercury_orbit):
     model = QuantizedModel(quantum=0.0, mu=mercury_orbit.mu, h=mercury_orbit.h)
     u_circ = mercury_orbit.mu / mercury_orbit.h ** 2
     traj = integrate(model, u_circ, 0.0, 10.0 * math.pi, tol=1e-12)
-    assert np.max(np.abs(traj.u - u_circ)) <= 1e-12 * u_circ
+    assert np.max(np.abs(np.asarray(traj.u) - u_circ)) <= 1e-12 * u_circ
 
 
 def test_integrate_matches_closed_form(mercury_orbit):
-    # analytic rosette as oracle; dropped higher-order terms are ~1e-13 here
+    # analytic rosette r = p / (1 + A p cos(x theta)) as oracle, anchored at
+    # the perihelion by A = 1/r_p - 1/p; dropped higher-order terms are
+    # ~1e-13 here
     model, q = _mercury_model(mercury_orbit)
-    sol = analytic_orbit(q, mercury_orbit)
+    p, x = orbit_params(q, mercury_orbit)
+    amplitude = 1.0 / mercury_orbit.r_p - 1.0 / p
     traj = integrate(model, 1.0 / mercury_orbit.r_p, 0.0, 20.0 * math.pi, tol=1e-12)
-    r_num = 1.0 / traj.u
-    r_ana = closed_form_radius(sol, traj.theta)
+    r_num = 1.0 / np.asarray(traj.u)
+    r_ana = p / (1.0 + amplitude * p * np.cos(x * np.asarray(traj.theta)))
     assert np.max(np.abs(r_num - r_ana) / r_ana) <= 1e-6
 
 
@@ -154,10 +161,11 @@ def _off_grid_trajectories(x):
 def _assert_at_perihelia(series, x):
     # passage n lies within 1e-10 rad of 2 pi n / x: none lost, none repeated
     period = 2.0 * math.pi / x
-    n = np.rint(series.angles / period)
+    angles = np.asarray(series.angles)
+    n = np.rint(angles / period)
     assert np.array_equal(n, np.arange(1, len(n) + 1))
     assert len(n) >= 4
-    assert np.max(np.abs(series.angles - n * period)) < 1e-10
+    assert np.max(np.abs(angles - n * period)) < 1e-10
 
 
 def test_detect_perihelia_closed_ellipse():
@@ -178,14 +186,14 @@ def test_detect_perihelia_rosette():
     series = detect_perihelia(traj)
     expected = 2.0 * math.pi * (1.0 - x) / x  # generator is the oracle
     assert expected == pytest.approx(5.0281e-07, rel=1e-3)
-    assert np.all(np.abs(series.advances - expected) < 1e-9)
+    assert np.all(np.abs(np.asarray(series.advances) - expected) < 1e-9)
     _assert_at_perihelia(series, x)
     for x_off in (x, 1.0 - 1e-3):
         expected = 2.0 * math.pi * (1.0 - x_off) / x_off
         for traj in _off_grid_trajectories(x_off):
             series = detect_perihelia(traj)
             _assert_at_perihelia(series, x_off)
-            assert np.all(np.abs(series.advances - expected) < 1e-9)
+            assert np.all(np.abs(np.asarray(series.advances) - expected) < 1e-9)
 
 
 def test_detect_perihelia_zero_slope_sample():
@@ -193,11 +201,11 @@ def test_detect_perihelia_zero_slope_sample():
     # theta[i] + 1.0 * (theta[i + 1] - theta[i]) is exact for i >= 1.
     traj = _analytic_trajectory(p=5.546074e10, e=0.20563069, x=1.0, periods=3)
     at_perihelion = np.arange(1, 4) * 4096
-    du = traj.du.copy()
+    du = np.array(traj.du)
     du[at_perihelion] = 0.0
     series = detect_perihelia(Trajectory(theta=traj.theta, u=traj.u, du=du, tol=0.0,
                                          n_accepted=0, n_rejected=0))
-    assert np.array_equal(series.angles, traj.theta[at_perihelion])
+    assert np.array_equal(series.angles, np.asarray(traj.theta)[at_perihelion])
 
 
 def test_detect_perihelia_insufficient_span():
@@ -229,7 +237,7 @@ def test_advance_positivity(mercury_orbit):
     traj = integrate(model, 1.0 / mercury_orbit.r_p, 0.0, theta_max, tol=1e-12)
     series = detect_perihelia(traj)
     assert len(series.advances) >= 3
-    assert np.all(series.advances > 0.0)
+    assert np.all(np.asarray(series.advances) > 0.0)
 
 
 def test_measured_precession_mercury(mercury, mercury_orbit):
@@ -260,9 +268,9 @@ def test_measured_precession_keeps_every_perihelion(mercury):
 @pytest.mark.parametrize("tol", [1e-12, 1e-10])
 @pytest.mark.parametrize("delta", [0.0, 0.0398])
 def test_measured_precession_equals_array_path(planets, delta, tol):
-    # measured_precession runs on lists and averages with fsum; the array
-    # path (integrate, detect_perihelia) finds the same advances. ndarray.mean
-    # sums pairwise, so it may differ from fsum within summation roundoff.
+    # measured_precession is the fsum mean of detect_perihelia's advances on
+    # integrate's trajectory. ndarray.mean sums pairwise, so it may differ
+    # from fsum within summation roundoff.
     from qgrav.orbit import _perihelion_start
     for el in planets.values():
         _, model, u0, theta_max = _perihelion_start(el, delta, QuantumRule.PERIHELION, 51)
@@ -271,7 +279,7 @@ def test_measured_precession_equals_array_path(planets, delta, tol):
         advances = series.advances.tolist()
         assert result.per_orbit_rad == math.fsum(advances) / len(advances)
         roundoff = 1e-14 * max(abs(a) for a in advances)
-        assert result.per_orbit_rad == pytest.approx(float(series.advances.mean()),
+        assert result.per_orbit_rad == pytest.approx(float(np.mean(series.advances)),
                                                      rel=1e-15, abs=roundoff)
 
 
@@ -337,26 +345,46 @@ def test_integrate_stage_domain_check(mercury_orbit):
 
 
 def test_trajectory_validation():
-    theta = np.array([0.0, 1.0, 0.5])
-    ones = np.ones(3) * 1e-11
-    with pytest.raises(DomainError):
-        Trajectory(theta=theta, u=ones, du=ones, tol=0.0, n_accepted=0, n_rejected=0)
-    sparse = np.array([0.0, math.pi])
-    with pytest.raises(DomainError):
-        Trajectory(theta=sparse, u=ones[:2], du=ones[:2], tol=0.0,
-                   n_accepted=0, n_rejected=0)
-
-
-def test_core_sampling_check():
-    # The plain-float core serves `qgrav orbit` without building a
-    # Trajectory, so it enforces the same sampling rules itself.
-    from qgrav.orbit import _checked_samples
-    row = (1e-11, 0.0)
+    # out of order, a step back, a pi/8 gap, a pi gap and a single sample
+    ones = [1e-11] * 3
     for thetas in ([0.0, 1.0, 0.5], [0.0, 1.0, 1.0 - 1e-9], [0.0, math.pi / 8],
-                   [0.0], [0.0, 5e-13]):
+                   [0.0, math.pi], [0.0]):
+        n = len(thetas)
         with pytest.raises(DomainError):
-            _checked_samples([(t, *row) for t in thetas])
-    # A stencil point within 1e-12 rad of a step is dropped, the first kept.
-    kept = _checked_samples([(0.0, 1.0, 2.0), (5e-13, 3.0, 4.0),
-                             (math.pi / 8 - 1e-9, 5.0, 6.0)])
-    assert kept == ([0.0, math.pi / 8 - 1e-9], [1.0, 5.0], [2.0, 6.0])
+            Trajectory(theta=thetas, u=ones[:n], du=ones[:n], tol=0.0,
+                       n_accepted=0, n_rejected=0)
+    # theta, u and du of different lengths, such as 4 angles with 2 slopes
+    theta = [0.0, 0.1, 0.2, 0.3]
+    for u, du in (([1e-11] * 4, [1e-13, -1e-13]), ([1e-11] * 3, [1e-13] * 4)):
+        with pytest.raises(DomainError, match="differ in length"):
+            Trajectory(theta=theta, u=u, du=du, tol=0.0, n_accepted=0, n_rejected=0)
+    # integrate drops a stencil point within 1e-12 rad of a step, keeping the
+    # first; a pair that close leaves one sample, which no Trajectory takes.
+    from qgrav.orbit import _distinct_samples
+    kept = _distinct_samples([(0.0, 1.0, 2.0), (5e-13, 3.0, 4.0),
+                              (math.pi / 8 - 1e-9, 5.0, 6.0)])
+    assert [field.tolist() for field in kept] == [[0.0, math.pi / 8 - 1e-9], [1.0, 5.0],
+                                                  [2.0, 6.0]]
+    with pytest.raises(DomainError):
+        Trajectory(*_distinct_samples([(0.0, 1e-11, 0.0), (5e-13, 1e-11, 0.0)]),
+                   tol=0.0, n_accepted=0, n_rejected=0)
+
+
+@st.composite
+def _kepler_planet(draw):
+    a = draw(st.floats(0.3, 2.0)) * CONSTANTS.au
+    e = draw(st.floats(0.05, 0.9))
+    tau_days = 2.0 * math.pi * math.sqrt(a ** 3 / CONSTANTS.gm_sun) / 86400.0
+    return PlanetElements(name="P", a=a, e=e, tau_days=tau_days)
+
+
+@settings(max_examples=40, deadline=None)
+@given(el=_kepler_planet(), n=st.integers(2, 6), delta=st.floats(0.0, 300.0),
+       rule=st.sampled_from(list(QuantumRule)), tol=st.sampled_from([1e-10, 1e-12]))
+def test_perihelion_count_over_n_periods(el, n, delta, rule, tol):
+    # From a perihelion start over n radial periods (theta_max = n 2 pi/x
+    # + 0.5) every later perihelion is found once: none lost, none repeated.
+    from qgrav.orbit import _perihelion_start
+    _, model, u0, theta_max = _perihelion_start(el, delta, rule, n)
+    series = detect_perihelia(integrate(model, u0, 0.0, theta_max, tol=tol))
+    assert len(series.angles) == n

@@ -2,14 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
-from qgrav import (ARCSEC_PER_RAD, AnalyticOrbit, DomainError,
-                   ModelBreakdownError, PlanetElements, Provenance,
-                   QuantumRule, amplitude_from_perihelion, analytic_orbit,
-                   closed_form_radius, derive_orbit, orbit_params,
-                   planet_precession, precession_per_century,
-                   precession_per_orbit, quantum_from_error)
+from qgrav import (ARCSEC_PER_RAD, DomainError, ModelBreakdownError, PlanetElements,
+                   Provenance, QuantumRule, derive_orbit, orbit_params,
+                   planet_precession, quantum_from_error)
 
 GM = 1.32712440018e20
 
@@ -104,114 +100,6 @@ def test_orbit_params_exactness(mercury_orbit, venus, earth):
             assert p * orbit.mu + q * orbit.mu == pytest.approx(orbit.h ** 2, rel=1e-13)
 
 
-def test_amplitude_from_perihelion(mercury_orbit):
-    q = quantum_from_error(0.0398, mercury_orbit)
-    p, _ = orbit_params(q, mercury_orbit)
-    amp = amplitude_from_perihelion(p, mercury_orbit.r_p)
-    assert amp == pytest.approx(3.707748451992882e-12, rel=1e-12)
-    assert amp == pytest.approx(3.7083e-12, rel=1e-3)
-    # circular: perihelion at the semi-latus gives zero amplitude
-    assert amplitude_from_perihelion(p, p) == 0.0
-    with pytest.raises(DomainError):
-        amplitude_from_perihelion(-1.0, 1.0)
-
-
-def test_amplitude_round_trip_random():
-    rng = np.random.default_rng(22)
-    for _ in range(200):
-        p = float(10.0 ** rng.uniform(8, 12))
-        r_p = p * float(rng.uniform(0.5, 1.0))
-        sol = AnalyticOrbit(semi_latus=p, freq_ratio=1.0,
-                            amplitude=amplitude_from_perihelion(p, r_p))
-        assert closed_form_radius(sol, 0.0) == pytest.approx(r_p, rel=1e-12)
-
-
-def test_closed_form_radius_circle():
-    sol = AnalyticOrbit(semi_latus=3.0e10, freq_ratio=1.0, amplitude=0.0)
-    for theta in (0.0, 1.0, 10.0, -4.0):
-        assert closed_form_radius(sol, theta) == 3.0e10
-
-
-def test_closed_form_radius_periodicity(mercury_orbit):
-    q = quantum_from_error(0.0398, mercury_orbit)
-    sol = analytic_orbit(q, mercury_orbit)
-    period = 2.0 * math.pi / sol.freq_ratio
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        theta = float(rng.uniform(-100.0, 100.0))
-        assert closed_form_radius(sol, theta + period) == pytest.approx(
-            closed_form_radius(sol, theta), rel=1e-12)
-
-
-def test_closed_form_radius_unbound():
-    sol = AnalyticOrbit(semi_latus=1.0, freq_ratio=1.0, amplitude=1.5)
-    assert not sol.bound
-    with pytest.raises(DomainError):
-        closed_form_radius(sol, 0.0)
-
-
-def test_closed_form_radius_array(mercury_orbit):
-    sol = analytic_orbit(0.0, mercury_orbit)
-    theta = np.linspace(0.0, 10.0, 50)
-    values = closed_form_radius(sol, theta)
-    assert values.shape == theta.shape
-    assert values[0] == pytest.approx(mercury_orbit.r_p, rel=1e-12)
-
-
-def test_perihelion_placement(mercury_orbit):
-    # Numeric minimization oracle: the radius minimum in [pi/x, 3pi/x] found
-    # with no reference to the claimed location. The minimum is flat at the
-    # sqrt(eps) level, so it is located as the midpoint of a symmetric level
-    # crossing, each crossing being a steep, well-conditioned root.
-    q = quantum_from_error(0.0398, mercury_orbit)
-    sol = analytic_orbit(q, mercury_orbit)
-    x = sol.freq_ratio
-    lo, hi = math.pi / x, 3.0 * math.pi / x
-    grid = np.linspace(lo, hi, 20001)
-    radii = closed_form_radius(sol, grid)
-    i_min = int(np.argmin(radii))
-    target = radii[i_min] * (1.0 + 1e-6)
-
-    def level(theta):
-        return closed_form_radius(sol, theta) - target
-
-    left = brentq(level, grid[max(np.flatnonzero(radii[:i_min] > target))], grid[i_min],
-                  xtol=1e-12)
-    right_candidates = np.flatnonzero(radii[i_min:] > target)
-    right = brentq(level, grid[i_min], grid[i_min + int(right_candidates.min())],
-                   xtol=1e-12)
-    found = 0.5 * (left + right)
-    assert found == pytest.approx(2.0 * math.pi / x, rel=1e-9)
-
-
-def test_precession_per_orbit_values():
-    assert precession_per_orbit(1.0) == 0.0
-    assert precession_per_orbit(0.5) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    x = 1.0 - 8.0025e-08
-    got = precession_per_orbit(x)
-    # oracle: 2 pi (1 - x)/x with the exact stored 1 - x
-    assert got == pytest.approx(2.0 * math.pi * (1.0 - x) / x, rel=1e-14)
-    assert got == pytest.approx(5.0281e-07, rel=1e-3)
-
-
-def test_precession_per_orbit_domain():
-    for bad in (0.0, -0.5, 1.0 + 1e-9, 2.0, math.nan):
-        with pytest.raises(DomainError):
-            precession_per_orbit(bad)
-
-
-def test_precession_per_century_values(mercury, venus):
-    mercury_orbit = derive_orbit(mercury)
-    venus_orbit = derive_orbit(venus)
-    assert precession_per_century(0.0, mercury_orbit) == 0.0
-    got = precession_per_century(5.0281e-07, mercury_orbit)
-    assert got == pytest.approx(5.0281e-07 * mercury_orbit.orbits_per_century
-                                * ARCSEC_PER_RAD, rel=1e-14)
-    assert got == pytest.approx(43.06, abs=0.1)
-    got_venus = precession_per_century(6.0210e-07, venus_orbit)
-    assert got_venus == pytest.approx(20.19, abs=0.05)
-
-
 def test_planet_precession_frozen(planets):
     for (name, delta), expected in PER_CENTURY.items():
         result = planet_precession(planets[name], delta)
@@ -273,12 +161,3 @@ def test_result_consistency(planets):
         result = planet_precession(el, 0.0398)
         assert result.per_century_arcsec == pytest.approx(
             result.per_orbit_rad * orbit.orbits_per_century * ARCSEC_PER_RAD, rel=1e-13)
-
-
-def test_analytic_orbit_validation():
-    with pytest.raises(DomainError):
-        AnalyticOrbit(semi_latus=0.0, freq_ratio=1.0, amplitude=0.0)
-    with pytest.raises(DomainError):
-        AnalyticOrbit(semi_latus=1.0, freq_ratio=1.5, amplitude=0.0)
-    with pytest.raises(DomainError):
-        AnalyticOrbit(semi_latus=1.0, freq_ratio=0.0, amplitude=0.0)

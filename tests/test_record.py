@@ -4,22 +4,15 @@ Name(field=value, ...), and restored whole by pickle and copy.deepcopy."""
 import copy
 import pickle
 
-import numpy as np
 import pytest
 
-from qgrav import (AnalyticOrbit, Constants, DerivedOrbit, FitResult, Observation,
+from qgrav import (Constants, DerivedOrbit, FitResult, Observation,
                    PerihelionSeries, PlanetElements, PrecessionResult, Provenance,
                    QuantizedModel, Trajectory)
 
-# Shared so that equal records hold the same arrays: numpy's == is elementwise,
-# so the field tuples compare only through the identity shortcut.
-THETA = np.array([0.0, 0.25])
-U = np.array([1.0, 1.5])
-DU = np.array([0.5, -0.5])
-ANGLES = np.array([0.0])
-
 # (class, a factory of equal fresh records, a record that differs in one
-# field, the repr). Each repr is the one the frozen dataclasses printed.
+# field, the repr). Each repr but those of the array('d') fields is the one
+# the frozen dataclasses printed.
 CASES = [
     (Constants, lambda: Constants(), lambda: Constants(au=1.5e11),
      "Constants(gm_sun=1.32712440018e+20, c=299792458.0, au=149597870700.0, "
@@ -40,32 +33,21 @@ CASES = [
     (QuantizedModel, lambda: QuantizedModel(quantum=1.0, mu=2.0),
      lambda: QuantizedModel(1.0, 2.0, 3.0),
      "QuantizedModel(quantum=1.0, mu=2.0, h=None)"),
-    (AnalyticOrbit, lambda: AnalyticOrbit(semi_latus=1.0, freq_ratio=0.5, amplitude=0.25),
-     lambda: AnalyticOrbit(1.0, 0.5, 0.5),
-     "AnalyticOrbit(semi_latus=1.0, freq_ratio=0.5, amplitude=0.25)"),
     (PrecessionResult, lambda: PrecessionResult(1e-7, 43.0, Provenance.ANALYTIC),
      lambda: PrecessionResult(1e-7, 43.0, Provenance.NUMERIC),
      "PrecessionResult(per_orbit_rad=1e-07, per_century_arcsec=43.0, "
      "provenance=<Provenance.ANALYTIC: 'analytic'>)"),
-    (Trajectory, lambda: Trajectory(THETA, U, DU, 1e-12, 2, 0),
-     lambda: Trajectory(THETA, U, DU, 1e-10, 2, 0),
-     "Trajectory(theta=array([0.  , 0.25]), u=array([1. , 1.5]), "
-     "du=array([ 0.5, -0.5]), tol=1e-12, n_accepted=2, n_rejected=0)"),
-    (PerihelionSeries, lambda: PerihelionSeries(ANGLES, np.array([1e-7])),
-     lambda: PerihelionSeries(ANGLES, np.array([2e-7])),
-     "PerihelionSeries(angles=array([0.]), advances=array([1.e-07]))"),
+    (Trajectory, lambda: Trajectory([0.0, 0.25], [1.0, 1.5], [0.5, -0.5], 1e-12, 2, 0),
+     lambda: Trajectory([0.0, 0.25], [1.0, 1.5], [0.5, -0.4], 1e-12, 2, 0),
+     "Trajectory(theta=array('d', [0.0, 0.25]), u=array('d', [1.0, 1.5]), "
+     "du=array('d', [0.5, -0.5]), tol=1e-12, n_accepted=2, n_rejected=0)"),
+    (PerihelionSeries, lambda: PerihelionSeries([0.0], [1e-7]),
+     lambda: PerihelionSeries([0.0], [2e-7]),
+     "PerihelionSeries(angles=array('d', [0.0]), advances=array('d', [1e-07]))"),
 ]
 
 # Records with a dict or array field are unhashable, as a tuple of those fields is.
 UNHASHABLE = {FitResult, Trajectory, PerihelionSeries}
-
-
-def _same_state(a, b):
-    """Same class and equal __dict__, arrays compared by value."""
-    if type(a) is not type(b) or vars(a).keys() != vars(b).keys():
-        return False
-    return all(np.array_equal(x, vars(b)[k]) if isinstance(x, np.ndarray) else x == vars(b)[k]
-               for k, x in vars(a).items())
 
 
 @pytest.mark.parametrize("cls, make, make_other, expected_repr", CASES,
@@ -95,9 +77,8 @@ def test_value_class_contract(cls, make, make_other, expected_repr):
     assert repr(record) == expected_repr
 
     for restored in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
-        assert _same_state(restored, record)
-        if not any(isinstance(x, np.ndarray) for x in vars(record).values()):
-            assert restored == record
+        assert type(restored) is cls and vars(restored) == vars(record)
+        assert restored == record
         with pytest.raises(AttributeError):
             setattr(restored, next(iter(state)), 1.0)
 
