@@ -14,26 +14,26 @@ the package, the integrator layer (qgrav.orbit) included, imports without
 the dataclasses and inspect modules.
 """
 
-from .bodies import (ARCSEC_PER_RAD, CONSTANTS, CONSTANTS_VERSION, Constants,
-                     DerivedOrbit, PlanetElements, arcsec_to_rad, derive_orbit,
-                     load_planets, planet_by_name, rad_to_arcsec)
+from .bodies import (ARCSEC_PER_RAD, AU, C_LIGHT, CENTURY_DAYS, CONSTANTS_VERSION,
+                     GM_SUN, DerivedOrbit, PlanetElements, arcsec_to_rad,
+                     derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
 from .calibrate import (Observation, FitResult, fit_delta, invert_delta,
                         load_observations, sweep_delta)
 from .errors import (DomainError, IngestionError, InsufficientSpanError,
                      ModelBreakdownError, QgravError, SingularityError,
                      StepFailureError)
-from .forces import (NEWTON_G, QuantizedModel, corrected_force,
-                     gr_precession_baseline, newtonian_force, state_weight,
-                     weight_increment)
+from .forces import (NEWTON_G, PrecessionResult, Provenance, QuantizedModel,
+                     corrected_force, gr_precession_baseline, newtonian_force,
+                     state_weight, weight_increment)
 from .orbit import (PerihelionSeries, Trajectory, binet_rhs, detect_perihelia,
                     integrate, measured_precession)
-from .precession import (PrecessionResult, Provenance, QuantumRule,
-                         orbit_params, planet_precession, quantum_from_error)
+from .precession import (QuantumRule, orbit_params, planet_precession,
+                         quantum_from_error)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARCSEC_PER_RAD", "CONSTANTS", "CONSTANTS_VERSION", "Constants",
+    "ARCSEC_PER_RAD", "AU", "C_LIGHT", "CENTURY_DAYS", "CONSTANTS_VERSION", "GM_SUN",
     "DerivedOrbit", "PlanetElements", "arcsec_to_rad", "derive_orbit",
     "load_planets", "planet_by_name", "rad_to_arcsec",
     "Observation", "FitResult", "fit_delta", "invert_delta",

@@ -2,8 +2,8 @@
 
 All internal computation is SI (m, s, rad); periods are stored in days and
 converted on derivation. Angles for reporting are arcseconds per Julian
-century (36525 days). Every orbit is a solar orbit: GM and c are the bundled
-CONSTANTS, and each PlanetElements derives its orbit once, when it is built.
+century (CENTURY_DAYS). Every orbit is a solar orbit under the module
+constants GM_SUN and C_LIGHT, and each PlanetElements derives it once.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
 from typing import IO
 
@@ -22,7 +23,13 @@ ARCSEC_PER_RAD = 648000.0 / math.pi
 
 DAY_S = 86400.0
 
-# Version tag for the bundled constant set below (reported in machine output).
+# Every orbital formula consumes the Sun's GM directly, never G alone.
+GM_SUN = 1.32712440018e20   # m^3 s^-2
+C_LIGHT = 299792458.0       # m s^-1
+AU = 1.495978707e11         # m
+CENTURY_DAYS = 36525.0      # days in a Julian century
+
+# Version tag for the constants above (reported in machine output).
 CONSTANTS_VERSION = "qgrav-constants-1"
 
 DATA_DIR_ENV = "QGRAV_DATA_DIR"
@@ -32,42 +39,10 @@ OBSERVATIONS_FILENAME = "observations.json"
 
 
 def _is_finite_number(value: object) -> bool:
-    """A finite int or float; bool is excluded although it subclasses int."""
+    """A finite float or an int within the float range (compared exactly, so
+    a huge int cannot overflow); bool is excluded although it subclasses int."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-class Constants(Record):
-    """Solar-system constants used by the precession pipeline.
-
-    gm_sun is the heliocentric gravitational parameter GM (m^3/s^2); every
-    orbital formula consumes GM directly, so the Newton constant never has
-    to be separated from the solar mass.
-    """
-
-    _fields = ("gm_sun", "c", "au", "julian_year_days", "century_days", "arcsec_per_rad")
-
-    def __init__(self,
-                 gm_sun: float = 1.32712440018e20,   # m^3 s^-2
-                 c: float = 299792458.0,             # m s^-1
-                 au: float = 1.495978707e11,         # m
-                 julian_year_days: float = 365.25,
-                 century_days: float = 36525.0,
-                 arcsec_per_rad: float = ARCSEC_PER_RAD) -> None:
-        self.__dict__.update(gm_sun=gm_sun, c=c, au=au, julian_year_days=julian_year_days,
-                             century_days=century_days, arcsec_per_rad=arcsec_per_rad)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for field in self._fields:
-            value = getattr(self, field)
-            if not (_is_finite_number(value) and value > 0):
-                raise DomainError(f"constant {field} must be finite and positive, got {value!r}")
-        if abs(self.arcsec_per_rad * (math.pi / 648000.0) - 1.0) > 4 * 2.22e-16:
-            raise DomainError("arcsec_per_rad is inconsistent with the arcsecond definition")
-
-
-CONSTANTS = Constants()
+            and abs(value) <= sys.float_info.max)
 
 
 def arcsec_to_rad(x: float) -> float:
@@ -133,7 +108,7 @@ class PlanetElements(Record):
         b = self.a * math.sqrt(1.0 - self.e * self.e)
         r_p = self.a * (1.0 - self.e)
         h = 2.0 * math.pi * self.a * b / (self.tau_days * DAY_S)
-        orbits_per_century = CONSTANTS.century_days / self.tau_days
+        orbits_per_century = CENTURY_DAYS / self.tau_days
         # epsilon divides by h^2 and every centurial figure multiplies by the
         # orbit count, so elements whose floats over- or underflow there are
         # refused here rather than turned into a crash or a nan later.
@@ -142,7 +117,7 @@ class PlanetElements(Record):
                 raise IngestionError(
                     f"planet {label!r}: derived {quantity} must be finite and positive, got {value!r}")
         self.__dict__["orbit"] = DerivedOrbit(
-            b=b, r_p=r_p, h=h, mu=CONSTANTS.gm_sun, orbits_per_century=orbits_per_century)
+            b=b, r_p=r_p, h=h, mu=GM_SUN, orbits_per_century=orbits_per_century)
 
 
 def derive_orbit(el: PlanetElements) -> DerivedOrbit:
@@ -158,19 +133,22 @@ _PLANET_FIELDS = {"name", "a_m", "e", "tau_days"}
 
 
 def _read_json(source: str | Path | IO[str], what: str) -> object:
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
+    """The JSON document in source; IngestionError if it cannot be read or parsed."""
+    stream = hasattr(source, "read")
+    if stream:
         origin = getattr(source, "name", "<stream>")
     else:
         path = Path(source)  # type: ignore[arg-type]
         if not path.exists():
             raise IngestionError(f"{what} file not found: {path}")
-        text = path.read_text()
         origin = str(path)
     try:
-        return json.loads(text)
+        return json.loads(source.read() if stream  # type: ignore[union-attr]
+                          else path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{what} file {origin} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise IngestionError(f"{what} file {origin} cannot be read as JSON: {exc}") from exc
 
 
 def _is_version_one(value: object) -> bool:
@@ -198,17 +176,11 @@ def _check_unique(name: str, seen: set[str], what: str) -> None:
     seen.add(key)
 
 
-def data_dir_override() -> Path | None:
-    """Directory named by QGRAV_DATA_DIR, or None when the variable is unset."""
-    value = os.environ.get(DATA_DIR_ENV)
-    return Path(value) if value else None
-
-
 def bundled_data_path(filename: str) -> Path:
     """Path to a bundled data file, honouring the QGRAV_DATA_DIR override."""
-    override = data_dir_override()
-    if override is not None:
-        return override / filename
+    override = os.environ.get(DATA_DIR_ENV)
+    if override:
+        return Path(override) / filename
     # The package ships as a plain directory, so its data sit beside this file.
     return Path(__file__).parent / "data" / filename
 

@@ -18,8 +18,8 @@ from .bodies import (ARCSEC_PER_RAD, OBSERVATIONS_FILENAME, PlanetElements,
                      _is_version_one, _read_json, bundled_data_path,
                      derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
 from .errors import DomainError, IngestionError, naming_planet
-from .precession import (_EPS_BOX, _X_BOX, QuantumRule, _advances,
-                         _check_bounded, _scale, planet_precession)
+from .forces import _EPS_BOX, _X_BOX, _check_bounded
+from .precession import QuantumRule, _advances, _scale, planet_precession
 from .record import Record
 
 # Linearization point for the per-planet slopes d(precession)/d(delta).
@@ -50,8 +50,10 @@ class Observation(Record):
             raise IngestionError(
                 f"observation {self.planet!r}: sigma must be positive, got {self.sigma_arcsec!r}"
             )
-        # The fit weighs by 1/sigma^2, which must not under- or overflow.
-        sigma2 = self.sigma_arcsec * self.sigma_arcsec
+        # The fit weighs by 1/sigma^2, which must not under- or overflow;
+        # float() keeps an int sigma from squaring past the float range.
+        sigma = float(self.sigma_arcsec)
+        sigma2 = sigma * sigma
         if not (math.isfinite(sigma2) and sigma2 > 0 and math.isfinite(1.0 / sigma2)):
             raise IngestionError(
                 f"observation {self.planet!r}: sigma^2 and its inverse must be finite and "

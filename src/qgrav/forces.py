@@ -1,4 +1,4 @@
-"""Force laws: quantized-length correction to the inverse square, and baselines.
+"""Force laws, the orbit model, its breakdown rule, and the precession result.
 
 The corrected attraction between two masses a distance L apart, when length
 is only resolvable in units of a minimal quantum q, is
@@ -10,15 +10,17 @@ statistical origin is a state-counting argument: a system whose separation
 is L quanta has states of weight 1/L, and the interaction strength follows
 the weight increment 1/(L-1) - 1/L = 1/(L(L-1)) gained by contracting one
 quantum.
+
+The breakdown rule and PrecessionResult live here, below precession.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 
-from .bodies import CONSTANTS, ARCSEC_PER_RAD, PlanetElements, derive_orbit
-from .errors import DomainError, SingularityError
-from .precession import PrecessionResult, Provenance, _check_bounded
+from .bodies import ARCSEC_PER_RAD, C_LIGHT, PlanetElements, derive_orbit
+from .errors import DomainError, ModelBreakdownError, SingularityError
 from .record import Record
 
 # CODATA Newton constant, m^3 kg^-1 s^-2. Kept independent of the quantum:
@@ -26,22 +28,81 @@ from .record import Record
 NEWTON_G = 6.6743e-11
 
 
+class Provenance(enum.Enum):
+    ANALYTIC = "analytic"
+    NUMERIC = "numeric"
+    GR_BASELINE = "gr-baseline"
+
+
+class PrecessionResult(Record):
+    """Perihelion advance per orbit (rad) and per Julian century (arcsec)."""
+
+    _fields = ("per_orbit_rad", "per_century_arcsec", "provenance")
+
+    def __init__(self, per_orbit_rad: float, per_century_arcsec: float,
+                 provenance: Provenance) -> None:
+        self.__dict__.update(per_orbit_rad=per_orbit_rad, per_century_arcsec=per_century_arcsec,
+                             provenance=provenance)
+
+
+# _check_bounded passes inside eps < _EPS_BOX, x_p < _X_BOX (see its
+# docstring), so row loops test this box inline and call it only outside.
+_EPS_BOX = 0.01
+_X_BOX = 0.9
+
+
+def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None:
+    """The breakdown rule: raise ModelBreakdownError unless the exact orbit is bounded.
+
+    eps = q mu/h^2, and x_p = q/r_p places the orbit's perihelion. With the
+    first integral u'^2/2 + W(u) = W(u_p), where
+    W(u) = u^2/2 + (c/q) log1p(-q u) and c = mu/h^2, the orbit from rest at
+    its perihelion stays bounded only behind the barrier of W at
+    u+ = (1 + sqrt(1 - 4 eps))/(2q), the larger root of u (1 - q u) = c.
+    It falls into the quantum if eps >= 1/4 (no barrier), u_p >= u+, or
+    W(u_p) >= W(u+). Both sides are compared as
+    q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
+    1 - x+ = 2 eps/(1 + s) formed without cancellation. With x_p omitted
+    (a model with no perihelion) only eps >= 1/4 is refused. eps = 0 (q = 0,
+    Newton's conic) always passes.
+
+    The box eps < 0.01, x_p < 0.9 always passes:
+    - x+ falls as eps grows and is 0.9899 at eps = 0.01, above 0.9 > x_p;
+    - q^2 W(x+) falls as eps grows, since its derivative in eps is
+      log(1 - x+) < 0 (W' vanishes at x+), and is 0.444 at eps = 0.01,
+      above x_p^2/2 < 0.405, which bounds q^2 W(x_p) because log1p(-x_p) < 0.
+    """
+    if eps < 0.25:
+        if x_p is None or eps == 0.0:
+            return
+        s = math.sqrt(1.0 - 4.0 * eps)
+        x_plus = 0.5 * (1.0 + s)
+        if x_p < x_plus:
+            w_p = 0.5 * x_p * x_p + eps * math.log1p(-x_p)
+            w_plus = 0.5 * x_plus * x_plus + eps * math.log(2.0 * eps / (1.0 + s))
+            if w_p < w_plus:
+                return
+    raise ModelBreakdownError(
+        f"quantum {quantum!r} m too large for this orbit: the exact orbit "
+        f"from perihelion is unbounded (epsilon = {eps!r})"
+    )
+
+
 class QuantizedModel(Record):
     """One planet/quantum pairing: the force and orbit model instance.
 
     quantum  space quantum, m (0 recovers Newton)
     mu       gravitational parameter GM, m^3/s^2
-    h        specific angular momentum, m^2/s; may be None when only the
-             force, not an orbit, is modelled
+    h        specific angular momentum, m^2/s
 
     The model carries GM alone: G never enters an orbit, only the
-    two-mass force laws below take it. With h set, epsilon >= 1/4, where
-    no exact orbit is bounded, raises ModelBreakdownError.
+    two-mass force laws below take it. epsilon >= 1/4, where no exact orbit
+    is bounded, raises ModelBreakdownError.
     """
 
     _fields = ("quantum", "mu", "h")
 
-    def __init__(self, quantum: float, mu: float, h: float | None = None) -> None:
+    def __init__(self, quantum: float, mu: float, h: float) -> None:
         self.__dict__.update(quantum=quantum, mu=mu, h=h)
         self.__post_init__()
 
@@ -50,16 +111,13 @@ class QuantizedModel(Record):
             raise DomainError(f"space quantum must be >= 0, got {self.quantum!r}")
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise DomainError(f"gravitational parameter must be positive, got {self.mu!r}")
-        if self.h is not None:
-            if not (math.isfinite(self.h) and self.h > 0):
-                raise DomainError(f"angular momentum must be positive, got {self.h!r}")
-            _check_bounded(self.quantum, self.epsilon)
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise DomainError(f"angular momentum must be positive, got {self.h!r}")
+        _check_bounded(self.quantum, self.epsilon)
 
     @property
     def epsilon(self) -> float:
         """Dimensionless perturbation strength quantum * mu / h^2."""
-        if self.h is None:
-            raise DomainError("epsilon requires an orbit model (h is not set)")
         return self.quantum * self.mu / (self.h * self.h)
 
 
@@ -115,7 +173,7 @@ def gr_precession_baseline(el: PlanetElements) -> PrecessionResult:
     not part of the quantized-force model.
     """
     orbit = derive_orbit(el)
-    c = CONSTANTS.c
+    c = C_LIGHT
     per_orbit = 6.0 * math.pi * orbit.mu / (c * c * el.a * (1.0 - el.e * el.e))
     per_century = per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit, per_century_arcsec=per_century,

@@ -36,9 +36,8 @@ from typing import Callable
 from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import (DomainError, InsufficientSpanError, QgravError,
                      SingularityError, StepFailureError)
-from .forces import QuantizedModel
-from .precession import (PrecessionResult, Provenance, QuantumRule,
-                         orbit_params, quantum_from_error)
+from .forces import PrecessionResult, Provenance, QuantizedModel
+from .precession import QuantumRule, orbit_params, quantum_from_error
 from .record import Record
 
 # Dormand-Prince 5(4) tableau (stage abscissae omitted: the system is
@@ -117,8 +116,6 @@ class PerihelionSeries(Record):
 
 def _binet_constants(model: QuantizedModel) -> tuple[float, float]:
     """(c, q) of the forcing -u + c / (1 - q u), with c = mu/h^2."""
-    if model.h is None:
-        raise DomainError("orbit integration requires a model with angular momentum h")
     return model.mu / (model.h * model.h), model.quantum
 
 
@@ -330,9 +327,10 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
         if _MAX_STEP < h:
             h = _MAX_STEP
 
-    merged = samples + extras
-    merged.sort(key=lambda row: row[0])
-    theta, u, du = _distinct_samples(merged)
+    samples += extras
+    samples.sort(key=lambda row: row[0])
+    theta, u, du = _distinct_samples(samples)
+    del samples, extras  # the rows go before Trajectory copies the arrays
     return Trajectory(theta=theta, u=u, du=du, tol=tol, n_accepted=n_accepted,
                       n_rejected=n_rejected)
 

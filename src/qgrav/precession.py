@@ -16,6 +16,8 @@ Numerical note: with planetary parameters 1 - x is of order 1e-7, so the
 advance is formed from eps = q mu / h^2 directly (2 pi eps / (x (1 + x)),
 identical algebraically to 2 pi (1/x - 1)); routing the value through a
 rounded x near 1 would cap round-trip accuracy near 1e-9.
+
+The breakdown rule and PrecessionResult come from forces, the layer below.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import math
 
 from .bodies import (ARCSEC_PER_RAD, DerivedOrbit, PlanetElements,
                      arcsec_to_rad, derive_orbit)
-from .errors import DomainError, ModelBreakdownError
-from .record import Record
+from .errors import DomainError
+from .forces import (_EPS_BOX, _X_BOX, PrecessionResult, Provenance,
+                     _check_bounded)
 
 
 class QuantumRule(enum.Enum):
@@ -40,23 +43,6 @@ class QuantumRule(enum.Enum):
 
     PERIHELION = "perihelion"
     SEMIMINOR = "semiminor"
-
-
-class Provenance(enum.Enum):
-    ANALYTIC = "analytic"
-    NUMERIC = "numeric"
-    GR_BASELINE = "gr-baseline"
-
-
-class PrecessionResult(Record):
-    """Perihelion advance per orbit (rad) and per Julian century (arcsec)."""
-
-    _fields = ("per_orbit_rad", "per_century_arcsec", "provenance")
-
-    def __init__(self, per_orbit_rad: float, per_century_arcsec: float,
-                 provenance: Provenance) -> None:
-        self.__dict__.update(per_orbit_rad=per_orbit_rad, per_century_arcsec=per_century_arcsec,
-                             provenance=provenance)
 
 
 def _check_delta(delta_arcsec: float) -> None:
@@ -96,49 +82,6 @@ def orbit_params(quantum: float, orbit: DerivedOrbit) -> tuple[float, float]:
     x = math.sqrt(1.0 - eps)
     p = (orbit.h * orbit.h - quantum * orbit.mu) / orbit.mu
     return p, x
-
-
-# _check_bounded passes inside eps < _EPS_BOX, x_p < _X_BOX (see its
-# docstring), so row loops test this box inline and call it only outside.
-_EPS_BOX = 0.01
-_X_BOX = 0.9
-
-
-def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None:
-    """The breakdown rule: raise ModelBreakdownError unless the exact orbit is bounded.
-
-    eps = q mu/h^2, and x_p = q/r_p places the orbit's perihelion. With the
-    first integral u'^2/2 + W(u) = W(u_p), where
-    W(u) = u^2/2 + (c/q) log1p(-q u) and c = mu/h^2, the orbit from rest at
-    its perihelion stays bounded only behind the barrier of W at
-    u+ = (1 + sqrt(1 - 4 eps))/(2q), the larger root of u (1 - q u) = c.
-    It falls into the quantum if eps >= 1/4 (no barrier), u_p >= u+, or
-    W(u_p) >= W(u+). Both sides are compared as
-    q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
-    1 - x+ = 2 eps/(1 + s) formed without cancellation. With x_p omitted
-    (a model with no perihelion) only eps >= 1/4 is refused. eps = 0 (q = 0,
-    Newton's conic) always passes.
-
-    The box eps < 0.01, x_p < 0.9 always passes:
-    - x+ falls as eps grows and is 0.9899 at eps = 0.01, above 0.9 > x_p;
-    - q^2 W(x+) falls as eps grows, since its derivative in eps is
-      log(1 - x+) < 0 (W' vanishes at x+), and is 0.444 at eps = 0.01,
-      above x_p^2/2 < 0.405, which bounds q^2 W(x_p) because log1p(-x_p) < 0.
-    """
-    if eps < 0.25:
-        if x_p is None or eps == 0.0:
-            return
-        s = math.sqrt(1.0 - 4.0 * eps)
-        x_plus = 0.5 * (1.0 + s)
-        if x_p < x_plus:
-            w_p = 0.5 * x_p * x_p + eps * math.log1p(-x_p)
-            w_plus = 0.5 * x_plus * x_plus + eps * math.log(2.0 * eps / (1.0 + s))
-            if w_p < w_plus:
-                return
-    raise ModelBreakdownError(
-        f"quantum {quantum!r} m too large for this orbit: the exact orbit "
-        f"from perihelion is unbounded (epsilon = {eps!r})"
-    )
 
 
 def _advance_from_eps(eps: float) -> float:

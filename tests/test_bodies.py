@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qgrav import (ARCSEC_PER_RAD, CONSTANTS, Constants, DomainError,
+from qgrav import (ARCSEC_PER_RAD, AU, C_LIGHT, CENTURY_DAYS, GM_SUN, DomainError,
                    IngestionError, PlanetElements, arcsec_to_rad, derive_orbit,
                    load_planets, planet_by_name, rad_to_arcsec)
 
@@ -13,24 +13,13 @@ GM = 1.32712440018e20
 
 
 def test_constants_values():
-    assert CONSTANTS.gm_sun == 1.32712440018e20
-    assert CONSTANTS.c == 299792458.0
-    assert CONSTANTS.au == 1.495978707e11
-    assert CONSTANTS.century_days == 36525.0
-    assert abs(CONSTANTS.arcsec_per_rad - 206264.806247096363) < 1e-6
+    assert GM_SUN == 1.32712440018e20
+    assert C_LIGHT == 299792458.0
+    assert AU == 1.495978707e11
+    assert CENTURY_DAYS == 36525.0
+    assert abs(ARCSEC_PER_RAD - 206264.806247096363) < 1e-6
     # definitional identity to machine precision
-    assert abs(CONSTANTS.arcsec_per_rad * (math.pi / 648000.0) - 1.0) < 1e-15
-
-
-def test_constants_reject_nonpositive():
-    with pytest.raises(DomainError):
-        Constants(c=-1.0)
-    with pytest.raises(DomainError):
-        Constants(gm_sun=0.0)
-    with pytest.raises(DomainError):
-        Constants(arcsec_per_rad=123.0)
-    with pytest.raises(DomainError):
-        Constants(c=True)
+    assert abs(ARCSEC_PER_RAD * (math.pi / 648000.0) - 1.0) < 1e-15
 
 
 def test_arcsec_to_rad_zero():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrav import (CONSTANTS, DomainError, IngestionError, ModelBreakdownError,
+from qgrav import (AU, GM_SUN, DomainError, IngestionError, ModelBreakdownError,
                    Observation, PlanetElements, QuantumRule, derive_orbit,
                    fit_delta, invert_delta, load_observations,
                    planet_precession, sweep_delta)
@@ -255,11 +255,11 @@ def test_sweep_into_breakdown_raises_like_planet_precession(mercury):
 # elements, and each record derives its own orbit when it is built.
 @st.composite
 def _planet(draw):
-    a = draw(st.floats(0.05, 50.0)) * CONSTANTS.au
+    a = draw(st.floats(0.05, 50.0)) * AU
     if draw(st.booleans()):
         a = float(round(a))          # whole metres, so an int twin exists
     e = draw(st.floats(0.0, 0.95))
-    kepler_days = 2.0 * math.pi * math.sqrt(a ** 3 / CONSTANTS.gm_sun) / 86400.0
+    kepler_days = 2.0 * math.pi * math.sqrt(a ** 3 / GM_SUN) / 86400.0
     tau_days = kepler_days * draw(st.floats(0.5, 2.0))
     name = draw(st.text("ABCxyz", min_size=1, max_size=6))
     return PlanetElements(name=name, a=a, e=e, tau_days=tau_days)
@@ -319,6 +319,6 @@ def test_derive_orbit_equals_the_element_formulas(el):
     b = el.a * math.sqrt(1.0 - el.e * el.e)
     expected = (b, el.a * (1.0 - el.e),
                 2.0 * math.pi * el.a * b / (el.tau_days * 86400.0),
-                CONSTANTS.gm_sun, 36525.0 / el.tau_days)
+                GM_SUN, 36525.0 / el.tau_days)
     stored = (orbit.b, orbit.r_p, orbit.h, orbit.mu, orbit.orbits_per_century)
     assert [x.hex() for x in stored] == [x.hex() for x in expected]

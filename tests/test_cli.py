@@ -314,6 +314,28 @@ def test_bad_planets_file_is_usage_error(tmp_path):
         proc = run_cli("table", "--planets", str(bad))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
+    # files that fail below the schema: a directory, bytes that are not
+    # UTF-8, nesting past the recursion limit, an integer past the digit
+    # limit, and an integer past the float range
+    bad.write_bytes(b'{"schema_version": 1, "planets": [{"name": "\xff"}]}')
+    huge = ('{"schema_version": 1, "planets": '
+            '[{"name": "X", "a_m": 1%s, "e": 0.1, "tau_days": 100.0}]}')
+    for path, text in ((tmp_path, None), (bad, None), (bad, "[" * 100_000),
+                       (bad, huge % ("0" * 5000)), (bad, huge % ("0" * 400))):
+        if text is not None:
+            bad.write_text(text)
+        proc = run_cli("table", "--planets", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+    # the same holds for an observed value past the float range
+    obs = tmp_path / "observations.json"
+    obs.write_text('{"observations": [{"planet": "Mercury", "value_arcsec": 1%s, '
+                   '"sigma_arcsec": 0.45}]}' % ("0" * 400))
+    proc = run_cli("fit", "--observations", str(obs))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_duplicate_observations_are_usage_error(tmp_path):
@@ -332,7 +354,8 @@ def test_observation_sigma_out_of_range_is_usage_error(tmp_path):
     # sigma^2 underflowed to 0 (a ZeroDivisionError) or overflowed to inf
     # (every weight 0), or the weight 1/sigma^2 overflowed (a nan fit)
     path = tmp_path / "observations.json"
-    for sigma in (1e-200, 1e200, 1e-160):
+    # 10**200 is an int, whose exact square is past the float range
+    for sigma in (1e-200, 1e200, 1e-160, 10**200):
         path.write_text(json.dumps({"observations": [
             {"planet": "Mercury", "value_arcsec": 43.11, "sigma_arcsec": sigma}]}))
         proc = run_cli("fit", "--observations", str(path))

@@ -113,9 +113,9 @@ def test_quantized_model_validation():
     model = QuantizedModel(quantum=10.0, mu=1.3e20, h=2.7e15)
     assert model.epsilon == pytest.approx(10.0 * 1.3e20 / 2.7e15 ** 2, rel=1e-15)
     with pytest.raises(DomainError):
-        QuantizedModel(quantum=-1.0, mu=1.3e20)
+        QuantizedModel(quantum=-1.0, mu=1.3e20, h=2.7e15)
     with pytest.raises(DomainError):
-        QuantizedModel(quantum=0.0, mu=0.0)
+        QuantizedModel(quantum=0.0, mu=0.0, h=2.7e15)
     with pytest.raises(DomainError):
         QuantizedModel(quantum=0.0, mu=1.3e20, h=-1.0)
     with pytest.raises(ModelBreakdownError):
@@ -123,8 +123,9 @@ def test_quantized_model_validation():
     # epsilon = 0.3 < 1, but past 1/4 no exact orbit is bounded
     with pytest.raises(ModelBreakdownError):
         QuantizedModel(quantum=0.3 * 2.7e15 ** 2 / 1.3e20, mu=1.3e20, h=2.7e15)
-    with pytest.raises(DomainError):
-        QuantizedModel(quantum=0.0, mu=1.3e20).epsilon
+    # every model is an orbit model: h is required
+    with pytest.raises(TypeError):
+        QuantizedModel(quantum=0.0, mu=1.3e20)
 
 
 def test_gr_baseline_values(mercury, venus, earth):

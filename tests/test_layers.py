@@ -1,0 +1,62 @@
+"""The package imports strictly downward.
+
+Each module of src/qgrav has a rank, and may import only from modules of a
+lower rank: a module that needs something from its own rank or above is in
+the wrong layer. __init__ and __main__ sit on top and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import qgrav
+
+RANKS = {
+    "errors": 0, "record": 0,
+    "bodies": 1,
+    "forces": 2,
+    "precession": 3,
+    "orbit": 4, "calibrate": 4,
+    "cli": 5,
+}
+EXEMPT = {"__init__", "__main__"}
+PACKAGE = Path(qgrav.__file__).parent
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Names of the qgrav modules a module imports, relatively or absolutely."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("qgrav"):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import x / from qgrav import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qgrav" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_every_module_is_ranked():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - EXEMPT
+    assert modules == set(RANKS)
+
+
+def test_imports_point_downward():
+    upward = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in EXEMPT:
+            continue
+        rank = RANKS[path.stem]
+        for imported in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
+            if RANKS.get(imported, rank) >= rank:
+                upward.append(f"{path.stem} (rank {rank}) imports {imported} "
+                              f"(rank {RANKS.get(imported, 'unranked')})")
+    assert upward == []

@@ -77,7 +77,7 @@ def test_orbit_params_breakdown(mercury_orbit):
 def test_breakdown_box_passes():
     # The row loops skip the rule inside eps < _EPS_BOX, x_p < _X_BOX; the
     # rule itself must pass there, up to the corners.
-    from qgrav.precession import _EPS_BOX, _X_BOX, _check_bounded
+    from qgrav.forces import _EPS_BOX, _X_BOX, _check_bounded
     for eps in (math.nextafter(_EPS_BOX, 0.0), 1e-3, 1e-7, 5e-324):
         for x_p in (math.nextafter(_X_BOX, 0.0), 0.5, 1e-7, 0.0):
             _check_bounded(1.0, eps, x_p)
