@@ -1,4 +1,5 @@
-"""Physical constants, angle conversions, planetary elements and derived orbit quantities.
+"""Physical constants, angle conversions, planetary elements, derived orbit
+quantities, and _load_records, the one reader and checker of both data files.
 
 All internal computation is SI (m, s, rad); periods are stored in days and
 converted on derivation. Angles for reporting are arcseconds per Julian
@@ -13,7 +14,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable, TypeVar
 
 from .errors import DomainError, IngestionError
 from .record import Record
@@ -34,8 +35,7 @@ CONSTANTS_VERSION = "qgrav-constants-1"
 
 DATA_DIR_ENV = "QGRAV_DATA_DIR"
 
-PLANETS_FILENAME = "planets.json"
-OBSERVATIONS_FILENAME = "observations.json"
+_T = TypeVar("_T")
 
 
 def _is_finite_number(value: object) -> bool:
@@ -43,6 +43,22 @@ def _is_finite_number(value: object) -> bool:
     a huge int cannot overflow); bool is excluded although it subclasses int."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _check_record(record: Record, what: str, name_field: str,
+                  number_fields: tuple[str, ...]) -> None:
+    """Reject a record whose name is not a non-empty string, or is padded with
+    whitespace (lookups strip the query, so it could never be found), or
+    whose number fields are not finite numbers."""
+    name = getattr(record, name_field)
+    if not isinstance(name, str) or not name:
+        raise IngestionError(f"{what} record {name!r}: {name_field} must be a non-empty string")
+    if name != name.strip():
+        raise IngestionError(f"{what} {name!r}: name must not start or end with whitespace")
+    for field in number_fields:
+        value = getattr(record, field)
+        if not _is_finite_number(value):
+            raise IngestionError(f"{what} {name!r}: {field} must be a finite number, got {value!r}")
 
 
 def arcsec_to_rad(x: float) -> float:
@@ -91,20 +107,14 @@ class PlanetElements(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        label = self.name if self.name else "<unnamed>"
-        if not self.name or not isinstance(self.name, str):
-            raise IngestionError(f"planet record {label!r}: name must be a non-empty string")
-        _check_unpadded(self.name, "planet")
-        for attr in ("a", "e", "tau_days"):
-            value = getattr(self, attr)
-            if not _is_finite_number(value):
-                raise IngestionError(f"planet {label!r}: {attr} must be a finite number, got {value!r}")
+        _check_record(self, "planet", "name", ("a", "e", "tau_days"))
+        name = self.name
         if self.a <= 0:
-            raise IngestionError(f"planet {label!r}: semi-major axis must be positive, got {self.a!r}")
+            raise IngestionError(f"planet {name!r}: semi-major axis must be positive, got {self.a!r}")
         if not 0.0 <= self.e < 1.0:
-            raise IngestionError(f"planet {label!r}: eccentricity must satisfy 0 <= e < 1, got {self.e!r}")
+            raise IngestionError(f"planet {name!r}: eccentricity must satisfy 0 <= e < 1, got {self.e!r}")
         if self.tau_days <= 0:
-            raise IngestionError(f"planet {label!r}: period must be positive, got {self.tau_days!r}")
+            raise IngestionError(f"planet {name!r}: period must be positive, got {self.tau_days!r}")
         b = self.a * math.sqrt(1.0 - self.e * self.e)
         r_p = self.a * (1.0 - self.e)
         h = 2.0 * math.pi * self.a * b / (self.tau_days * DAY_S)
@@ -115,7 +125,7 @@ class PlanetElements(Record):
         for quantity, value in (("h^2", h * h), ("orbits per century", orbits_per_century)):
             if not (math.isfinite(value) and value > 0):
                 raise IngestionError(
-                    f"planet {label!r}: derived {quantity} must be finite and positive, got {value!r}")
+                    f"planet {name!r}: derived {quantity} must be finite and positive, got {value!r}")
         self.__dict__["orbit"] = DerivedOrbit(
             b=b, r_p=r_p, h=h, mu=GM_SUN, orbits_per_century=orbits_per_century)
 
@@ -151,20 +161,6 @@ def _read_json(source: str | Path | IO[str], what: str) -> object:
         raise IngestionError(f"{what} file {origin} cannot be read as JSON: {exc}") from exc
 
 
-def _is_version_one(value: object) -> bool:
-    """True for the schema version 1; bool is excluded although True == 1."""
-    return value == 1 and not isinstance(value, bool)
-
-
-def _check_unpadded(name: str, what: str) -> None:
-    """Reject a name with leading or trailing whitespace.
-
-    Lookups strip the query, so a padded record name could never be found.
-    """
-    if name != name.strip():
-        raise IngestionError(f"{what} {name!r}: name must not start or end with whitespace")
-
-
 def _check_unique(name: str, seen: set[str], what: str) -> None:
     """Reject a record whose name repeats an earlier one, ignoring case.
 
@@ -185,6 +181,45 @@ def bundled_data_path(filename: str) -> Path:
     return Path(__file__).parent / "data" / filename
 
 
+def _load_records(source: str | Path | IO[str] | None, what: str, item: str,
+                  fields: set[str], key: str, build: Callable[[dict], _T],
+                  version_required: bool) -> list[_T]:
+    """Read and check a data file, the one reader behind both loaders.
+
+    The file, by default the bundled "<what>.json", is a JSON object
+    {"schema_version": 1, what: [...]}; the version may be left out only
+    where it is not required. Each record is an object with exactly the
+    given fields, built by build, and its key names no earlier record,
+    ignoring case.
+    """
+    doc = _read_json(bundled_data_path(f"{what}.json") if source is None else source, what)
+    if not isinstance(doc, dict):
+        raise IngestionError(f"{what} file must be a JSON object")
+    extra = set(doc) - {"schema_version", what}
+    if extra:
+        raise IngestionError(f"{what} file has unknown top-level fields: {sorted(extra)}")
+    version = doc.get("schema_version")
+    # bool is excluded although True == 1
+    if ((version_required or "schema_version" in doc)
+            and not (version == 1 and not isinstance(version, bool))):
+        raise IngestionError(f"{what} file schema_version must be 1, got {version!r}")
+    records = doc.get(what)
+    if not isinstance(records, list):
+        raise IngestionError(f"{what} file must carry a list named {what!r}")
+    out: list[_T] = []
+    seen: set[str] = set()
+    for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise IngestionError(f"{item} record #{index} is not an object")
+        if record.keys() != fields:
+            raise IngestionError(
+                f"{item} record {record.get(key, f'#{index}')!r}: unknown fields "
+                f"{sorted(record.keys() - fields)}, missing fields {sorted(fields - record.keys())}")
+        out.append(build(record))
+        _check_unique(record[key], seen, item)
+    return out
+
+
 def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetElements]:
     """Load and validate planetary elements.
 
@@ -194,37 +229,10 @@ def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetEleme
     An empty planets list is valid and yields an empty result. Names must
     be unique, ignoring case.
     """
-    if source is None:
-        source = bundled_data_path(PLANETS_FILENAME)
-    doc = _read_json(source, "planets")
-    if not isinstance(doc, dict):
-        raise IngestionError("planets file must be a JSON object")
-    extra = set(doc) - {"schema_version", "planets"}
-    if extra:
-        raise IngestionError(f"planets file has unknown top-level fields: {sorted(extra)}")
-    if not _is_version_one(doc.get("schema_version")):
-        raise IngestionError(f"planets file schema_version must be 1, got {doc.get('schema_version')!r}")
-    records = doc.get("planets")
-    if not isinstance(records, list):
-        raise IngestionError("planets file must carry a 'planets' list")
-    planets: list[PlanetElements] = []
-    seen: set[str] = set()
-    for index, record in enumerate(records):
-        label = record.get("name", f"#{index}") if isinstance(record, dict) else f"#{index}"
-        if not isinstance(record, dict):
-            raise IngestionError(f"planet record {label!r} is not an object")
-        fields = set(record)
-        if fields != _PLANET_FIELDS:
-            unknown = sorted(fields - _PLANET_FIELDS)
-            missing = sorted(_PLANET_FIELDS - fields)
-            raise IngestionError(
-                f"planet record {label!r}: unknown fields {unknown}, missing fields {missing}"
-            )
-        planet = PlanetElements(name=record["name"], a=record["a_m"],
-                                e=record["e"], tau_days=record["tau_days"])
-        _check_unique(planet.name, seen, "planet")
-        planets.append(planet)
-    return planets
+    return _load_records(
+        source, "planets", "planet", _PLANET_FIELDS, "name",
+        lambda r: PlanetElements(name=r["name"], a=r["a_m"], e=r["e"], tau_days=r["tau_days"]),
+        version_required=True)
 
 
 def planet_by_name(planets: list[PlanetElements], name: str) -> PlanetElements:

@@ -13,10 +13,9 @@ import math
 from pathlib import Path
 from typing import IO
 
-from .bodies import (ARCSEC_PER_RAD, OBSERVATIONS_FILENAME, PlanetElements,
-                     _check_unique, _check_unpadded, _is_finite_number,
-                     _is_version_one, _read_json, bundled_data_path,
-                     derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
+from .bodies import (ARCSEC_PER_RAD, PlanetElements, _check_record, _check_unique,
+                     _load_records, derive_orbit, load_planets, planet_by_name,
+                     rad_to_arcsec)
 from .errors import DomainError, IngestionError, naming_planet
 from .forces import _EPS_BOX, _X_BOX, _check_bounded
 from .precession import QuantumRule, _advances, _scale, planet_precession
@@ -37,15 +36,7 @@ class Observation(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not self.planet or not isinstance(self.planet, str):
-            raise IngestionError("observation record: planet must be a non-empty string")
-        _check_unpadded(self.planet, "observation")
-        for field in ("value_arcsec", "sigma_arcsec"):
-            value = getattr(self, field)
-            if not _is_finite_number(value):
-                raise IngestionError(
-                    f"observation {self.planet!r}: {field} must be a finite number, got {value!r}"
-                )
+        _check_record(self, "observation", "planet", ("value_arcsec", "sigma_arcsec"))
         if self.sigma_arcsec <= 0:
             raise IngestionError(
                 f"observation {self.planet!r}: sigma must be positive, got {self.sigma_arcsec!r}"
@@ -88,39 +79,8 @@ def load_observations(source: str | Path | IO[str] | None = None) -> list[Observ
     table (or its QGRAV_DATA_DIR override) is used. Each planet may be
     observed once, compared ignoring case.
     """
-    if source is None:
-        source = bundled_data_path(OBSERVATIONS_FILENAME)
-    doc = _read_json(source, "observations")
-    if not isinstance(doc, dict):
-        raise IngestionError("observations file must be a JSON object")
-    extra = set(doc) - {"schema_version", "observations"}
-    if extra:
-        raise IngestionError(f"observations file has unknown top-level fields: {sorted(extra)}")
-    if "schema_version" in doc and not _is_version_one(doc["schema_version"]):
-        raise IngestionError(
-            f"observations file schema_version must be 1, got {doc['schema_version']!r}"
-        )
-    records = doc.get("observations")
-    if not isinstance(records, list):
-        raise IngestionError("observations file must carry an 'observations' list")
-    out: list[Observation] = []
-    seen: set[str] = set()
-    for index, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise IngestionError(f"observation record #{index} is not an object")
-        fields = set(record)
-        if fields != _OBS_FIELDS:
-            label = record.get("planet", f"#{index}")
-            raise IngestionError(
-                f"observation record {label!r}: fields must be exactly "
-                f"{sorted(_OBS_FIELDS)}, got {sorted(fields)}"
-            )
-        obs = Observation(planet=record["planet"],
-                          value_arcsec=record["value_arcsec"],
-                          sigma_arcsec=record["sigma_arcsec"])
-        _check_unique(obs.planet, seen, "observation")
-        out.append(obs)
-    return out
+    return _load_records(source, "observations", "observation", _OBS_FIELDS, "planet",
+                         lambda r: Observation(**r), version_required=False)
 
 
 def invert_delta(el: PlanetElements, target_arcsec: float,
@@ -186,6 +146,8 @@ def fit_delta(observations: list[Observation],
                                           [math.ldexp(w, -2 * k) for w in weights])
     # A quantum length cannot be negative; clamp the unconstrained optimum.
     delta_star = max(wsum_so / wsum_ss, 0.0)
+    if not math.isfinite(delta_star):
+        raise DomainError("the fitted delta exceeds the float range: the weighted values overflow")
     delta_sigma = math.ldexp(wsum_ss ** -0.5, -k)
 
     predicted = {obs.planet: per_century(obs.planet, delta_star) for obs in observations}

@@ -176,5 +176,7 @@ def gr_precession_baseline(el: PlanetElements) -> PrecessionResult:
     c = C_LIGHT
     per_orbit = 6.0 * math.pi * orbit.mu / (c * c * el.a * (1.0 - el.e * el.e))
     per_century = per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD
+    if not math.isfinite(per_century):
+        raise DomainError(f"{el.name}: the GR baseline per century exceeds the float range")
     return PrecessionResult(per_orbit_rad=per_orbit, per_century_arcsec=per_century,
                             provenance=Provenance.GR_BASELINE)

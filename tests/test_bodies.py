@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrav import (ARCSEC_PER_RAD, AU, C_LIGHT, CENTURY_DAYS, GM_SUN, DomainError,
                    IngestionError, PlanetElements, arcsec_to_rad, derive_orbit,
-                   load_planets, planet_by_name, rad_to_arcsec)
+                   load_observations, load_planets, planet_by_name, rad_to_arcsec)
 
 GM = 1.32712440018e20
 
@@ -232,3 +234,102 @@ def test_planet_by_name(planets):
     assert planet_by_name(listing, "  EARTH ").name == "Earth"
     with pytest.raises(IngestionError, match="Pluto"):
         planet_by_name(listing, "Pluto")
+
+
+# Both data files share one envelope. Each entry: the loader, the words its
+# messages use (file, item, key field, a number field) and a valid record.
+DATA_FILES = {
+    "planets": (load_planets,
+                {"file": "planets", "item": "planet", "key": "name", "number": "tau_days"},
+                {"name": "A", "a_m": 1e11, "e": 0.1, "tau_days": 10.0}),
+    "observations": (load_observations,
+                     {"file": "observations", "item": "observation", "key": "planet",
+                      "number": "value_arcsec"},
+                     {"planet": "A", "value_arcsec": 1.0, "sigma_arcsec": 0.5}),
+}
+
+
+def _document(w, records):
+    return {"schema_version": 1, w["file"]: records}
+
+
+# (fault, document from words and a valid record, expected message)
+ENVELOPE_FAULTS = [
+    ("not-an-object", lambda w, r: [], "{file} file must be a JSON object"),
+    ("unknown-top-level", lambda w, r: {**_document(w, []), "extra": 1},
+     "{file} file has unknown top-level fields: ['extra']"),
+    ("version-2", lambda w, r: {**_document(w, []), "schema_version": 2},
+     "{file} file schema_version must be 1, got 2"),
+    ("version-true", lambda w, r: {**_document(w, []), "schema_version": True},
+     "{file} file schema_version must be 1, got True"),
+    ("body-not-a-list", lambda w, r: _document(w, {}),
+     "{file} file must carry a list named '{file}'"),
+    ("record-not-an-object", lambda w, r: _document(w, [r, 5]),
+     "{item} record #1 is not an object"),
+    ("unknown-field", lambda w, r: _document(w, [{**r, "mass": 1}]),
+     "{item} record 'A': unknown fields ['mass'], missing fields []"),
+    ("missing-field",
+     lambda w, r: _document(w, [{k: v for k, v in r.items() if k != w["number"]}]),
+     "{item} record 'A': unknown fields [], missing fields ['{number}']"),
+    ("empty-name", lambda w, r: _document(w, [{**r, w["key"]: ""}]),
+     "{item} record '': {key} must be a non-empty string"),
+    ("duplicate-name", lambda w, r: _document(w, [r, {**r, w["key"]: "a"}]),
+     "duplicate {item} 'a': names must be unique, ignoring case"),
+    ("padded-name", lambda w, r: _document(w, [{**r, w["key"]: "A "}]),
+     "{item} 'A ': name must not start or end with whitespace"),
+    ("non-finite-number", lambda w, r: _document(w, [{**r, w["number"]: math.inf}]),
+     "{item} 'A': {number} must be a finite number, got inf"),
+]
+
+
+@pytest.mark.parametrize("file", DATA_FILES)
+@pytest.mark.parametrize("fault, document, message", ENVELOPE_FAULTS,
+                         ids=[fault for fault, _, _ in ENVELOPE_FAULTS])
+def test_both_files_share_the_envelope(file, fault, document, message):
+    load, words, record = DATA_FILES[file]
+    with pytest.raises(IngestionError) as excinfo:
+        load(io.StringIO(json.dumps(document(words, record))))
+    assert str(excinfo.value) == message.format(**words)
+
+
+def test_only_planets_require_a_schema_version():
+    with pytest.raises(IngestionError, match="planets file schema_version must be 1, got None"):
+        load_planets(io.StringIO(json.dumps({"planets": []})))
+    assert load_observations(io.StringIO(json.dumps({"observations": []}))) == []
+
+
+# Any tree json.dumps can write, huge ints and non-finite floats included.
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=16)
+
+
+@st.composite
+def _documents(draw, file):
+    """A JSON tree, alone or in one slot of an otherwise valid document."""
+    _, words, record = DATA_FILES[file]
+    tree = draw(_json_trees)
+    slot = draw(st.sampled_from(["document", "version", "body", "record", "field"]))
+    if slot == "document":
+        return tree
+    if slot == "version":
+        return {**_document(words, [record]), "schema_version": tree}
+    if slot == "body":
+        return _document(words, tree)
+    if slot == "record":
+        return _document(words, [record, tree])
+    return _document(words, [{**record, draw(st.sampled_from(sorted(record))): tree}])
+
+
+@pytest.mark.parametrize("file", DATA_FILES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_json_loads_or_raises_ingestion_error(file, data):
+    text = json.dumps(data.draw(_documents(file)))
+    try:
+        records = DATA_FILES[file][0](io.StringIO(text))
+    except IngestionError:
+        return
+    assert isinstance(records, list)

@@ -393,6 +393,36 @@ def test_fit_chi2_beyond_the_float_range(tmp_path):
     assert proc.stderr.startswith("qgrav: error: chi2 exceeds the float range")
 
 
+@pytest.mark.parametrize("observations", [
+    [("Mercury", 1e306)],                       # delta_star is inf
+    [("Mercury", 1e306), ("Venus", -1e308)],    # inf - inf: delta_star is nan
+])
+def test_fit_delta_beyond_the_float_range(tmp_path, observations):
+    # the weighted sums overflow, and the fit must say so rather than blame
+    # planet_precession for a delta the user never gave
+    path = tmp_path / "observations.json"
+    path.write_text(json.dumps({"observations": [
+        {"planet": planet, "value_arcsec": value, "sigma_arcsec": 1.0}
+        for planet, value in observations]}))
+    proc = run_cli("fit", "--observations", str(path), "--format", "json")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qgrav: error: the fitted delta exceeds the float range")
+
+
+def test_table_gr_baseline_beyond_the_float_range(tmp_path):
+    # the GR baseline of these elements is inf: json would print Infinity,
+    # which no RFC 8259 parser accepts, and csv and text would print inf
+    path = tmp_path / "planets.json"
+    path.write_text(json.dumps({"schema_version": 1, "planets": [
+        {"name": "Tiny", "a_m": 1e-100, "e": 0.1, "tau_days": 1e-300}]}))
+    for fmt in ("json", "csv", "text"):
+        proc = run_cli("table", "--planets", str(path), "--format", fmt)
+        assert proc.returncode == 3, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qgrav: error: Tiny: the GR baseline")
+
+
 def test_custom_planets_file(tmp_path):
     doc = {"schema_version": 1, "planets": [
         {"name": "Kepler442b", "a_m": 6.06e10, "e": 0.04, "tau_days": 112.3}]}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qgrav import (ARCSEC_PER_RAD, DomainError, ModelBreakdownError,
-                   Provenance, QuantizedModel, SingularityError,
+                   PlanetElements, Provenance, QuantizedModel, SingularityError,
                    corrected_force, derive_orbit, gr_precession_baseline,
                    newtonian_force, state_weight, weight_increment)
 
@@ -147,3 +147,11 @@ def test_gr_baseline_consistency(mercury):
     orbit = derive_orbit(mercury)
     assert result.per_century_arcsec == pytest.approx(
         result.per_orbit_rad * orbit.orbits_per_century * ARCSEC_PER_RAD, rel=1e-13)
+
+
+def test_gr_baseline_beyond_the_float_range():
+    # valid elements whose per-orbit advance times the orbit count per
+    # century overflows; inf would print as Infinity, which is not JSON
+    tiny = PlanetElements(name="Tiny", a=1e-100, e=0.1, tau_days=1e-300)
+    with pytest.raises(DomainError, match="Tiny: the GR baseline"):
+        gr_precession_baseline(tiny)

@@ -3,6 +3,8 @@
 Each module of src/qgrav has a rank, and may import only from modules of a
 lower rank: a module that needs something from its own rank or above is in
 the wrong layer. __init__ and __main__ sit on top and are exempt.
+
+Data files are read in one place: only bodies opens or parses JSON.
 """
 
 import ast
@@ -60,3 +62,36 @@ def test_imports_point_downward():
                 upward.append(f"{path.stem} (rank {rank}) imports {imported} "
                               f"(rank {RANKS.get(imported, 'unranked')})")
     assert upward == []
+
+
+INGESTION = {"_read_json", "bundled_data_path"}
+
+
+def _ingestion_names(tree: ast.Module) -> set[str]:
+    """The file readers a module names: bodies' own, or json.load(s)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in INGESTION:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if node.attr in INGESTION:
+                found.add(node.attr)
+            elif (node.attr in ("load", "loads") and isinstance(node.value, ast.Name)
+                  and node.value.id == "json"):
+                found.add(f"json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in INGESTION:
+                    found.add(alias.name)
+                elif node.module == "json" and alias.name in ("load", "loads"):
+                    found.add(f"json.{alias.name}")
+    return found
+
+
+def test_only_bodies_reads_data_files():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "bodies":
+            names = _ingestion_names(ast.parse(path.read_text(encoding="utf-8")))
+            readers += [f"{path.stem} names {name}" for name in sorted(names)]
+    assert readers == []
