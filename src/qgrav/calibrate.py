@@ -144,6 +144,9 @@ def fit_delta(observations: list[Observation],
         k = (math.frexp(max(weights))[1] + 1) // 2
         wsum_so, wsum_ss = _weighted_sums(observations, slopes,
                                           [math.ldexp(w, -2 * k) for w in weights])
+    if wsum_ss == 0.0:
+        raise DomainError("the fitted delta is undetermined: the weighted squared slopes "
+                          "underflow to 0")
     # A quantum length cannot be negative; clamp the unconstrained optimum.
     delta_star = max(wsum_so / wsum_ss, 0.0)
     if not math.isfinite(delta_star):

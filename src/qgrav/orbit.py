@@ -9,14 +9,23 @@ Dormand-Prince 5(4) pair and proportional step control. theta (not time) is
 the integration variable: precession is an angle-domain observable and the
 closed-form solution is directly comparable, with no Kepler solve.
 
-Perihelion passages are where du/dtheta crosses + to -. detect_perihelia
-places each at the zero of the chord of du between the two samples that
-bracket it. That zero's error shrinks with the cube of the sample spacing:
-it is about 1e-6 rad on the 0.04-rad spacing of accepted steps and about
-1e-11 rad on 1e-3 rad. So whenever a crossing is detected, the integrator
+Perihelion passages are where du/dtheta crosses + to -. The adaptive step
+loop is one generator, _accepted_steps, and two consumers read it.
+
+measured_precession keeps no sample. When an accepted step crosses, it
+places the passage by Hénon's swap: one Dormand-Prince step in the variable
+v = du/dtheta, from the end of the step nearer the zero to v = 0, at the
+integrator's own precision.
+
+integrate stores the samples for the export and detect_perihelia, which
+places each passage at the zero of the chord of du between the two samples
+that bracket it. That zero's error shrinks with the cube of the sample
+spacing: it is about 1e-6 rad on the 0.04-rad spacing of accepted steps and
+about 1e-11 rad on 1e-3 rad. So whenever a crossing is detected, integrate
 re-integrates a short fixed-step segment and inserts three extra samples
-1e-3 rad apart around it; the stencil exists to make the chord zero
-accurate.
+1e-3 rad apart around it. The stencil and the chord zero serve the export
+and the public integrate/detect_perihelia alone; the measurement uses
+neither.
 
 integrate and detect_perihelia run on plain floats and return records of
 array('d') fields, so the whole module, measured_precession and the orbit
@@ -40,8 +49,9 @@ from .forces import PrecessionResult, Provenance, QuantizedModel
 from .precession import QuantumRule, orbit_params, quantum_from_error
 from .record import Record
 
-# Dormand-Prince 5(4) tableau (stage abscissae omitted: the system is
-# autonomous in theta).
+# Dormand-Prince 5(4) tableau. The orbit equation is autonomous in theta;
+# the stage abscissae serve only _henon_swap, whose system in v is not.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -252,16 +262,14 @@ def _distinct_samples(rows):
     return thetas, us, vs
 
 
-def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
-              tol: float = 1e-12) -> Trajectory:
-    """Adaptively integrate the exact orbit equation over [0, theta_max].
+def _accepted_steps(c, q, u0, du0, theta_max, tol):
+    """Adaptively integrate u'' = -u + c / (1 - q u) over [0, theta_max] from
+    (u0, du0), yielding (theta, h, u, du, n_rejected) after each accepted step
+    of size h that ends at theta; n_rejected counts the rejections so far.
 
     Local error per step is held below tol relative to the orbit scale u0.
-    Deterministic for fixed inputs. An orbit falling into the quantum raises
-    SingularityError if a stage evaluates the force at or inside the quantum,
-    or StepFailureError if the step size underflows first as the force
-    diverges; measured_precession and `qgrav orbit` refuse such a start
-    beforehand with ModelBreakdownError.
+    Every argument is checked on the first next(); the errors are
+    integrate's.
     """
     if not (math.isfinite(theta_max) and theta_max > 0):
         raise DomainError(f"theta_max must be positive, got {theta_max!r}")
@@ -272,16 +280,11 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     if not math.isfinite(du0):
         raise DomainError(f"initial slope must be finite, got {du0!r}")
 
-    c, q = _binet_constants(model)
     sqrt = math.sqrt
     atol = tol * u0
-
-    samples: list[tuple[float, float, float]] = [(0.0, u0, du0)]
-    extras: list[tuple[float, float, float]] = []
     theta, u, v = 0.0, u0, du0
     f1v = _forcing(c, q, u0)
     h = min(_INITIAL_STEP, _MAX_STEP, theta_max / 2.0)
-    n_accepted = 0
     n_rejected = 0
 
     theta_end = theta_max - 1e-12 * max(1.0, theta_max)
@@ -305,18 +308,9 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
             n_rejected += 1
             h *= max(_MIN_FACTOR, min(1.0, _SAFETY * norm ** -0.2))
             continue
-        n_accepted += 1
-        theta_new = theta + h
-        if v > 0.0 >= v_new:
-            # du crossed + to -: a maximum of u (perihelion) lies inside
-            # this step. Chord zero is within O(h^3) of it, far closer than
-            # the stencil half-width, so the stencil brackets the extremum.
-            theta_hat = theta + h * (v / (v - v_new))
-            if (theta_hat - 2.0 * _STENCIL_HALF_WIDTH > 0.0
-                    and theta_hat + 2.0 * _STENCIL_HALF_WIDTH < theta_max):
-                extras.extend(_refine_stencil(c, q, samples, theta_hat))
-        samples.append((theta_new, u_new, v_new))
-        theta, u, v, f1v = theta_new, u_new, v_new, f_new
+        theta += h
+        yield theta, h, u_new, v_new, n_rejected
+        u, v, f1v = u_new, v_new, f_new
         if norm == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -326,6 +320,36 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
         h *= factor
         if _MAX_STEP < h:
             h = _MAX_STEP
+
+
+def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
+              tol: float = 1e-12) -> Trajectory:
+    """Adaptively integrate the exact orbit equation over [0, theta_max].
+
+    Local error per step is held below tol relative to the orbit scale u0.
+    Deterministic for fixed inputs. An orbit falling into the quantum raises
+    SingularityError if a stage evaluates the force at or inside the quantum,
+    or StepFailureError if the step size underflows first as the force
+    diverges; measured_precession and `qgrav orbit` refuse such a start
+    beforehand with ModelBreakdownError.
+    """
+    c, q = _binet_constants(model)
+    samples: list[tuple[float, float, float]] = [(0.0, u0, du0)]
+    extras: list[tuple[float, float, float]] = []
+    n_accepted = n_rejected = 0
+    for theta_new, h, u_new, v_new, n_rejected in _accepted_steps(c, q, u0, du0,
+                                                                  theta_max, tol):
+        n_accepted += 1
+        theta, _, v = samples[-1]
+        if v > 0.0 >= v_new:
+            # du crossed + to -: a maximum of u (perihelion) lies inside
+            # this step. Chord zero is within O(h^3) of it, far closer than
+            # the stencil half-width, so the stencil brackets the extremum.
+            theta_hat = theta + h * (v / (v - v_new))
+            if (theta_hat - 2.0 * _STENCIL_HALF_WIDTH > 0.0
+                    and theta_hat + 2.0 * _STENCIL_HALF_WIDTH < theta_max):
+                extras.extend(_refine_stencil(c, q, samples, theta_hat))
+        samples.append((theta_new, u_new, v_new))
 
     samples += extras
     samples.sort(key=lambda row: row[0])
@@ -364,8 +388,9 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     the exact orbit, starting at its perihelion, plus half a radian so the
     last perihelion is bracketed.
 
-    Raises ModelBreakdownError when that orbit is unbounded, through
-    orbit_params.
+    The period is the first-order 2 pi / x; at large epsilon it falls short
+    of the exact one. Raises ModelBreakdownError when that orbit is
+    unbounded, through orbit_params.
     """
     orbit = derive_orbit(el)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
@@ -376,23 +401,86 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     return orbit, model, u0, theta_max
 
 
+def _swap_rates(c, q, u, v):
+    """(dtheta/dv, du/dv) = (1/f, v/f) with f the forcing at u, which must be
+    negative: du/dtheta falls through its zero at a perihelion."""
+    f = _forcing(c, q, u)
+    if not f < 0.0:
+        raise DomainError(f"no perihelion at u = {u!r}: the forcing {f!r} is not "
+                          f"negative where du/dtheta falls through zero")
+    return 1.0 / f, v / f
+
+
+def _henon_swap(c, q, u, v):
+    """The theta increment from a state (u, v = du/dtheta) to the apsis v = 0.
+
+    Hénon's swap (M. Hénon, Physica D 5, 412 (1982)): one Dormand-Prince
+    step of length -v in the independent variable v, with dtheta/dv = 1/f(u)
+    and du/dv = v/f(u). From a state at most one accepted step from the apsis
+    its error is of the integrator's own order.
+    """
+    h = -v
+    t1, k1 = _swap_rates(c, q, u, v)
+    t2, k2 = _swap_rates(c, q, u + h * (_A21 * k1), v + _C2 * h)
+    t3, k3 = _swap_rates(c, q, u + h * (_A31 * k1 + _A32 * k2), v + _C3 * h)
+    t4, k4 = _swap_rates(c, q, u + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), v + _C4 * h)
+    t5, k5 = _swap_rates(c, q, u + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+                         v + _C5 * h)
+    t6, _ = _swap_rates(c, q, u + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                                       + _A65 * k5), 0.0)
+    return h * (_B1 * t1 + _B3 * t3 + _B4 * t4 + _B5 * t5 + _B6 * t6)
+
+
+def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
+                         n_orbits: int, tol: float) -> list[float]:
+    """The angles of the first n_orbits + 1 perihelion passages of the exact
+    orbit started at el's perihelion distance with du/dtheta = 0.
+
+    Passage 0 is theta = 0 when the start is a maximum of u (negative
+    forcing), else the first + to - crossing of du. Each crossing step of
+    the integration hands its end nearer the zero to _henon_swap. No sample
+    is kept. The first-order period undershoots the exact one at large
+    epsilon (the exact one is 1.57 times it at epsilon = 0.237), so the
+    search runs over 2 n_orbits + 1 first-order periods; InsufficientSpanError,
+    naming the passages found, if those hold fewer than n_orbits + 1.
+    """
+    _, model, u0, theta_cap = _perihelion_start(el, delta_arcsec, rule, 2 * n_orbits + 1)
+    c, q = _binet_constants(model)
+    angles = [0.0] if _forcing(c, q, u0) < 0.0 else []
+    theta, u, v = 0.0, u0, 0.0
+    for theta_new, _, u_new, v_new, _ in _accepted_steps(c, q, u0, 0.0, theta_cap, tol):
+        if v > 0.0 >= v_new:
+            if -v_new <= v:
+                angles.append(theta_new + _henon_swap(c, q, u_new, v_new))
+            else:
+                angles.append(theta + _henon_swap(c, q, u, v))
+            if len(angles) > n_orbits:
+                return angles
+        theta, u, v = theta_new, u_new, v_new
+    raise InsufficientSpanError(
+        f"{len(angles)} perihelion passage(s) within theta = {theta_cap!r}; "
+        f"need {n_orbits + 1}"
+    )
+
+
 def measured_precession(el: PlanetElements, delta_arcsec: float,
                         rule: QuantumRule = QuantumRule.PERIHELION,
                         n_orbits: int = 50, tol: float = 1e-12) -> PrecessionResult:
     """Measure the perihelion advance by exact integration from a perihelion start.
 
-    Integrates n_orbits + 1 radial periods so that n_orbits inter-perihelion
-    gaps are observable, averages the advances, and extrapolates to a
-    century exactly as the analytic chain does. The mean is math.fsum over
-    detect_perihelia's advances, divided by their count. Raises
-    ModelBreakdownError when the exact orbit is unbounded.
+    Integrates until n_orbits + 1 perihelion passages theta_0..theta_n have
+    been placed, each by Hénon's swap inside the step loop with no sample
+    stored, takes the mean advance (theta_n - theta_0) / n_orbits - 2 pi, and
+    extrapolates to a century exactly as the analytic chain does. Raises
+    ModelBreakdownError when the exact orbit is unbounded, and
+    InsufficientSpanError when its period is too long to find the passages
+    (see _perihelion_passages).
     """
     if n_orbits < 2:
         raise DomainError(f"need at least 2 orbits to average advances, got {n_orbits!r}")
-    orbit, model, u0, theta_max = _perihelion_start(el, delta_arcsec, rule, n_orbits + 1)
-    advances = detect_perihelia(integrate(model, u0, 0.0, theta_max, tol)).advances
-    per_orbit = math.fsum(advances) / len(advances)
-    per_century = per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD
+    angles = _perihelion_passages(el, delta_arcsec, rule, n_orbits, tol)
+    per_orbit = (angles[-1] - angles[0]) / n_orbits - 2.0 * math.pi
+    per_century = per_orbit * derive_orbit(el).orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit,
                             per_century_arcsec=per_century,
                             provenance=Provenance.NUMERIC)

@@ -410,6 +410,22 @@ def test_fit_delta_beyond_the_float_range(tmp_path, observations):
     assert proc.stderr.startswith("qgrav: error: the fitted delta exceeds the float range")
 
 
+def test_fit_delta_below_the_float_range(tmp_path):
+    # the slope of so distant a planet squared, times its weight, underflows
+    # to 0, and the fit must say so rather than divide by it
+    planets = tmp_path / "planets.json"
+    planets.write_text(json.dumps({"schema_version": 1, "planets": [
+        {"name": "Far", "a_m": 1e150, "e": 0.0, "tau_days": 6e141}]}))
+    observations = tmp_path / "observations.json"
+    observations.write_text(json.dumps({"observations": [
+        {"planet": "Far", "value_arcsec": 1.0, "sigma_arcsec": 1.0}]}))
+    proc = run_cli("fit", "--planets", str(planets), "--observations", str(observations))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qgrav: error: the fitted delta is undetermined: the "
+                                  "weighted squared slopes underflow")
+
+
 def test_table_gr_baseline_beyond_the_float_range(tmp_path):
     # the GR baseline of these elements is inf: json would print Infinity,
     # which no RFC 8259 parser accepts, and csv and text would print inf
