@@ -7,11 +7,11 @@ the closed-form perihelion advance, exact numerical cross-validation, and
 calibration of the underlying measurement-error angle against observed
 planetary precession.
 
-The package needs only the standard library. integrate and
-detect_perihelia return records whose sample fields are array('d'). The
-value classes are plain frozen records (qgrav.record), not dataclasses, so
-the package, the integrator layer (qgrav.orbit) included, imports without
-the dataclasses and inspect modules.
+The package needs only the standard library. integrate returns a
+Trajectory whose sample fields are array('d'). The value classes are plain
+frozen records (qgrav.record), not dataclasses, so the package, the
+integrator layer (qgrav.orbit) included, imports without the dataclasses
+and inspect modules.
 """
 
 from .bodies import (ARCSEC_PER_RAD, AU, C_LIGHT, CENTURY_DAYS, CONSTANTS_VERSION,
@@ -25,8 +25,7 @@ from .errors import (DomainError, IngestionError, InsufficientSpanError,
 from .forces import (NEWTON_G, PrecessionResult, Provenance, QuantizedModel,
                      corrected_force, gr_precession_baseline, newtonian_force,
                      state_weight, weight_increment)
-from .orbit import (PerihelionSeries, Trajectory, binet_rhs, detect_perihelia,
-                    integrate, measured_precession)
+from .orbit import Trajectory, integrate, measured_precession
 from .precession import (QuantumRule, orbit_params, planet_precession,
                          quantum_from_error)
 
@@ -42,8 +41,7 @@ __all__ = [
     "ModelBreakdownError", "QgravError", "SingularityError", "StepFailureError",
     "NEWTON_G", "QuantizedModel", "corrected_force", "gr_precession_baseline",
     "newtonian_force", "state_weight", "weight_increment",
-    "PerihelionSeries", "Trajectory", "binet_rhs",
-    "detect_perihelia", "integrate", "measured_precession",
+    "Trajectory", "integrate", "measured_precession",
     "PrecessionResult", "Provenance", "QuantumRule",
     "orbit_params", "planet_precession", "quantum_from_error",
     "__version__",

@@ -289,8 +289,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     with naming_planet(el.name):
-        _, model, u0, theta_max = _perihelion_start(el, args.delta, QuantumRule(args.rule),
-                                                    args.orbits)
+        model, u0, theta_max = _perihelion_start(el, args.delta, QuantumRule(args.rule),
+                                                 args.orbits)
     traj = integrate(model, u0, 0.0, theta_max, args.tol)
     thetas, us = traj.theta, traj.u
     if args.format == "json":

@@ -40,7 +40,7 @@ class SingularityError(QgravError):
 
 
 class InsufficientSpanError(QgravError):
-    """Trajectory does not span enough perihelion passages to measure an advance."""
+    """The orbit searched holds too few perihelion passages to measure an advance."""
 
 
 class StepFailureError(QgravError):

@@ -17,19 +17,15 @@ places the passage by Hénon's swap: one Dormand-Prince step in the variable
 v = du/dtheta, from the end of the step nearer the zero to v = 0, at the
 integrator's own precision.
 
-integrate stores the samples for the export and detect_perihelia, which
-places each passage at the zero of the chord of du between the two samples
-that bracket it. That zero's error shrinks with the cube of the sample
-spacing: it is about 1e-6 rad on the 0.04-rad spacing of accepted steps and
-about 1e-11 rad on 1e-3 rad. So whenever a crossing is detected, integrate
-re-integrates a short fixed-step segment and inserts three extra samples
-1e-3 rad apart around it. The stencil and the chord zero serve the export
-and the public integrate/detect_perihelia alone; the measurement uses
-neither.
+integrate stores the samples for the `qgrav orbit` export. Whenever an
+accepted step crosses, it re-integrates a short fixed-step segment and
+inserts three extra samples 1e-3 rad apart around the zero of the chord of
+du over that step. The stencil and the chord zero serve the export's bytes
+alone; the measurement uses neither.
 
-integrate and detect_perihelia run on plain floats and return records of
-array('d') fields, so the whole module, measured_precession and the orbit
-export included, needs only the standard library.
+integrate runs on plain floats and returns a record of array('d') fields,
+so the whole module, measured_precession and the orbit export included,
+needs only the standard library.
 
 _perihelion_start refuses, through precession.orbit_params and the
 breakdown rule every path shares, a quantum whose exact orbit from the
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from typing import Callable
 
 from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import (DomainError, InsufficientSpanError, QgravError,
@@ -114,16 +109,6 @@ class Trajectory(Record):
         return len(self.theta)
 
 
-class PerihelionSeries(Record):
-    """Perihelion angles and the advance of each revolution over 2 pi, as array('d')."""
-
-    _fields = ("angles", "advances")
-
-    def __init__(self, angles: Iterable[float], advances: Iterable[float]) -> None:
-        from array import array
-        self.__dict__.update(angles=array("d", angles), advances=array("d", advances))
-
-
 def _binet_constants(model: QuantizedModel) -> tuple[float, float]:
     """(c, q) of the forcing -u + c / (1 - q u), with c = mu/h^2."""
     return model.mu / (model.h * model.h), model.quantum
@@ -137,26 +122,13 @@ def _forcing_error(u: float, q: float) -> QgravError:
 
 
 def _forcing(c: float, q: float, u: float) -> float:
-    """-u + c / (1 - q u), raising as binet_rhs documents."""
+    """The forcing -u + c / (1 - q u) of the exact orbit equation, with no
+    expansion in q: SingularityError where q u >= 1, DomainError where u is
+    not positive (_forcing_error)."""
     qu = q * u
     if qu >= 1.0 or not u > 0:
         raise _forcing_error(u, q)
     return -u + c / (1.0 - qu)
-
-
-def binet_rhs(model: QuantizedModel) -> Callable[[float], float]:
-    """Forcing term of the exact orbit equation for a model, as a function of u.
-
-    Returns f with f(u) = -u + (mu/h^2) / (1 - q u). No expansion in q is
-    performed; the first-order Taylor series of the second term reproduces
-    the linearized equation the closed-form solution solves.
-    """
-    c, q = _binet_constants(model)
-
-    def forcing(u: float) -> float:
-        return _forcing(c, q, u)
-
-    return forcing
 
 
 def _dopri_step(c, q, u, v, h, f1v):
@@ -359,34 +331,11 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
                       n_rejected=n_rejected)
 
 
-def detect_perihelia(traj: Trajectory) -> PerihelionSeries:
-    """Locate perihelion passages and the per-revolution advances between them.
-
-    Each passage, a + to - crossing of du, lies at the zero of the chord of
-    du between the two samples that bracket it; a sample where du falls to
-    exactly 0 is its own passage. Fewer than two passages cannot define an advance
-    and raise InsufficientSpanError.
-    """
-    theta, du = traj.theta, traj.du
-    angles: list[float] = []
-    for i in range(len(theta) - 1):
-        if du[i] > 0.0 >= du[i + 1]:
-            frac = du[i] / (du[i] - du[i + 1])
-            angles.append(theta[i] + frac * (theta[i + 1] - theta[i]))
-    if len(angles) < 2:
-        raise InsufficientSpanError(
-            f"trajectory spans {len(angles)} perihelion passage(s); need at least 2"
-        )
-    two_pi = 2.0 * math.pi
-    return PerihelionSeries(angles=angles,
-                            advances=[(b - a) - two_pi for a, b in zip(angles, angles[1:])])
-
-
 def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
                       n_periods: int):
-    """(orbit, model, u0, theta_max) to integrate n_periods radial periods of
-    the exact orbit, starting at its perihelion, plus half a radian so the
-    last perihelion is bracketed.
+    """(model, u0, theta_max) to integrate n_periods radial periods of the
+    exact orbit, starting at its perihelion, plus half a radian so the last
+    perihelion is bracketed.
 
     The period is the first-order 2 pi / x; at large epsilon it falls short
     of the exact one. Raises ModelBreakdownError when that orbit is
@@ -398,7 +347,7 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
     u0 = 1.0 / orbit.r_p
     theta_max = n_periods * (2.0 * math.pi / freq_ratio) + 0.5
-    return orbit, model, u0, theta_max
+    return model, u0, theta_max
 
 
 def _swap_rates(c, q, u, v):
@@ -444,7 +393,7 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     search runs over 2 n_orbits + 1 first-order periods; InsufficientSpanError,
     naming the passages found, if those hold fewer than n_orbits + 1.
     """
-    _, model, u0, theta_cap = _perihelion_start(el, delta_arcsec, rule, 2 * n_orbits + 1)
+    model, u0, theta_cap = _perihelion_start(el, delta_arcsec, rule, 2 * n_orbits + 1)
     c, q = _binet_constants(model)
     angles = [0.0] if _forcing(c, q, u0) < 0.0 else []
     theta, u, v = 0.0, u0, 0.0
@@ -472,12 +421,13 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
     been placed, each by Hénon's swap inside the step loop with no sample
     stored, takes the mean advance (theta_n - theta_0) / n_orbits - 2 pi, and
     extrapolates to a century exactly as the analytic chain does. Raises
-    ModelBreakdownError when the exact orbit is unbounded, and
-    InsufficientSpanError when its period is too long to find the passages
-    (see _perihelion_passages).
+    DomainError unless n_orbits is an int of at least 2, ModelBreakdownError
+    when the exact orbit is unbounded, and InsufficientSpanError when its
+    period is too long to find the passages (see _perihelion_passages).
     """
-    if n_orbits < 2:
-        raise DomainError(f"need at least 2 orbits to average advances, got {n_orbits!r}")
+    if not (isinstance(n_orbits, int) and n_orbits >= 2):
+        raise DomainError(f"need a whole number of at least 2 orbits to average "
+                          f"advances, got {n_orbits!r}")
     angles = _perihelion_passages(el, delta_arcsec, rule, n_orbits, tol)
     per_orbit = (angles[-1] - angles[0]) / n_orbits - 2.0 * math.pi
     per_century = per_orbit * derive_orbit(el).orbits_per_century * ARCSEC_PER_RAD

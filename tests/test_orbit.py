@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from qgrav import (AU, GM_SUN, DomainError, InsufficientSpanError, ModelBreakdownError,
                    PlanetElements, Provenance, QuantumRule, QuantizedModel,
-                   SingularityError, Trajectory, binet_rhs, detect_perihelia,
-                   integrate, measured_precession, orbit_params,
-                   quantum_from_error, rad_to_arcsec)
+                   SingularityError, Trajectory, integrate, measured_precession,
+                   orbit_params, quantum_from_error, rad_to_arcsec)
+from qgrav.orbit import _binet_constants, _forcing
 
 GM = 1.32712440018e20
 
@@ -21,19 +23,18 @@ def _mercury_model(mercury_orbit, delta=0.0398):
 
 def test_binet_rhs_newtonian_limit(mercury_orbit):
     model = QuantizedModel(quantum=0.0, mu=mercury_orbit.mu, h=mercury_orbit.h)
-    forcing = binet_rhs(model)
-    c = mercury_orbit.mu / mercury_orbit.h ** 2
+    c, q = _binet_constants(model)
+    assert c == mercury_orbit.mu / mercury_orbit.h ** 2
     for u in (1e-12, 2e-11, 5e-11):
-        assert forcing(u) == pytest.approx(-u + c, rel=1e-15)
+        assert _forcing(c, q, u) == pytest.approx(-u + c, rel=1e-15)
 
 
 def test_binet_rhs_first_order_expansion(mercury_orbit):
     # the exact forcing matches -u + c(1 + q u) up to O((q u)^2)
     model, q = _mercury_model(mercury_orbit)
-    forcing = binet_rhs(model)
     c = mercury_orbit.mu / mercury_orbit.h ** 2
     for u in (1e-11, 2.1738e-11, 4e-11):
-        exact = forcing(u)
+        exact = _forcing(*_binet_constants(model), u)
         first_order = -u + c * (1.0 + q * u)
         assert abs(exact - first_order) <= 2.0 * c * (q * u) ** 2
 
@@ -41,21 +42,20 @@ def test_binet_rhs_first_order_expansion(mercury_orbit):
 def test_binet_rhs_frozen_point(mercury_orbit):
     # single-point oracle: independent arithmetic at u = 1/r_p
     model, q = _mercury_model(mercury_orbit)
-    forcing = binet_rhs(model)
     u = 1.0 / mercury_orbit.r_p
     expected = -u + (mercury_orbit.mu / mercury_orbit.h ** 2) / (1.0 - q * u)
-    got = forcing(u)
+    got = _forcing(*_binet_constants(model), u)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(-3.707747858585475e-12, rel=1e-12)
 
 
 def test_binet_rhs_singularity(mercury_orbit):
-    forcing = binet_rhs(QuantizedModel(quantum=1e9, mu=mercury_orbit.mu,
-                                       h=mercury_orbit.h))
+    c, q = _binet_constants(QuantizedModel(quantum=1e9, mu=mercury_orbit.mu,
+                                           h=mercury_orbit.h))
     with pytest.raises(SingularityError):
-        forcing(1.0 / 1e8)  # radius below the quantum
+        _forcing(c, q, 1.0 / 1e8)  # radius below the quantum
     with pytest.raises(DomainError):
-        forcing(-1.0)
+        _forcing(c, q, -1.0)
 
 
 def test_integrate_newtonian_conic(mercury_orbit):
@@ -127,114 +127,12 @@ def test_integrate_deterministic(mercury_orbit):
     assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
 
 
-# A grid of this many samples per period is incommensurate with it, so the
-# location errors of successive passages do not cancel in the advances.
-_OFF_GRID = 4096.38
-_ECCENTRICITIES = (0.0068, 0.2056, 0.9)
-
-
-def _analytic_trajectory(p, e, x, periods, samples_per_period=4096, nudge=0.0):
-    """Samples of u = (1 + e cos x theta)/p. A positive nudge adds a sample
-    that far after the sample before each + to - crossing of du."""
-    theta = np.arange(0, periods * samples_per_period + 1) * (2.0 * math.pi / x) / samples_per_period
-    du = -e * x * np.sin(x * theta) / p
-    if nudge:
-        before = np.flatnonzero((du[:-1] > 0.0) & (du[1:] <= 0.0))
-        theta = np.insert(theta, before + 1, theta[before] + nudge)
-        du = -e * x * np.sin(x * theta) / p
-    u = (1.0 + e * np.cos(x * theta)) / p
-    return Trajectory(theta=theta, u=u, du=du, tol=0.0, n_accepted=0, n_rejected=0)
-
-
-def _off_grid_trajectories(x):
-    # the off-grid sampling, bare and with a sample 1e-9 rad after the one
-    # before each crossing, for every eccentricity
-    for e in _ECCENTRICITIES:
-        for nudge in (0.0, 1e-9):
-            yield _analytic_trajectory(p=5.546074e10, e=e, x=x, periods=5,
-                                       samples_per_period=_OFF_GRID, nudge=nudge)
-
-
-def _assert_at_perihelia(series, x):
-    # passage n lies within 1e-10 rad of 2 pi n / x: none lost, none repeated
-    period = 2.0 * math.pi / x
-    angles = np.asarray(series.angles)
-    n = np.rint(angles / period)
-    assert np.array_equal(n, np.arange(1, len(n) + 1))
-    assert len(n) >= 4
-    assert np.max(np.abs(angles - n * period)) < 1e-10
-
-
-def test_detect_perihelia_closed_ellipse():
-    traj = _analytic_trajectory(p=5.546074e10, e=0.20563069, x=1.0, periods=5)
-    series = detect_perihelia(traj)
-    assert len(series.angles) >= 3
-    assert np.max(np.abs(series.advances)) < 1e-9
-    _assert_at_perihelia(series, 1.0)
-    for traj in _off_grid_trajectories(1.0):
-        series = detect_perihelia(traj)
-        _assert_at_perihelia(series, 1.0)
-        assert np.max(np.abs(series.advances)) < 1e-9
-
-
-def test_detect_perihelia_rosette():
-    x = 1.0 - 8.0025e-08
-    traj = _analytic_trajectory(p=5.546074e10, e=0.20563069, x=x, periods=5)
-    series = detect_perihelia(traj)
-    expected = 2.0 * math.pi * (1.0 - x) / x  # generator is the oracle
-    assert expected == pytest.approx(5.0281e-07, rel=1e-3)
-    assert np.all(np.abs(np.asarray(series.advances) - expected) < 1e-9)
-    _assert_at_perihelia(series, x)
-    for x_off in (x, 1.0 - 1e-3):
-        expected = 2.0 * math.pi * (1.0 - x_off) / x_off
-        for traj in _off_grid_trajectories(x_off):
-            series = detect_perihelia(traj)
-            _assert_at_perihelia(series, x_off)
-            assert np.all(np.abs(np.asarray(series.advances) - expected) < 1e-9)
-
-
-def test_detect_perihelia_zero_slope_sample():
-    # du exactly 0 at a sample: that passage counts once, at the sample.
-    # theta[i] + 1.0 * (theta[i + 1] - theta[i]) is exact for i >= 1.
-    traj = _analytic_trajectory(p=5.546074e10, e=0.20563069, x=1.0, periods=3)
-    at_perihelion = np.arange(1, 4) * 4096
-    du = np.array(traj.du)
-    du[at_perihelion] = 0.0
-    series = detect_perihelia(Trajectory(theta=traj.theta, u=traj.u, du=du, tol=0.0,
-                                         n_accepted=0, n_rejected=0))
-    assert np.array_equal(series.angles, np.asarray(traj.theta)[at_perihelion])
-
-
-def test_detect_perihelia_insufficient_span():
-    # monotone inward spiral: du never crosses + to -
-    theta = np.linspace(0.0, 20.0, 500)
-    u = 1e-11 * (1.0 + 0.01 * theta)
-    du = np.full_like(theta, 1e-13)
-    traj = Trajectory(theta=theta, u=u, du=du, tol=0.0, n_accepted=0, n_rejected=0)
-    with pytest.raises(InsufficientSpanError):
-        detect_perihelia(traj)
-    # a single passage cannot define an advance either
-    short = _analytic_trajectory(p=5.546074e10, e=0.2, x=1.0, periods=1)
-    with pytest.raises(InsufficientSpanError):
-        detect_perihelia(short)
-
-
-def test_detect_perihelia_deterministic(mercury_orbit):
-    model, _ = _mercury_model(mercury_orbit)
-    traj = integrate(model, 1.0 / mercury_orbit.r_p, 0.0, 8.0 * math.pi, tol=1e-12)
-    s1 = detect_perihelia(traj)
-    s2 = detect_perihelia(traj)
-    assert np.array_equal(s1.angles, s2.angles)
-    assert np.array_equal(s1.advances, s2.advances)
-
-
-def test_advance_positivity(mercury_orbit):
-    model, _ = _mercury_model(mercury_orbit)
-    theta_max = 5.0 * 2.0 * math.pi + 0.5
-    traj = integrate(model, 1.0 / mercury_orbit.r_p, 0.0, theta_max, tol=1e-12)
-    series = detect_perihelia(traj)
-    assert len(series.advances) >= 3
-    assert np.all(np.asarray(series.advances) > 0.0)
+def test_advance_positivity(mercury):
+    from qgrav.orbit import _perihelion_passages
+    angles = _perihelion_passages(mercury, 0.0398, QuantumRule.PERIHELION, 5, 1e-12)
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    assert len(gaps) == 5
+    assert all(gap > 2.0 * math.pi for gap in gaps)
 
 
 def test_measured_precession_mercury(mercury, mercury_orbit):
@@ -262,76 +160,30 @@ def test_measured_precession_keeps_every_perihelion(mercury):
     assert abs(result.per_orbit_rad) < 1e-9
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-10])
-@pytest.mark.parametrize("delta", [0.0, 0.0398])
-def test_measured_precession_equals_array_path(planets, delta, tol):
-    # measured_precession places each passage by Hénon's swap in the step
-    # loop. The chord zeros detect_perihelia finds on integrate's stored
-    # trajectory over the same 50 periods, after passage 0 at the start,
-    # give the same mean advance to within a tenth of the tolerance.
-    from qgrav.orbit import _perihelion_start
-    for el in planets.values():
-        _, model, u0, theta_max = _perihelion_start(el, delta, QuantumRule.PERIHELION, 50)
-        angles = detect_perihelia(integrate(model, u0, 0.0, theta_max, tol=tol)).angles
-        assert len(angles) == 50
-        chord_mean = angles[-1] / 50 - 2.0 * math.pi
-        result = measured_precession(el, delta, tol=tol)
-        assert abs(result.per_orbit_rad - chord_mean) <= 0.1 * tol
-
-
-def _exact_advances(cases):
-    """The exact advance per radial period of each (elements, delta) case, by
-    the 60-digit apsidal quadrature of perfbench/reference.py restated.
-
-    With W(u) = u^2/2 + (c/q) ln(1 - q u), E = W(u_p) and m, r the midpoint
-    and half-width of [u_a, u_p], the advance is 2 integral_0^pi r sin(phi)
-    / sqrt(2 (E - W(m - r cos phi))) dphi - 2 pi. Gauss-Legendre on 24 and
-    48 nodes must agree to 1e-25 rad. Kepler's 2c - u_p seeds the aphelion
-    root, which holds for the bundled planets up to 300".
-    """
-    mpmath = pytest.importorskip("mpmath")
-    from mpmath.calculus.quadrature import GaussLegendre
-
-    from qgrav.bodies import DAY_S
-    out = []
-    with mpmath.workdps(60):
-        mpf, pi = mpmath.mpf, mpmath.pi
-        nodes = [GaussLegendre(mpmath.mp).calc_nodes(degree, mpmath.mp.prec)
-                 for degree in (4, 5)]
-        for el, delta in cases:
-            a, e = mpf(el.a), mpf(el.e)
-            r_p = a * (1 - e)
-            h = 2 * pi * a * a * mpmath.sqrt(1 - e * e) / (mpf(el.tau_days) * mpf(DAY_S))
-            c, u_p = mpf(GM_SUN) / (h * h), 1 / r_p
-            q = mpf(delta) * pi / 648000 * r_p
-
-            def W(u):
-                return u * u / 2 + (c / q) * mpmath.log(1 - q * u)
-
-            energy = W(u_p)
-            u_a = mpmath.re(mpmath.findroot(lambda u: W(u) - energy, 2 * c - u_p))
-            m, r = (u_p + u_a) / 2, (u_p - u_a) / 2
-
-            def integrand(phi):
-                return r * mpmath.sin(phi) / mpmath.sqrt(2 * (energy - W(m - r * mpmath.cos(phi))))
-
-            coarse, fine = (pi * mpmath.fsum(w * integrand(pi / 2 * (x + 1)) for x, w in grid)
-                            - 2 * pi for grid in nodes)
-            assert abs(fine - coarse) < 1e-25
-            out.append(float(fine))
-    return out
+def _exact_reference():
+    """perfbench/reference.py's Reference: the exact advance per radial
+    period by a 60-digit apsidal quadrature, loaded as it stands."""
+    pytest.importorskip("mpmath")
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from reference import Reference
+    finally:
+        sys.path.remove(perfbench)
+    return Reference()
 
 
 def test_measured_precession_matches_exact_advance(planets):
     # The swap-placed mean advance against the exact apsidal angle: within
     # 1e-10 rad/orbit at tol 1e-12 (3.9e-11 measured, Venus at 300"), and
-    # within 1e3 tol for Venus, the least eccentric orbit, at tol 1e-10.
-    cases = [(el, delta, 1e-12) for el in planets.values() for delta in (0.0398, 300.0)]
-    cases += [(planets["Venus"], delta, 1e-10) for delta in (0.0398, 300.0)]
-    exact = _exact_advances([(el, delta) for el, delta, _ in cases])
-    for (el, delta, tol), advance in zip(cases, exact):
-        gap = abs(measured_precession(el, delta, tol=tol).per_orbit_rad - advance)
-        assert gap <= (1e-10 if tol == 1e-12 else 1e3 * tol), (el.name, delta, tol)
+    # within 1e3 tol at tol 1e-10 (9.8e-9 measured, Venus at 300").
+    reference = _exact_reference()
+    for el in planets.values():
+        for delta in (0.0, 0.0398, 300.0):
+            exact = float(reference.exact_advance(el.a, el.e, el.tau_days, delta))
+            for tol in (1e-12, 1e-10):
+                gap = abs(measured_precession(el, delta, tol=tol).per_orbit_rad - exact)
+                assert gap <= (1e-10 if tol == 1e-12 else 1e3 * tol), (el.name, delta, tol)
 
 
 def test_henon_swap_on_a_kepler_ellipse():
@@ -398,8 +250,10 @@ def test_measured_precession_breakdown(mercury):
 
 
 def test_measured_precession_validation(mercury):
-    with pytest.raises(DomainError):
-        measured_precession(mercury, 0.0398, n_orbits=1)
+    # 2.5 orbits once placed 3 passages and divided their 2 gaps by 2.5
+    for n_orbits in (1, 2.5):
+        with pytest.raises(DomainError):
+            measured_precession(mercury, 0.0398, n_orbits=n_orbits)
 
 
 def test_measured_precession_truncation_probe(mercury, mercury_orbit):
@@ -496,7 +350,8 @@ def _kepler_planet(draw):
 def test_perihelion_count_over_n_periods(el, n, delta, rule, tol):
     # From a perihelion start over n radial periods (theta_max = n 2 pi/x
     # + 0.5) every later perihelion is found once: none lost, none repeated.
+    # A passage is a + to - sign change of du between samples.
     from qgrav.orbit import _perihelion_start
-    _, model, u0, theta_max = _perihelion_start(el, delta, rule, n)
-    series = detect_perihelia(integrate(model, u0, 0.0, theta_max, tol=tol))
-    assert len(series.angles) == n
+    model, u0, theta_max = _perihelion_start(el, delta, rule, n)
+    du = integrate(model, u0, 0.0, theta_max, tol=tol).du
+    assert sum(a > 0.0 >= b for a, b in zip(du, du[1:])) == n

@@ -6,9 +6,8 @@ import pickle
 
 import pytest
 
-from qgrav import (DerivedOrbit, FitResult, Observation,
-                   PerihelionSeries, PlanetElements, PrecessionResult, Provenance,
-                   QuantizedModel, Trajectory)
+from qgrav import (DerivedOrbit, FitResult, Observation, PlanetElements,
+                   PrecessionResult, Provenance, QuantizedModel, Trajectory)
 
 # (class, a factory of equal fresh records, a record that differs in one
 # field, the repr). Each repr but those of the array('d') fields is the one
@@ -38,13 +37,10 @@ CASES = [
      lambda: Trajectory([0.0, 0.25], [1.0, 1.5], [0.5, -0.4], 1e-12, 2, 0),
      "Trajectory(theta=array('d', [0.0, 0.25]), u=array('d', [1.0, 1.5]), "
      "du=array('d', [0.5, -0.5]), tol=1e-12, n_accepted=2, n_rejected=0)"),
-    (PerihelionSeries, lambda: PerihelionSeries([0.0], [1e-7]),
-     lambda: PerihelionSeries([0.0], [2e-7]),
-     "PerihelionSeries(angles=array('d', [0.0]), advances=array('d', [1e-07]))"),
 ]
 
 # Records with a dict or array field are unhashable, as a tuple of those fields is.
-UNHASHABLE = {FitResult, Trajectory, PerihelionSeries}
+UNHASHABLE = {FitResult, Trajectory}
 
 
 @pytest.mark.parametrize("cls, make, make_other, expected_repr", CASES,
