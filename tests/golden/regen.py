@@ -5,7 +5,7 @@ of stderr and stdout: in full, or as sha256 and length for `orbit` exports.
 test_golden.py runs every case again and requires the same record, which
 turns "every byte unchanged" into a test.
 
-    python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py
 
 rewrites corpus.json. Run it only for a change to the output bytes that
 CHANGES.md records and explains.
@@ -29,6 +29,8 @@ import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from qgrav.cli import main as qgrav_main
+
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "corpus.json"
 
@@ -46,7 +48,7 @@ _OBSERVATIONS = ["--observations", "{golden}/observations.json"]
 
 CASES = [command + ["--rule", rule, "--format", fmt]
          for command in _COMMANDS for rule in _RULES for fmt in _FORMATS] + [
-    # orbit at the loosest, the default and the tightest tolerance in use
+    # orbit at tol 1e-8, 1e-14 and 1e-10, besides the default 1e-12 above
     ["orbit", "--planet", "venus", "--delta", "300", "--orbits", "5", "--tol", "1e-8",
      "--format", "csv"],
     ["orbit", "--planet", "earth", "--delta", "0.0398", "--orbits", "2", "--tol", "1e-14",
@@ -105,13 +107,11 @@ def _pinned_environment():
 
 def run(argv: list[str]) -> dict:
     """The corpus record of one qgrav invocation."""
-    from qgrav.cli import main
-
     args = [arg.replace("{golden}", str(HERE)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with _pinned_environment(), redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(args)
+            code = qgrav_main(args)
         except SystemExit as exc:
             code = exc.code
     record = {"argv": argv, "exit": code, "stderr": next(iter(err.getvalue().splitlines()), "")}
