@@ -9,19 +9,27 @@ Dormand-Prince 5(4) pair and proportional step control. theta (not time) is
 the integration variable: precession is an angle-domain observable and the
 closed-form solution is directly comparable, with no Kepler solve.
 
-Perihelion passages are where du/dtheta crosses + to -. The adaptive step
-loop is one generator, _accepted_steps, and two consumers read it.
+measured_precession keeps no sample and does not follow u itself. It
+integrates, with the same tableau, step controller and step cap, the slow
+drift of the orbit's apse line: the deviation from the circular fixed point
+is written w = a cos(omega theta) + b sin(omega theta), with omega the
+frequency of small oscillations, and (a, b) are stepped under the exact
+force (Encke's method with variation of parameters; Battin, An Introduction
+to the Mathematics and Methods of Astrodynamics, ch. 10). The drift rates
+are O(epsilon^2 e) of the amplitude, so on planet orbits every step sits at
+the cap: 32 per radial period. tol is relative to the oscillation amplitude
+|u0 - u_star|, the quantity a perihelion angle depends on, so it holds on
+near-circular orbits too. A passage is where omega theta - atan2(b, a)
+reaches a multiple of 2 pi, placed by Newton inside the step that crosses
+it.
 
-measured_precession keeps no sample. When an accepted step crosses, it
-places the passage by Hénon's swap: one Dormand-Prince step in the variable
-v = du/dtheta, from the end of the step nearer the zero to v = 0, at the
-integrator's own precision.
-
-integrate stores the samples for the `qgrav orbit` export. Whenever an
-accepted step crosses, it re-integrates a short fixed-step segment and
-inserts three extra samples 1e-3 rad apart around the zero of the chord of
-du over that step. The stencil and the chord zero serve the export's bytes
-alone; the measurement uses neither.
+integrate stores the samples for the `qgrav orbit` export. Its adaptive
+step loop, _accepted_steps, follows (u, du/dtheta) with local error below
+tol relative to u0. Whenever an accepted step crosses a perihelion (du
+from + to -), it re-integrates a short fixed-step segment and inserts three
+extra samples 1e-3 rad apart around the zero of the chord of du over that
+step. The stencil and the chord zero serve the export's bytes alone; the
+measurement uses neither.
 
 integrate runs on plain floats and returns a record of array('d') fields,
 so the whole module, measured_precession and the orbit export included,
@@ -45,7 +53,7 @@ from .precession import QuantumRule, orbit_params, quantum_from_error
 from .record import Record
 
 # Dormand-Prince 5(4) tableau. The orbit equation is autonomous in theta;
-# the stage abscissae serve only _henon_swap, whose system in v is not.
+# the stage abscissae serve only _drift_step, whose rates turn with theta.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -350,34 +358,111 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     return model, u0, theta_max
 
 
-def _swap_rates(c, q, u, v):
-    """(dtheta/dv, du/dv) = (1/f, v/f) with f the forcing at u, which must be
-    negative: du/dtheta falls through its zero at a perihelion."""
-    f = _forcing(c, q, u)
-    if not f < 0.0:
-        raise DomainError(f"no perihelion at u = {u!r}: the forcing {f!r} is not "
-                          f"negative where du/dtheta falls through zero")
-    return 1.0 / f, v / f
+def _drift_step(omega, u_star, d, q, g, theta, a, b, h, ka1, kb1):
+    """One Dormand-Prince step of the apse-line drift from (a, b) at theta;
+    (ka1, kb1) are the drift rates there (FSAL reuse).
 
-
-def _henon_swap(c, q, u, v):
-    """The theta increment from a state (u, v = du/dtheta) to the apsis v = 0.
-
-    Hénon's swap (M. Hénon, Physica D 5, 412 (1982)): one Dormand-Prince
-    step of length -v in the independent variable v, with dtheta/dv = 1/f(u)
-    and du/dv = v/f(u). From a state at most one accepted step from the apsis
-    its error is of the integrator's own order.
+    The deviation from the circular fixed point is w = u - u_star =
+    a cos(omega theta) + b sin(omega theta), and the drift rates are
+    (-r sin, r cos)(omega theta) with r = g w^2 / (d - q w). Each stage
+    checks u_star + w > 0 and d - q w > 0 (that is, q u < 1), raising as
+    _forcing does. Returns (a_new, b_new, ka_new, kb_new, err_a, err_b).
     """
-    h = -v
-    t1, k1 = _swap_rates(c, q, u, v)
-    t2, k2 = _swap_rates(c, q, u + h * (_A21 * k1), v + _C2 * h)
-    t3, k3 = _swap_rates(c, q, u + h * (_A31 * k1 + _A32 * k2), v + _C3 * h)
-    t4, k4 = _swap_rates(c, q, u + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), v + _C4 * h)
-    t5, k5 = _swap_rates(c, q, u + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-                         v + _C5 * h)
-    t6, _ = _swap_rates(c, q, u + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                       + _A65 * k5), 0.0)
-    return h * (_B1 * t1 + _B3 * t3 + _B4 * t4 + _B5 * t5 + _B6 * t6)
+    cos, sin = math.cos, math.sin
+
+    a2 = a + h * (_A21 * ka1)
+    b2 = b + h * (_A21 * kb1)
+    phase = omega * (theta + _C2 * h)
+    co, si = cos(phase), sin(phase)
+    w = a2 * co + b2 * si
+    dw = d - q * w
+    if not (u_star + w > 0.0 and dw > 0.0):
+        raise _forcing_error(u_star + w, q)
+    r = g * w * w / dw
+    ka2, kb2 = -r * si, r * co
+
+    a3 = a + h * (_A31 * ka1 + _A32 * ka2)
+    b3 = b + h * (_A31 * kb1 + _A32 * kb2)
+    phase = omega * (theta + _C3 * h)
+    co, si = cos(phase), sin(phase)
+    w = a3 * co + b3 * si
+    dw = d - q * w
+    if not (u_star + w > 0.0 and dw > 0.0):
+        raise _forcing_error(u_star + w, q)
+    r = g * w * w / dw
+    ka3, kb3 = -r * si, r * co
+
+    a4 = a + h * (_A41 * ka1 + _A42 * ka2 + _A43 * ka3)
+    b4 = b + h * (_A41 * kb1 + _A42 * kb2 + _A43 * kb3)
+    phase = omega * (theta + _C4 * h)
+    co, si = cos(phase), sin(phase)
+    w = a4 * co + b4 * si
+    dw = d - q * w
+    if not (u_star + w > 0.0 and dw > 0.0):
+        raise _forcing_error(u_star + w, q)
+    r = g * w * w / dw
+    ka4, kb4 = -r * si, r * co
+
+    a5 = a + h * (_A51 * ka1 + _A52 * ka2 + _A53 * ka3 + _A54 * ka4)
+    b5 = b + h * (_A51 * kb1 + _A52 * kb2 + _A53 * kb3 + _A54 * kb4)
+    phase = omega * (theta + _C5 * h)
+    co, si = cos(phase), sin(phase)
+    w = a5 * co + b5 * si
+    dw = d - q * w
+    if not (u_star + w > 0.0 and dw > 0.0):
+        raise _forcing_error(u_star + w, q)
+    r = g * w * w / dw
+    ka5, kb5 = -r * si, r * co
+
+    a6 = a + h * (_A61 * ka1 + _A62 * ka2 + _A63 * ka3 + _A64 * ka4 + _A65 * ka5)
+    b6 = b + h * (_A61 * kb1 + _A62 * kb2 + _A63 * kb3 + _A64 * kb4 + _A65 * kb5)
+    phase = omega * (theta + h)
+    co6, si6 = cos(phase), sin(phase)
+    w = a6 * co6 + b6 * si6
+    dw = d - q * w
+    if not (u_star + w > 0.0 and dw > 0.0):
+        raise _forcing_error(u_star + w, q)
+    r = g * w * w / dw
+    ka6, kb6 = -r * si6, r * co6
+
+    a_new = a + h * (_B1 * ka1 + _B3 * ka3 + _B4 * ka4 + _B5 * ka5 + _B6 * ka6)
+    b_new = b + h * (_B1 * kb1 + _B3 * kb3 + _B4 * kb4 + _B5 * kb5 + _B6 * kb6)
+    w = a_new * co6 + b_new * si6
+    dw = d - q * w
+    if not (u_star + w > 0.0 and dw > 0.0):
+        raise _forcing_error(u_star + w, q)
+    r = g * w * w / dw
+    ka7, kb7 = -r * si6, r * co6
+
+    err_a = h * (_E1 * ka1 + _E3 * ka3 + _E4 * ka4 + _E5 * ka5 + _E6 * ka6 + _E7 * ka7)
+    err_b = h * (_E1 * kb1 + _E3 * kb3 + _E4 * kb4 + _E5 * kb5 + _E6 * kb6 + _E7 * kb7)
+    return a_new, b_new, ka7, kb7, err_a, err_b
+
+
+def _place_passage(consts, theta, a, b, ka, kb, phase_gap):
+    """The theta increment from an accepted step's end to the passage where
+    G = omega theta - phi has fallen by phase_gap, phi = atan2(b, a).
+
+    Newton on G, each iterate one uncontrolled _drift_step from the end
+    (a, b) at theta with its rates (ka, kb), and the exact slope
+    G' = omega - (a kb - b ka) / (a^2 + b^2), since phi turns with the
+    drift (a slope of omega alone converges linearly, at a ratio of 0.46 at
+    epsilon = 0.237). Stops when a correction is not below half the one
+    before, as at the rounding floor.
+    """
+    omega = consts[0]
+    atan2 = math.atan2
+    h, last = 0.0, math.inf
+    gap, slope = phase_gap, omega - (a * kb - b * ka) / (a * a + b * b)
+    while True:
+        dh = -gap / slope
+        if not abs(dh) < 0.5 * last:
+            return h
+        last = abs(dh)
+        h += dh
+        a_h, b_h, ka_h, kb_h, _, _ = _drift_step(*consts, theta, a, b, h, ka, kb)
+        gap = phase_gap + omega * h - atan2(a * b_h - b * a_h, a * a_h + b * b_h)
+        slope = omega - (a_h * kb_h - b_h * ka_h) / (a_h * a_h + b_h * b_h)
 
 
 def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
@@ -385,29 +470,87 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     """The angles of the first n_orbits + 1 perihelion passages of the exact
     orbit started at el's perihelion distance with du/dtheta = 0.
 
-    Passage 0 is theta = 0 when the start is a maximum of u (negative
-    forcing), else the first + to - crossing of du. Each crossing step of
-    the integration hands its end nearer the zero to _henon_swap. No sample
-    is kept. The first-order period undershoots the exact one at large
-    epsilon (the exact one is 1.57 times it at epsilon = 0.237), so the
-    search runs over 2 n_orbits + 1 first-order periods; InsufficientSpanError,
-    naming the passages found, if those hold fewer than n_orbits + 1.
+    The orbit is followed in the frame that turns with it (Encke's method
+    with variation of parameters). The circular fixed point u_star is the
+    smaller root of u (1 - q u) = c; with d = 1 - q u_star, kappa = c q/d^2
+    and omega = sqrt(1 - kappa), the deviation w = u - u_star obeys
+    w'' = -omega^2 w + R exactly, R = kappa q w^2 / (d - q w). Writing
+    w = a cos(omega theta) + b sin(omega theta) with the apse-line drift
+    a' = -(R/omega) sin(omega theta), b' = (R/omega) cos(omega theta), the
+    loop steps (a, b) from (u0 - u_star, 0) with the tableau, the step
+    controller and the step cap of _accepted_steps, its error norm on the
+    one absolute scale tol |u0 - u_star|. The drift rates are O(epsilon^2 e)
+    of the amplitude, so on planet orbits every step sits at the cap.
+
+    Passage k is where G = omega theta - phi reaches 2 pi k, phi = atan2(b, a)
+    followed continuously; _place_passage puts it inside the step that
+    crosses. Passage 0 is theta = 0 when u0 > u_star, else the start is an
+    aphelion and the first passage is where G reaches 0. No sample is kept.
+    The first-order period undershoots the exact one at large epsilon (the
+    exact one is 1.57 times it at epsilon = 0.237), so the search runs over
+    2 n_orbits + 1 first-order periods; InsufficientSpanError, naming the
+    passages found, if those hold fewer than n_orbits + 1. DomainError for
+    a tol outside [TOL_MIN, TOL_MAX] or a circular start, which has no
+    perihelion; StepFailureError if the step size underflows.
     """
     model, u0, theta_cap = _perihelion_start(el, delta_arcsec, rule, 2 * n_orbits + 1)
+    if not TOL_MIN <= tol <= TOL_MAX:
+        raise DomainError(f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol!r}")
     c, q = _binet_constants(model)
-    angles = [0.0] if _forcing(c, q, u0) < 0.0 else []
-    theta, u, v = 0.0, u0, 0.0
-    for theta_new, _, u_new, v_new, _ in _accepted_steps(c, q, u0, 0.0, theta_cap, tol):
-        if v > 0.0 >= v_new:
-            if -v_new <= v:
-                angles.append(theta_new + _henon_swap(c, q, u_new, v_new))
-            else:
-                angles.append(theta + _henon_swap(c, q, u, v))
-            if len(angles) > n_orbits:
-                return angles
-        theta, u, v = theta_new, u_new, v_new
+    u_star = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * q * c))
+    d = 1.0 - q * u_star
+    kappa = c * q / (d * d)
+    omega = math.sqrt(1.0 - kappa)
+    g = kappa * q / omega
+    consts = (omega, u_star, d, q, g)
+    a, b = u0 - u_star, 0.0
+    if a == 0.0:
+        raise DomainError(f"no perihelion: the start u = {u0!r} is the circular orbit")
+    dw = d - q * a
+    if not dw > 0.0:
+        raise _forcing_error(u0, q)
+    ka, kb = 0.0, g * a * a / dw
+
+    sqrt, atan2 = math.sqrt, math.atan2
+    two_pi = 2.0 * math.pi
+    atol = tol * abs(a)
+    passages = [0.0] if a > 0.0 else []
+    theta, phi = 0.0, atan2(b, a)
+    h = min(_INITIAL_STEP, _MAX_STEP, theta_cap / 2.0)
+    theta_end = theta_cap - 1e-12 * max(1.0, theta_cap)
+    while theta < theta_end:
+        if h < 1e-13 * (theta if theta > 1.0 else 1.0):
+            raise StepFailureError(f"step size underflow at theta = {theta!r}")
+        rest = theta_cap - theta
+        if rest < h:
+            h = rest
+
+        a_new, b_new, ka_new, kb_new, err_a, err_b = _drift_step(omega, u_star, d, q, g,
+                                                                 theta, a, b, h, ka, kb)
+        norm = sqrt(0.5 * (err_a * err_a + err_b * err_b)) / atol
+        if norm > 1.0:
+            h *= max(_MIN_FACTOR, min(1.0, _SAFETY * norm ** -0.2))
+            continue
+        # phi follows the turn of (a, b) over the step, so it never wraps.
+        phi += atan2(a * b_new - b * a_new, a * a_new + b * b_new)
+        theta += h
+        a, b, ka, kb = a_new, b_new, ka_new, kb_new
+        phase_gap = omega * theta - phi - two_pi * len(passages)
+        if phase_gap >= 0.0:
+            passages.append(theta + _place_passage(consts, theta, a, b, ka, kb, phase_gap))
+            if len(passages) > n_orbits:
+                return passages
+        if norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * norm ** -0.2
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+        h *= factor
+        if _MAX_STEP < h:
+            h = _MAX_STEP
     raise InsufficientSpanError(
-        f"{len(angles)} perihelion passage(s) within theta = {theta_cap!r}; "
+        f"{len(passages)} perihelion passage(s) within theta = {theta_cap!r}; "
         f"need {n_orbits + 1}"
     )
 
@@ -417,13 +560,17 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
                         n_orbits: int = 50, tol: float = 1e-12) -> PrecessionResult:
     """Measure the perihelion advance by exact integration from a perihelion start.
 
-    Integrates until n_orbits + 1 perihelion passages theta_0..theta_n have
-    been placed, each by Hénon's swap inside the step loop with no sample
-    stored, takes the mean advance (theta_n - theta_0) / n_orbits - 2 pi, and
-    extrapolates to a century exactly as the analytic chain does. Raises
-    DomainError unless n_orbits is an int of at least 2, ModelBreakdownError
-    when the exact orbit is unbounded, and InsufficientSpanError when its
-    period is too long to find the passages (see _perihelion_passages).
+    Integrates the drift of the apse line under the exact force (see
+    _perihelion_passages) until n_orbits + 1 perihelion passages
+    theta_0..theta_n have been placed, with no sample stored, takes the
+    mean advance (theta_n - theta_0) / n_orbits - 2 pi, and extrapolates to
+    a century exactly as the analytic chain does. tol bounds the local error
+    per step relative to the oscillation amplitude |u0 - u_star|, so it
+    bounds the angle error on any eccentricity. Raises DomainError unless
+    n_orbits is an int of at least 2 and tol lies in [TOL_MIN, TOL_MAX], or
+    for a circular start; ModelBreakdownError when the exact orbit is
+    unbounded, and InsufficientSpanError when its period is too long to find
+    the passages.
     """
     if not (isinstance(n_orbits, int) and n_orbits >= 2):
         raise DomainError(f"need a whole number of at least 2 orbits to average "

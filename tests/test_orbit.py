@@ -160,23 +160,27 @@ def test_measured_precession_keeps_every_perihelion(mercury):
     assert abs(result.per_orbit_rad) < 1e-9
 
 
-def _exact_reference():
-    """perfbench/reference.py's Reference: the exact advance per radial
-    period by a 60-digit apsidal quadrature, loaded as it stands."""
+def _reference_module():
+    """perfbench/reference.py, loaded as it stands: its Reference gives the
+    exact advance per radial period by a 60-digit apsidal quadrature."""
     pytest.importorskip("mpmath")
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     try:
-        from reference import Reference
+        import reference
     finally:
         sys.path.remove(perfbench)
-    return Reference()
+    return reference
+
+
+def _exact_reference():
+    return _reference_module().Reference()
 
 
 def test_measured_precession_matches_exact_advance(planets):
-    # The swap-placed mean advance against the exact apsidal angle: within
-    # 1e-10 rad/orbit at tol 1e-12 (3.9e-11 measured, Venus at 300"), and
-    # within 1e3 tol at tol 1e-10 (9.8e-9 measured, Venus at 300").
+    # The mean advance against the exact apsidal angle: within 1e-10
+    # rad/orbit at tol 1e-12, and within 1e3 tol at tol 1e-10 (6e-16 at
+    # most measured at either tol).
     reference = _exact_reference()
     for el in planets.values():
         for delta in (0.0, 0.0398, 300.0):
@@ -186,18 +190,79 @@ def test_measured_precession_matches_exact_advance(planets):
                 assert gap <= (1e-10 if tol == 1e-12 else 1e3 * tol), (el.name, delta, tol)
 
 
-def test_henon_swap_on_a_kepler_ellipse():
-    # u = c (1 + e cos theta) with q = 0: from theta = -t the swap lands on
-    # the perihelion at theta = 0, its error of order t^6 (2e-16 at 0.02,
-    # 1.3e-13 at 0.05 rad)
-    from qgrav.orbit import _henon_swap
-    c, e = 1.8e-11, 0.2056
-    for t, bound in ((0.02, 1e-15), (0.05, 1e-12)):
-        u, v = c * (1.0 + e * math.cos(t)), c * e * math.sin(t)
-        assert abs(_henon_swap(c, 0.0, u, v) - t) < bound
-    # beyond the circular radius (u < c) the forcing is positive: no perihelion
+def test_passages_on_a_kepler_ellipse():
+    # At q = 0 the drift rates vanish, the apse line stands still and
+    # passage k is placed at exactly 2 pi k, however eccentric the ellipse.
+    from qgrav.orbit import _perihelion_passages
+    for e in (0.2, 0.9):
+        el = PlanetElements(name="K", a=1.5e11, e=e, tau_days=365.0)
+        angles = _perihelion_passages(el, 0.0, QuantumRule.PERIHELION, 5, 1e-12)
+        assert angles == [2.0 * math.pi * k for k in range(6)]
+
+
+def test_passage_placement_at_large_epsilon(mercury):
+    # At 5.9e4" (epsilon = 0.237) the apse line turns fast, within a step
+    # too, and each passage is still placed at the integrator's precision:
+    # the tol 1e-10 advance lies within 1e-9 rad of the tol 1e-14 one
+    # (8e-11 measured).
+    coarse, fine = (measured_precession(mercury, 5.9e4, n_orbits=3, tol=tol).per_orbit_rad
+                    for tol in (1e-10, 1e-14))
+    assert abs(coarse - fine) < 1e-9
+
+
+def test_circular_start_has_no_perihelion():
+    # With e = 0, q = 0 and this period, u0 = 1/a equals the circular fixed
+    # point to the last bit: the oscillation amplitude is 0.
+    el = PlanetElements(name="C", a=5.79092e10, e=0.0, tau_days=87.96940546067682)
+    orbit = el.orbit
+    assert 1.0 / orbit.r_p == orbit.mu / orbit.h ** 2
     with pytest.raises(DomainError, match="no perihelion"):
-        _henon_swap(c, 0.0, 0.5 * c, 1e-3 * c)
+        measured_precession(el, 0.0, n_orbits=2)
+
+
+def test_near_circular_orbits_match_exact_advance(mercury):
+    # tol scales with the oscillation amplitude |u0 - u_star|, not with u0:
+    # Mercury's a and tau at e = 0 (its derived eccentricity is 3.3e-6) and
+    # 1e-6 land within 1e-12 rad/orbit of the exact advance (8e-16 measured;
+    # the error control on u0 missed by 1.7e-7).
+    reference = _exact_reference()
+    for e in (0.0, 1e-6):
+        el = PlanetElements(name="Mercury", a=mercury.a, e=e, tau_days=mercury.tau_days)
+        for delta in (0.0, 0.0398):
+            exact = float(reference.exact_advance(el.a, el.e, el.tau_days, delta))
+            measured = measured_precession(el, delta, n_orbits=10, tol=1e-12).per_orbit_rad
+            assert abs(measured - exact) <= 1e-12, (e, delta)
+
+
+def test_bundled_planets_match_exact_advance_at_loose_tol(planets):
+    # At tol 1e-10 every bundled planet lands within 1e-10 rad/orbit of the
+    # exact advance (6e-16 measured; Venus missed by 7.4e-9 before the
+    # error norm followed the oscillation).
+    reference = _exact_reference()
+    for el in planets.values():
+        for delta in (0.0, 0.0398, 300.0):
+            exact = float(reference.exact_advance(el.a, el.e, el.tau_days, delta))
+            measured = measured_precession(el, delta, tol=1e-10).per_orbit_rad
+            assert abs(measured - exact) <= 1e-10, (el.name, delta)
+
+
+def test_far_from_the_linear_frame_matches_exact_advance(mercury):
+    # At 3e4" (epsilon = 0.12) the drift is far from small, and the advance
+    # still lands within 1e-10 rad/orbit of the converged 60-digit
+    # reference (2e-13 measured at tol 1e-10).
+    exact = float(_exact_reference().exact_advance(mercury.a, mercury.e,
+                                                   mercury.tau_days, 3e4))
+    for tol in (1e-10, 1e-12):
+        measured = measured_precession(mercury, 3e4, tol=tol).per_orbit_rad
+        assert abs(measured - exact) <= 1e-10, tol
+
+
+def test_benchmark_reference_self_check():
+    # perfbench/reference.py's own check, which raises ReferenceError unless
+    # the advance vanishes at q = 0 and measured_precession lands within
+    # 1e-10 rad/orbit of the exact advance at Mercury, 300".
+    reference = _reference_module()
+    reference.validate(reference.Reference(), measured_precession, PlanetElements)
 
 
 def test_perihelion_passages(planets, mercury):
@@ -254,6 +319,9 @@ def test_measured_precession_validation(mercury):
     for n_orbits in (1, 2.5):
         with pytest.raises(DomainError):
             measured_precession(mercury, 0.0398, n_orbits=n_orbits)
+    for tol in (1e-15, 1e-3):
+        with pytest.raises(DomainError, match="tolerance must lie"):
+            measured_precession(mercury, 0.0398, tol=tol)
 
 
 def test_measured_precession_truncation_probe(mercury, mercury_orbit):
