@@ -2,8 +2,11 @@
 
 corpus.json records, for each argv in CASES, the exit code, the first line
 of stderr and stdout: in full, or as sha256 and length for `orbit` exports.
-test_golden.py runs every case again and requires the same record, which
-turns "every byte unchanged" into a test.
+It also records, for each of PRECESSION_CASES, what measured_precession
+returns, both floats in hex, or the error it raises; no CLI case reaches
+that function. test_golden.py runs every case again and requires the same
+record, which turns "every byte unchanged" and "every bit unchanged" into
+tests.
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -29,6 +32,7 @@ import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from qgrav import QgravError, load_planets, measured_precession
 from qgrav.cli import main as qgrav_main
 
 HERE = Path(__file__).resolve().parent
@@ -82,6 +86,18 @@ CASES = [command + ["--rule", rule, "--format", fmt]
     ["table", "--deltas", "0.0398,1e5"],
 ]
 
+# measured_precession: every bundled planet x delta x tol at 50 orbits, then
+# Mercury far from the linear frame, at an aphelion start (5.9e4") and where
+# the search span holds too few passages (5.975e4")
+PRECESSION_CASES = [
+    {"planet": planet, "delta_arcsec": delta, "tol": tol, "n_orbits": 50}
+    for planet in ("Mercury", "Venus", "Earth") for delta in (0.0, 0.0398, 300.0)
+    for tol in (1e-12, 1e-10)] + [
+    {"planet": "Mercury", "delta_arcsec": 3e4, "tol": 1e-10, "n_orbits": 50},
+    {"planet": "Mercury", "delta_arcsec": 5.9e4, "tol": 1e-12, "n_orbits": 3},
+    {"planet": "Mercury", "delta_arcsec": 5.975e4, "tol": 1e-10, "n_orbits": 3},
+]
+
 
 def this_platform() -> dict:
     return {"python": sys.version, "machine": platform.machine(),
@@ -125,11 +141,26 @@ def run(argv: list[str]) -> dict:
     return record
 
 
+def measure(case: dict) -> dict:
+    """The corpus record of one measured_precession call on a bundled planet."""
+    with _pinned_environment():
+        planets = {el.name: el for el in load_planets()}
+    try:
+        result = measured_precession(planets[case["planet"]], case["delta_arcsec"],
+                                     n_orbits=case["n_orbits"], tol=case["tol"])
+    except QgravError as exc:
+        return {**case, "error": f"{type(exc).__name__}: {exc}"}
+    return {**case, "per_orbit_rad": result.per_orbit_rad.hex(),
+            "per_century_arcsec": result.per_century_arcsec.hex()}
+
+
 def main() -> None:
-    corpus = {"platform": this_platform(), "cases": [run(argv) for argv in CASES]}
+    corpus = {"platform": this_platform(), "cases": [run(argv) for argv in CASES],
+              "precession": [measure(case) for case in PRECESSION_CASES]}
     CORPUS.write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n",
                       encoding="utf-8")
-    print(f"wrote {len(CASES)} cases to {CORPUS}")
+    print(f"wrote {len(CASES)} cases and {len(PRECESSION_CASES)} precession cases "
+          f"to {CORPUS}")
 
 
 if __name__ == "__main__":

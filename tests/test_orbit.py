@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qgrav import (AU, GM_SUN, DomainError, InsufficientSpanError, ModelBreakdownError,
                    PlanetElements, Provenance, QuantumRule, QuantizedModel,
-                   SingularityError, Trajectory, integrate, measured_precession,
+                   SingularityError, StepFailureError, Trajectory, integrate,
+                   measured_precession,
                    orbit_params, quantum_from_error, rad_to_arcsec)
 from qgrav.orbit import _binet_constants, _forcing
 
@@ -94,14 +95,35 @@ def test_integrate_matches_closed_form(mercury_orbit):
 def test_integrate_validation(mercury_orbit):
     model = QuantizedModel(quantum=0.0, mu=mercury_orbit.mu, h=mercury_orbit.h)
     u0 = 1.0 / mercury_orbit.r_p
-    with pytest.raises(DomainError):
-        integrate(model, u0, 0.0, -1.0)
-    with pytest.raises(DomainError):
-        integrate(model, u0, 0.0, 10.0, tol=1e-3)
-    with pytest.raises(DomainError):
-        integrate(model, u0, 0.0, 10.0, tol=1e-15)
-    with pytest.raises(DomainError):
+    for theta_max in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="theta_max must be positive"):
+            integrate(model, u0, 0.0, theta_max)
+    for tol in (1e-3, 1e-15):
+        with pytest.raises(DomainError, match=r"tolerance must lie in \[1e-14, 1e-06\]"):
+            integrate(model, u0, 0.0, 10.0, tol=tol)
+    with pytest.raises(DomainError, match="initial inverse radius must be positive"):
         integrate(model, -u0, 0.0, 10.0)
+    for du0 in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="initial slope must be finite"):
+            integrate(model, u0, du0, 10.0)
+    # the checks run in that order
+    with pytest.raises(DomainError, match="theta_max"):
+        integrate(model, -u0, math.nan, 0.0, tol=1e-3)
+    with pytest.raises(DomainError, match="tolerance"):
+        integrate(model, -u0, math.nan, 10.0, tol=1e-3)
+    with pytest.raises(DomainError, match="inverse radius"):
+        integrate(model, -u0, math.nan, 10.0)
+
+
+def test_integrate_step_underflow(mercury_orbit):
+    # At 6e4" (epsilon = 0.2413) the exact orbit from the perihelion falls
+    # into the quantum: the force diverges and the step shrinks below
+    # 1e-13 theta before a stage reaches q u >= 1. The angle pins the step
+    # controller's arithmetic.
+    model, _ = _mercury_model(mercury_orbit, delta=6e4)
+    with pytest.raises(StepFailureError,
+                       match=r"^step size underflow at theta = 9\.557082510502275$"):
+        integrate(model, 1.0 / mercury_orbit.r_p, 0.0, 30.0, 1e-10)
 
 
 def test_trajectory_shape_and_metadata(mercury_orbit):
