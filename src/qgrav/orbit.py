@@ -5,30 +5,31 @@ The orbit equation for the quantized force, without any linearization, is
     d2u/dtheta2 = -u + (mu/h^2) / (1 - q u),      u = 1/r,
 
 integrated here as a first-order system in theta with an embedded
-Dormand-Prince 5(4) pair and proportional step control. theta (not time) is
-the integration variable: precession is an angle-domain observable and the
-closed-form solution is directly comparable, with no Kepler solve.
+Dormand-Prince 5(4) pair. theta (not time) is the integration variable:
+precession is an angle-domain observable and the closed-form solution is
+directly comparable, with no Kepler solve. One step driver, _adaptive_steps,
+holds the step control of both paths below; each stepper returns its norm.
 
-measured_precession keeps no sample and does not follow u itself. It
-integrates, with the same tableau, step controller and step cap, the slow
-drift of the orbit's apse line: the deviation from the circular fixed point
-is written w = a cos(omega theta) + b sin(omega theta), with omega the
-frequency of small oscillations, and (a, b) are stepped under the exact
-force (Encke's method with variation of parameters; Battin, An Introduction
-to the Mathematics and Methods of Astrodynamics, ch. 10). The drift rates
-are O(epsilon^2 e) of the amplitude, so on planet orbits every step sits at
-the cap: 32 per radial period. tol is relative to the oscillation amplitude
-|u0 - u_star|, the quantity a perihelion angle depends on, so it holds on
-near-circular orbits too. A passage is where omega theta - atan2(b, a)
-reaches a multiple of 2 pi, placed by Newton inside the step that crosses
-it.
+measured_precession keeps no sample and does not follow u itself. Its
+stepper, _drift_step, integrates the slow drift of the orbit's apse line:
+the deviation from the circular fixed point is written
+w = a cos(omega theta) + b sin(omega theta), with omega the frequency of
+small oscillations, and (a, b) are stepped under the exact force (Encke's
+method with variation of parameters; Battin, An Introduction to the
+Mathematics and Methods of Astrodynamics, ch. 10). The drift rates are
+O(epsilon^2 e) of the amplitude, so on planet orbits every step sits at
+the cap: 32 per radial period. tol is relative to the oscillation
+amplitude |u0 - u_star|, the quantity a perihelion angle depends on, so it
+holds on near-circular orbits too. A passage is where
+omega theta - atan2(b, a) reaches a multiple of 2 pi, placed by Newton
+inside the step that crosses it.
 
-integrate stores the samples for the `qgrav orbit` export. Its adaptive
-step loop, _accepted_steps, follows (u, du/dtheta) with local error below
-tol relative to u0. Whenever an accepted step crosses a perihelion (du
-from + to -), it re-integrates a short fixed-step segment and inserts three
-extra samples 1e-3 rad apart around the zero of the chord of du over that
-step. The stencil and the chord zero serve the export's bytes alone; the
+integrate stores the samples for the `qgrav orbit` export. Its stepper,
+_dopri_step, follows (u, du/dtheta) with local error below tol relative to
+u0. Whenever an accepted step crosses a perihelion (du from + to -), it
+re-integrates a short fixed-step segment and inserts three extra samples
+1e-3 rad apart around the zero of the chord of du over that step. The
+stencil and the chord zero serve the export's bytes alone; the
 measurement uses neither.
 
 integrate runs on plain floats and returns a record of array('d') fields,
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from functools import partial
 
 from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import (DomainError, InsufficientSpanError, QgravError,
@@ -139,14 +141,16 @@ def _forcing(c: float, q: float, u: float) -> float:
     return -u + c / (1.0 - qu)
 
 
-def _dopri_step(c, q, u, v, h, f1v):
-    """One Dormand-Prince step from (u, v) for the forcing -u + c / (1 - q u);
-    f1v is the forcing at u (FSAL reuse).
+def _dopri_step(c, q, tol, atol, theta, state, h):
+    """One Dormand-Prince step of size h from state = (u, v, f) for the
+    forcing -u + c / (1 - q u); f is the forcing at u (FSAL reuse).
 
     The forcing and its checks (_forcing) are written out at each stage.
-    Returns (u_new, v_new, f_new, err_u, err_v).
+    Returns ((u_new, v_new, f_new), norm), norm the RMS of the error
+    estimate over the scale atol + tol max(|y|, |y_new|) of each component.
     """
-    k1u, k1v = v, f1v
+    u, v, k1v = state
+    k1u = v
 
     u2 = u + h * (_A21 * k1u)
     k2u = v + h * (_A21 * k1v)
@@ -193,33 +197,34 @@ def _dopri_step(c, q, u, v, h, f1v):
 
     err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
     err_v = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-    return u_new, v_new, f_new, err_u, err_v
+    # u and u_new passed the forcing check, so both are positive.
+    scale_u = atol + tol * (u_new if u_new > u else u)
+    av, av_new = abs(v), abs(v_new)
+    scale_v = atol + tol * (av_new if av_new > av else av)
+    norm = math.sqrt(0.5 * ((err_u / scale_u) ** 2 + (err_v / scale_v) ** 2))
+    return (u_new, v_new, f_new), norm
 
 
-def _refine_stencil(c, q, samples, theta_hat):
-    """Re-integrate from the last accepted sample before the stencil and return
-    three states at theta_hat -/0/+ s, each propagated with fixed sub-steps no
-    larger than the accepted ones (local error at machine level over s)."""
+def _refine_stencil(step, c, q, samples, theta_hat):
+    """Re-integrate with step from the last sample at or before theta_hat - s
+    (samples[0] is at theta = 0, below it) and return three states at
+    theta_hat -/0/+ s, each propagated with fixed sub-steps no larger than
+    the accepted ones (local error at machine level over s)."""
     s = _STENCIL_HALF_WIDTH
     start = theta_hat - s
-    anchor = None
-    for theta_a, u_a, v_a in reversed(samples):
+    for theta_a, u, v in reversed(samples):
         if theta_a <= start:
-            anchor = (theta_a, u_a, v_a)
             break
-    if anchor is None:
-        return []
-    theta_a, u, v = anchor
-    f1v = _forcing(c, q, u)
+    state = (u, v, _forcing(c, q, u))
     approach = start - theta_a
     if approach > 0.0:
         half = approach / 2.0
         for _ in range(2):
-            u, v, f1v, _, _ = _dopri_step(c, q, u, v, half, f1v)
-    out = [(start, u, v)]
+            state, _ = step(theta_a, state, half)
+    out = [(start, state[0], state[1])]
     for i in (0, 1):
-        u, v, f1v, _, _ = _dopri_step(c, q, u, v, s, f1v)
-        out.append((theta_hat + i * s, u, v))
+        state, _ = step(start, state, s)
+        out.append((theta_hat + i * s, state[0], state[1]))
     return out
 
 
@@ -242,35 +247,29 @@ def _distinct_samples(rows):
     return thetas, us, vs
 
 
-def _accepted_steps(c, q, u0, du0, theta_max, tol):
-    """Adaptively integrate u'' = -u + c / (1 - q u) over [0, theta_max] from
-    (u0, du0), yielding (theta, h, u, du, n_rejected) after each accepted step
-    of size h that ends at theta; n_rejected counts the rejections so far.
-
-    Local error per step is held below tol relative to the orbit scale u0.
-    Every argument is checked on the first next(); the errors are
-    integrate's.
-    """
-    if not (math.isfinite(theta_max) and theta_max > 0):
-        raise DomainError(f"theta_max must be positive, got {theta_max!r}")
+def _check_tol(tol: float) -> None:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol!r}")
-    if not (math.isfinite(u0) and u0 > 0):
-        raise DomainError(f"initial inverse radius must be positive, got {u0!r}")
-    if not math.isfinite(du0):
-        raise DomainError(f"initial slope must be finite, got {du0!r}")
 
-    sqrt = math.sqrt
-    atol = tol * u0
-    theta, u, v = 0.0, u0, du0
-    f1v = _forcing(c, q, u0)
+
+def _adaptive_steps(step, state, theta_max):
+    """Step state adaptively over [0, theta_max], yielding (theta, h, state,
+    n_rejected) after each accepted step of size h that ends at theta;
+    n_rejected counts the rejections so far.
+
+    step(theta, state, h) returns (new_state, norm), norm the step's error
+    estimate relative to its tolerance. A step is accepted where norm <= 1,
+    and the next size follows proportional control on norm, capped at
+    _MAX_STEP (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+    StepFailureError if the step size underflows.
+    """
+    theta = 0.0
     h = min(_INITIAL_STEP, _MAX_STEP, theta_max / 2.0)
     n_rejected = 0
 
     theta_end = theta_max - 1e-12 * max(1.0, theta_max)
     # min and max of two floats are written as the conditional expressions
-    # they evaluate (min(a, b) is `b if b < a else a`), sparing about ten
-    # builtin calls per step.
+    # they evaluate (min(a, b) is `b if b < a else a`), sparing builtin calls.
     while theta < theta_end:
         if h < 1e-13 * (theta if theta > 1.0 else 1.0):
             raise StepFailureError(f"step size underflow at theta = {theta!r}")
@@ -278,26 +277,17 @@ def _accepted_steps(c, q, u0, du0, theta_max, tol):
         if rest < h:
             h = rest
 
-        u_new, v_new, f_new, err_u, err_v = _dopri_step(c, q, u, v, h, f1v)
-        # u and u_new passed the forcing check, so both are positive.
-        scale_u = atol + tol * (u_new if u_new > u else u)
-        av, av_new = abs(v), abs(v_new)
-        scale_v = atol + tol * (av_new if av_new > av else av)
-        norm = sqrt(0.5 * ((err_u / scale_u) ** 2 + (err_v / scale_v) ** 2))
+        new_state, norm = step(theta, state, h)
+        factor = _SAFETY * norm ** -0.2 if norm else _MAX_FACTOR
+        factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
         if norm > 1.0:
             n_rejected += 1
-            h *= max(_MIN_FACTOR, min(1.0, _SAFETY * norm ** -0.2))
+            h *= factor if factor < 1.0 else 1.0
             continue
         theta += h
-        yield theta, h, u_new, v_new, n_rejected
-        u, v, f1v = u_new, v_new, f_new
-        if norm == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * norm ** -0.2
-            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
-            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
-        h *= factor
+        yield theta, h, new_state, n_rejected
+        state = new_state
+        h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
         if _MAX_STEP < h:
             h = _MAX_STEP
 
@@ -306,19 +296,32 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
               tol: float = 1e-12) -> Trajectory:
     """Adaptively integrate the exact orbit equation over [0, theta_max].
 
-    Local error per step is held below tol relative to the orbit scale u0.
-    Deterministic for fixed inputs. An orbit falling into the quantum raises
-    SingularityError if a stage evaluates the force at or inside the quantum,
-    or StepFailureError if the step size underflows first as the force
-    diverges; measured_precession and `qgrav orbit` refuse such a start
-    beforehand with ModelBreakdownError.
+    _adaptive_steps drives _dopri_step, holding local error per step below
+    tol relative to the orbit scale u0. Deterministic for fixed inputs.
+    DomainError unless theta_max > 1e-12 rad, tol in [TOL_MIN, TOL_MAX] and
+    u0 > 0 are finite and du0 is finite. An orbit falling into the quantum
+    raises SingularityError if a stage evaluates the force at or inside the
+    quantum, or StepFailureError if the step size underflows first as the
+    force diverges; measured_precession and `qgrav orbit` refuse such a
+    start beforehand with ModelBreakdownError.
     """
+    if not (math.isfinite(theta_max) and theta_max > 0):
+        raise DomainError(f"theta_max must be positive, got {theta_max!r}")
+    if not theta_max > 1e-12:
+        raise DomainError(f"theta_max must exceed 1e-12 rad, got {theta_max!r}")
+    _check_tol(tol)
+    if not (math.isfinite(u0) and u0 > 0):
+        raise DomainError(f"initial inverse radius must be positive, got {u0!r}")
+    if not math.isfinite(du0):
+        raise DomainError(f"initial slope must be finite, got {du0!r}")
+
     c, q = _binet_constants(model)
+    step = partial(_dopri_step, c, q, tol, tol * u0)
     samples: list[tuple[float, float, float]] = [(0.0, u0, du0)]
     extras: list[tuple[float, float, float]] = []
     n_accepted = n_rejected = 0
-    for theta_new, h, u_new, v_new, n_rejected in _accepted_steps(c, q, u0, du0,
-                                                                  theta_max, tol):
+    for theta_new, h, (u_new, v_new, _), n_rejected in _adaptive_steps(
+            step, (u0, du0, _forcing(c, q, u0)), theta_max):
         n_accepted += 1
         theta, _, v = samples[-1]
         if v > 0.0 >= v_new:
@@ -328,7 +331,7 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
             theta_hat = theta + h * (v / (v - v_new))
             if (theta_hat - 2.0 * _STENCIL_HALF_WIDTH > 0.0
                     and theta_hat + 2.0 * _STENCIL_HALF_WIDTH < theta_max):
-                extras.extend(_refine_stencil(c, q, samples, theta_hat))
+                extras.extend(_refine_stencil(step, c, q, samples, theta_hat))
         samples.append((theta_new, u_new, v_new))
 
     samples += extras
@@ -358,17 +361,20 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     return model, u0, theta_max
 
 
-def _drift_step(omega, u_star, d, q, g, theta, a, b, h, ka1, kb1):
-    """One Dormand-Prince step of the apse-line drift from (a, b) at theta;
-    (ka1, kb1) are the drift rates there (FSAL reuse).
+def _drift_step(omega, u_star, d, q, g, atol, theta, state, h):
+    """One Dormand-Prince step of size h of the apse-line drift from
+    state = (a, b, ka, kb) at theta; (ka, kb) are the drift rates there
+    (FSAL reuse).
 
     The deviation from the circular fixed point is w = u - u_star =
     a cos(omega theta) + b sin(omega theta), and the drift rates are
     (-r sin, r cos)(omega theta) with r = g w^2 / (d - q w). Each stage
     checks u_star + w > 0 and d - q w > 0 (that is, q u < 1), raising as
-    _forcing does. Returns (a_new, b_new, ka_new, kb_new, err_a, err_b).
+    _forcing does. Returns ((a_new, b_new, ka_new, kb_new), norm), norm the
+    RMS of the error estimate over the one absolute scale atol.
     """
     cos, sin = math.cos, math.sin
+    a, b, ka1, kb1 = state
 
     a2 = a + h * (_A21 * ka1)
     b2 = b + h * (_A21 * kb1)
@@ -436,21 +442,21 @@ def _drift_step(omega, u_star, d, q, g, theta, a, b, h, ka1, kb1):
 
     err_a = h * (_E1 * ka1 + _E3 * ka3 + _E4 * ka4 + _E5 * ka5 + _E6 * ka6 + _E7 * ka7)
     err_b = h * (_E1 * kb1 + _E3 * kb3 + _E4 * kb4 + _E5 * kb5 + _E6 * kb6 + _E7 * kb7)
-    return a_new, b_new, ka7, kb7, err_a, err_b
+    return (a_new, b_new, ka7, kb7), math.sqrt(0.5 * (err_a * err_a + err_b * err_b)) / atol
 
 
-def _place_passage(consts, theta, a, b, ka, kb, phase_gap):
+def _place_passage(step, omega, theta, state, phase_gap):
     """The theta increment from an accepted step's end to the passage where
     G = omega theta - phi has fallen by phase_gap, phi = atan2(b, a).
 
-    Newton on G, each iterate one uncontrolled _drift_step from the end
-    (a, b) at theta with its rates (ka, kb), and the exact slope
+    Newton on G, each iterate one uncontrolled step of the bound _drift_step
+    from the end state (a, b, ka, kb) at theta, and the exact slope
     G' = omega - (a kb - b ka) / (a^2 + b^2), since phi turns with the
     drift (a slope of omega alone converges linearly, at a ratio of 0.46 at
     epsilon = 0.237). Stops when a correction is not below half the one
     before, as at the rounding floor.
     """
-    omega = consts[0]
+    a, b, ka, kb = state
     atan2 = math.atan2
     h, last = 0.0, math.inf
     gap, slope = phase_gap, omega - (a * kb - b * ka) / (a * a + b * b)
@@ -460,7 +466,7 @@ def _place_passage(consts, theta, a, b, ka, kb, phase_gap):
             return h
         last = abs(dh)
         h += dh
-        a_h, b_h, ka_h, kb_h, _, _ = _drift_step(*consts, theta, a, b, h, ka, kb)
+        (a_h, b_h, ka_h, kb_h), _ = step(theta, state, h)
         gap = phase_gap + omega * h - atan2(a * b_h - b * a_h, a * a_h + b * b_h)
         slope = omega - (a_h * kb_h - b_h * ka_h) / (a_h * a_h + b_h * b_h)
 
@@ -477,10 +483,10 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     w'' = -omega^2 w + R exactly, R = kappa q w^2 / (d - q w). Writing
     w = a cos(omega theta) + b sin(omega theta) with the apse-line drift
     a' = -(R/omega) sin(omega theta), b' = (R/omega) cos(omega theta), the
-    loop steps (a, b) from (u0 - u_star, 0) with the tableau, the step
-    controller and the step cap of _accepted_steps, its error norm on the
-    one absolute scale tol |u0 - u_star|. The drift rates are O(epsilon^2 e)
-    of the amplitude, so on planet orbits every step sits at the cap.
+    step driver _adaptive_steps moves (a, b) from (u0 - u_star, 0) with
+    _drift_step, its error norm on the one absolute scale tol |u0 - u_star|.
+    The drift rates are O(epsilon^2 e) of the amplitude, so on planet orbits
+    every step sits at the cap.
 
     Passage k is where G = omega theta - phi reaches 2 pi k, phi = atan2(b, a)
     followed continuously; _place_passage puts it inside the step that
@@ -494,61 +500,35 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     perihelion; StepFailureError if the step size underflows.
     """
     model, u0, theta_cap = _perihelion_start(el, delta_arcsec, rule, 2 * n_orbits + 1)
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise DomainError(f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol!r}")
+    _check_tol(tol)
     c, q = _binet_constants(model)
     u_star = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * q * c))
     d = 1.0 - q * u_star
     kappa = c * q / (d * d)
     omega = math.sqrt(1.0 - kappa)
     g = kappa * q / omega
-    consts = (omega, u_star, d, q, g)
     a, b = u0 - u_star, 0.0
     if a == 0.0:
         raise DomainError(f"no perihelion: the start u = {u0!r} is the circular orbit")
     dw = d - q * a
     if not dw > 0.0:
         raise _forcing_error(u0, q)
-    ka, kb = 0.0, g * a * a / dw
+    step = partial(_drift_step, omega, u_star, d, q, g, tol * abs(a))
 
-    sqrt, atan2 = math.sqrt, math.atan2
+    atan2 = math.atan2
     two_pi = 2.0 * math.pi
-    atol = tol * abs(a)
     passages = [0.0] if a > 0.0 else []
-    theta, phi = 0.0, atan2(b, a)
-    h = min(_INITIAL_STEP, _MAX_STEP, theta_cap / 2.0)
-    theta_end = theta_cap - 1e-12 * max(1.0, theta_cap)
-    while theta < theta_end:
-        if h < 1e-13 * (theta if theta > 1.0 else 1.0):
-            raise StepFailureError(f"step size underflow at theta = {theta!r}")
-        rest = theta_cap - theta
-        if rest < h:
-            h = rest
-
-        a_new, b_new, ka_new, kb_new, err_a, err_b = _drift_step(omega, u_star, d, q, g,
-                                                                 theta, a, b, h, ka, kb)
-        norm = sqrt(0.5 * (err_a * err_a + err_b * err_b)) / atol
-        if norm > 1.0:
-            h *= max(_MIN_FACTOR, min(1.0, _SAFETY * norm ** -0.2))
-            continue
+    phi = atan2(b, a)
+    for theta, _, state, _ in _adaptive_steps(step, (a, b, 0.0, g * a * a / dw), theta_cap):
+        a_new, b_new, _, _ = state
         # phi follows the turn of (a, b) over the step, so it never wraps.
         phi += atan2(a * b_new - b * a_new, a * a_new + b * b_new)
-        theta += h
-        a, b, ka, kb = a_new, b_new, ka_new, kb_new
+        a, b = a_new, b_new
         phase_gap = omega * theta - phi - two_pi * len(passages)
         if phase_gap >= 0.0:
-            passages.append(theta + _place_passage(consts, theta, a, b, ka, kb, phase_gap))
+            passages.append(theta + _place_passage(step, omega, theta, state, phase_gap))
             if len(passages) > n_orbits:
                 return passages
-        if norm == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * norm ** -0.2
-            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
-            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
-        h *= factor
-        if _MAX_STEP < h:
-            h = _MAX_STEP
     raise InsufficientSpanError(
         f"{len(passages)} perihelion passage(s) within theta = {theta_cap!r}; "
         f"need {n_orbits + 1}"

@@ -4,7 +4,8 @@ Each module of src/qgrav has a rank, and may import only from modules of a
 lower rank: a module that needs something from its own rank or above is in
 the wrong layer. __init__ and __main__ sit on top and are exempt.
 
-Data files are read in one place: only bodies opens or parses JSON.
+Data files are read in one place: only bodies opens or parses JSON. Steps
+are sized in one place: orbit has one step-size controller.
 """
 
 import ast
@@ -95,3 +96,22 @@ def test_only_bodies_reads_data_files():
             names = _ingestion_names(ast.parse(path.read_text(encoding="utf-8")))
             readers += [f"{path.stem} names {name}" for name in sorted(names)]
     assert readers == []
+
+
+# The parts of a step-size controller, as ast.unparse writes them.
+CONTROLLER = {
+    "step underflow raise": (ast.Raise, "step size underflow"),
+    "step factor update": (ast.BinOp, "_SAFETY * norm ** (-0.2)"),
+    "step cap": (ast.Assign, "h = _MAX_STEP"),
+    "tolerance range check": (ast.Compare, "TOL_MIN <= tol <= TOL_MAX"),
+}
+
+
+def test_orbit_has_one_step_controller():
+    # The orbit export and the precession measurement share one step driver;
+    # a second copy of any part of it would show here.
+    tree = ast.parse((PACKAGE / "orbit.py").read_text(encoding="utf-8"))
+    counts = {name: sum(isinstance(node, kind) and text in ast.unparse(node)
+                        for node in ast.walk(tree))
+              for name, (kind, text) in CONTROLLER.items()}
+    assert counts == dict.fromkeys(CONTROLLER, 1)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from qgrav import (AU, GM_SUN, DomainError, InsufficientSpanError, ModelBreakdownError,
                    PlanetElements, Provenance, QuantumRule, QuantizedModel,
                    SingularityError, StepFailureError, Trajectory, integrate,
-                   measured_precession,
-                   orbit_params, quantum_from_error, rad_to_arcsec)
+                   measured_precession, orbit_params, quantum_from_error, rad_to_arcsec)
 from qgrav.orbit import _binet_constants, _forcing
 
 GM = 1.32712440018e20
@@ -106,6 +105,11 @@ def test_integrate_validation(mercury_orbit):
     for du0 in (math.nan, math.inf):
         with pytest.raises(DomainError, match="initial slope must be finite"):
             integrate(model, u0, du0, 10.0)
+    # no step fits within the 1e-12 rad end margin
+    for theta_max in (1e-12, 1e-13):
+        with pytest.raises(DomainError, match="theta_max must exceed 1e-12 rad"):
+            integrate(model, u0, 0.0, theta_max)
+    assert integrate(model, u0, 0.0, 5e-12).theta[-1] == 5e-12
     # the checks run in that order
     with pytest.raises(DomainError, match="theta_max"):
         integrate(model, -u0, math.nan, 0.0, tol=1e-3)
