@@ -18,11 +18,12 @@ small oscillations, and (a, b) are stepped under the exact force (Encke's
 method with variation of parameters; Battin, An Introduction to the
 Mathematics and Methods of Astrodynamics, ch. 10). The drift rates are
 O(epsilon^2 e) of the amplitude, so on planet orbits every step sits at
-the cap: 32 per radial period. tol is relative to the oscillation
-amplitude |u0 - u_star|, the quantity a perihelion angle depends on, so it
-holds on near-circular orbits too. A passage is where
+the drift's own cap: 16 per radial period. tol is relative to the
+oscillation amplitude |u0 - u_star|, the quantity a perihelion angle
+depends on, so it holds on near-circular orbits too. A passage is where
 omega theta - atan2(b, a) reaches a multiple of 2 pi, placed by Newton
-inside the step that crosses it.
+inside the step that crosses it, and the advance is read off the turn of
+atan2(b, a) from the first passage to the last.
 
 integrate stores the samples for the `qgrav orbit` export. Its stepper,
 _dopri_step, follows (u, du/dtheta) with local error below tol relative to
@@ -51,7 +52,7 @@ from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import (DomainError, InsufficientSpanError, QgravError,
                      SingularityError, StepFailureError)
 from .forces import PrecessionResult, Provenance, QuantizedModel
-from .precession import QuantumRule, orbit_params, quantum_from_error
+from .precession import QuantumRule, _advance_from_eps, orbit_params, quantum_from_error
 from .record import Record
 
 # Dormand-Prince 5(4) tableau. The orbit equation is autonomous in theta;
@@ -70,7 +71,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_MAX_STEP = math.pi / 16          # keeps sample gaps well under pi/8
+_MAX_STEP = math.pi / 16          # integrate's cap: sample gaps well under pi/8
+# The drift's cap: 16 steps per radial period. From pi/7 up the controller
+# starts to act on planet orbits at tol 1e-10, and their error grows to tol.
+_MAX_DRIFT_STEP = math.pi / 8
 _MAX_GAP = math.pi / 8            # a trajectory's theta gaps stay below this
 _INITIAL_STEP = math.pi / 256
 _STENCIL_HALF_WIDTH = 1e-3        # rad; extremum stencil spacing
@@ -252,7 +256,7 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol!r}")
 
 
-def _adaptive_steps(step, state, theta_max):
+def _adaptive_steps(step, state, theta_max, max_step):
     """Step state adaptively over [0, theta_max], yielding (theta, h, state,
     n_rejected) after each accepted step of size h that ends at theta;
     n_rejected counts the rejections so far.
@@ -260,11 +264,11 @@ def _adaptive_steps(step, state, theta_max):
     step(theta, state, h) returns (new_state, norm), norm the step's error
     estimate relative to its tolerance. A step is accepted where norm <= 1,
     and the next size follows proportional control on norm, capped at
-    _MAX_STEP (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+    max_step (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
     StepFailureError if the step size underflows.
     """
     theta = 0.0
-    h = min(_INITIAL_STEP, _MAX_STEP, theta_max / 2.0)
+    h = min(_INITIAL_STEP, max_step, theta_max / 2.0)
     n_rejected = 0
 
     theta_end = theta_max - 1e-12 * max(1.0, theta_max)
@@ -288,8 +292,8 @@ def _adaptive_steps(step, state, theta_max):
         yield theta, h, new_state, n_rejected
         state = new_state
         h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
-        if _MAX_STEP < h:
-            h = _MAX_STEP
+        if max_step < h:
+            h = max_step
 
 
 def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
@@ -321,7 +325,7 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     extras: list[tuple[float, float, float]] = []
     n_accepted = n_rejected = 0
     for theta_new, h, (u_new, v_new, _), n_rejected in _adaptive_steps(
-            step, (u0, du0, _forcing(c, q, u0)), theta_max):
+            step, (u0, du0, _forcing(c, q, u0)), theta_max, _MAX_STEP):
         n_accepted += 1
         theta, _, v = samples[-1]
         if v > 0.0 >= v_new:
@@ -446,35 +450,38 @@ def _drift_step(omega, u_star, d, q, g, atol, theta, state, h):
 
 
 def _place_passage(step, omega, theta, state, phase_gap):
-    """The theta increment from an accepted step's end to the passage where
-    G = omega theta - phi has fallen by phase_gap, phi = atan2(b, a).
+    """(h, turn): the theta increment h from an accepted step's end to the
+    passage where G = omega theta - phi has fallen by phase_gap,
+    phi = atan2(b, a), and the turn of phi over h.
 
     Newton on G, each iterate one uncontrolled step of the bound _drift_step
     from the end state (a, b, ka, kb) at theta, and the exact slope
     G' = omega - (a kb - b ka) / (a^2 + b^2), since phi turns with the
     drift (a slope of omega alone converges linearly, at a ratio of 0.46 at
     epsilon = 0.237). Stops when a correction is not below half the one
-    before, as at the rounding floor.
+    before, as at the rounding floor; the turn is that of the last iterate.
     """
     a, b, ka, kb = state
     atan2 = math.atan2
-    h, last = 0.0, math.inf
+    h, last, turn = 0.0, math.inf, 0.0
     gap, slope = phase_gap, omega - (a * kb - b * ka) / (a * a + b * b)
     while True:
         dh = -gap / slope
         if not abs(dh) < 0.5 * last:
-            return h
+            return h, turn
         last = abs(dh)
         h += dh
         (a_h, b_h, ka_h, kb_h), _ = step(theta, state, h)
-        gap = phase_gap + omega * h - atan2(a * b_h - b * a_h, a * a_h + b * b_h)
+        turn = atan2(a * b_h - b * a_h, a * a_h + b * b_h)
+        gap = phase_gap + omega * h - turn
         slope = omega - (a_h * kb_h - b_h * ka_h) / (a_h * a_h + b_h * b_h)
 
 
 def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
-                         n_orbits: int, tol: float) -> list[float]:
-    """The angles of the first n_orbits + 1 perihelion passages of the exact
-    orbit started at el's perihelion distance with du/dtheta = 0.
+                         n_orbits: int, tol: float) -> tuple[list[float], float]:
+    """(angles, per_orbit): the angles of the first n_orbits + 1 perihelion
+    passages of the exact orbit started at el's perihelion distance with
+    du/dtheta = 0, and its mean advance per radial period in rad.
 
     The orbit is followed in the frame that turns with it (Encke's method
     with variation of parameters). The circular fixed point u_star is the
@@ -486,12 +493,17 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     step driver _adaptive_steps moves (a, b) from (u0 - u_star, 0) with
     _drift_step, its error norm on the one absolute scale tol |u0 - u_star|.
     The drift rates are O(epsilon^2 e) of the amplitude, so on planet orbits
-    every step sits at the cap.
+    every step sits at the cap _MAX_DRIFT_STEP: 16 per radial period.
 
     Passage k is where G = omega theta - phi reaches 2 pi k, phi = atan2(b, a)
     followed continuously; _place_passage puts it inside the step that
     crosses. Passage 0 is theta = 0 when u0 > u_star, else the start is an
     aphelion and the first passage is where G reaches 0. No sample is kept.
+    As theta_n - theta_0 = (2 pi n + phi_n - phi_0) / omega, the advance is
+    read off the apse line, 2 pi (1/omega - 1) + (phi_n - phi_0) / (n omega)
+    with the first term from _advance_from_eps(kappa): each term is small
+    and keeps its relative precision, where the mean of theta_n - theta_0
+    (about 2 pi n) keeps only the bits of the advance that theta_n holds.
     The first-order period undershoots the exact one at large epsilon (the
     exact one is 1.57 times it at epsilon = 0.237), so the search runs over
     2 n_orbits + 1 first-order periods; InsufficientSpanError, naming the
@@ -517,18 +529,24 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
 
     atan2 = math.atan2
     two_pi = 2.0 * math.pi
-    passages = [0.0] if a > 0.0 else []
     phi = atan2(b, a)
-    for theta, _, state, _ in _adaptive_steps(step, (a, b, 0.0, g * a * a / dw), theta_cap):
+    # phi_0 is phi at passage 0, once placed.
+    passages, phi_0 = ([0.0], phi) if a > 0.0 else ([], None)
+    for theta, _, state, _ in _adaptive_steps(step, (a, b, 0.0, g * a * a / dw), theta_cap,
+                                              _MAX_DRIFT_STEP):
         a_new, b_new, _, _ = state
         # phi follows the turn of (a, b) over the step, so it never wraps.
         phi += atan2(a * b_new - b * a_new, a * a_new + b * b_new)
         a, b = a_new, b_new
         phase_gap = omega * theta - phi - two_pi * len(passages)
         if phase_gap >= 0.0:
-            passages.append(theta + _place_passage(step, omega, theta, state, phase_gap))
+            h, turn = _place_passage(step, omega, theta, state, phase_gap)
+            passages.append(theta + h)
+            if phi_0 is None:
+                phi_0 = phi + turn
             if len(passages) > n_orbits:
-                return passages
+                drift = (phi + turn - phi_0) / (n_orbits * omega)
+                return passages, _advance_from_eps(kappa) + drift
     raise InsufficientSpanError(
         f"{len(passages)} perihelion passage(s) within theta = {theta_cap!r}; "
         f"need {n_orbits + 1}"
@@ -540,23 +558,22 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
                         n_orbits: int = 50, tol: float = 1e-12) -> PrecessionResult:
     """Measure the perihelion advance by exact integration from a perihelion start.
 
-    Integrates the drift of the apse line under the exact force (see
-    _perihelion_passages) until n_orbits + 1 perihelion passages
-    theta_0..theta_n have been placed, with no sample stored, takes the
-    mean advance (theta_n - theta_0) / n_orbits - 2 pi, and extrapolates to
-    a century exactly as the analytic chain does. tol bounds the local error
-    per step relative to the oscillation amplitude |u0 - u_star|, so it
-    bounds the angle error on any eccentricity. Raises DomainError unless
-    n_orbits is an int of at least 2 and tol lies in [TOL_MIN, TOL_MAX], or
-    for a circular start; ModelBreakdownError when the exact orbit is
-    unbounded, and InsufficientSpanError when its period is too long to find
-    the passages.
+    Integrates the drift of the apse line under the exact force until
+    n_orbits + 1 perihelion passages theta_0..theta_n have been placed, with
+    no sample stored. The mean advance (theta_n - theta_0) / n_orbits - 2 pi
+    is read off the turn of the apse line between the first and the last
+    passage (see _perihelion_passages) and extrapolated to a century exactly
+    as the analytic chain does. tol bounds the local error per step relative
+    to the oscillation amplitude |u0 - u_star|, so it bounds the angle error
+    on any eccentricity. Raises DomainError unless n_orbits is an int of at
+    least 2 and tol lies in [TOL_MIN, TOL_MAX], or for a circular start;
+    ModelBreakdownError when the exact orbit is unbounded, and
+    InsufficientSpanError when its period is too long to find the passages.
     """
     if not (isinstance(n_orbits, int) and n_orbits >= 2):
         raise DomainError(f"need a whole number of at least 2 orbits to average "
                           f"advances, got {n_orbits!r}")
-    angles = _perihelion_passages(el, delta_arcsec, rule, n_orbits, tol)
-    per_orbit = (angles[-1] - angles[0]) / n_orbits - 2.0 * math.pi
+    _, per_orbit = _perihelion_passages(el, delta_arcsec, rule, n_orbits, tol)
     per_century = per_orbit * derive_orbit(el).orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit,
                             per_century_arcsec=per_century,

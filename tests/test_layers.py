@@ -102,7 +102,7 @@ def test_only_bodies_reads_data_files():
 CONTROLLER = {
     "step underflow raise": (ast.Raise, "step size underflow"),
     "step factor update": (ast.BinOp, "_SAFETY * norm ** (-0.2)"),
-    "step cap": (ast.Assign, "h = _MAX_STEP"),
+    "step cap": (ast.Assign, "h = max_step"),
     "tolerance range check": (ast.Compare, "TOL_MIN <= tol <= TOL_MAX"),
 }
 

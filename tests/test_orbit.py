@@ -155,7 +155,7 @@ def test_integrate_deterministic(mercury_orbit):
 
 def test_advance_positivity(mercury):
     from qgrav.orbit import _perihelion_passages
-    angles = _perihelion_passages(mercury, 0.0398, QuantumRule.PERIHELION, 5, 1e-12)
+    angles, _ = _perihelion_passages(mercury, 0.0398, QuantumRule.PERIHELION, 5, 1e-12)
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     assert len(gaps) == 5
     assert all(gap > 2.0 * math.pi for gap in gaps)
@@ -205,7 +205,7 @@ def _exact_reference():
 
 def test_measured_precession_matches_exact_advance(planets):
     # The mean advance against the exact apsidal angle: within 1e-10
-    # rad/orbit at tol 1e-12, and within 1e3 tol at tol 1e-10 (6e-16 at
+    # rad/orbit at tol 1e-12, and within 1e3 tol at tol 1e-10 (2.2e-16 at
     # most measured at either tol).
     reference = _exact_reference()
     for el in planets.values():
@@ -222,7 +222,7 @@ def test_passages_on_a_kepler_ellipse():
     from qgrav.orbit import _perihelion_passages
     for e in (0.2, 0.9):
         el = PlanetElements(name="K", a=1.5e11, e=e, tau_days=365.0)
-        angles = _perihelion_passages(el, 0.0, QuantumRule.PERIHELION, 5, 1e-12)
+        angles, _ = _perihelion_passages(el, 0.0, QuantumRule.PERIHELION, 5, 1e-12)
         assert angles == [2.0 * math.pi * k for k in range(6)]
 
 
@@ -230,7 +230,7 @@ def test_passage_placement_at_large_epsilon(mercury):
     # At 5.9e4" (epsilon = 0.237) the apse line turns fast, within a step
     # too, and each passage is still placed at the integrator's precision:
     # the tol 1e-10 advance lies within 1e-9 rad of the tol 1e-14 one
-    # (8e-11 measured).
+    # (8.3e-11 measured).
     coarse, fine = (measured_precession(mercury, 5.9e4, n_orbits=3, tol=tol).per_orbit_rad
                     for tol in (1e-10, 1e-14))
     assert abs(coarse - fine) < 1e-9
@@ -249,8 +249,8 @@ def test_circular_start_has_no_perihelion():
 def test_near_circular_orbits_match_exact_advance(mercury):
     # tol scales with the oscillation amplitude |u0 - u_star|, not with u0:
     # Mercury's a and tau at e = 0 (its derived eccentricity is 3.3e-6) and
-    # 1e-6 land within 1e-12 rad/orbit of the exact advance (8e-16 measured;
-    # the error control on u0 missed by 1.7e-7).
+    # 1e-6 land within 1e-12 rad/orbit of the exact advance (below 1e-46
+    # measured; the error control on u0 missed by 1.7e-7).
     reference = _exact_reference()
     for e in (0.0, 1e-6):
         el = PlanetElements(name="Mercury", a=mercury.a, e=e, tau_days=mercury.tau_days)
@@ -262,7 +262,7 @@ def test_near_circular_orbits_match_exact_advance(mercury):
 
 def test_bundled_planets_match_exact_advance_at_loose_tol(planets):
     # At tol 1e-10 every bundled planet lands within 1e-10 rad/orbit of the
-    # exact advance (6e-16 measured; Venus missed by 7.4e-9 before the
+    # exact advance (2.2e-16 measured; Venus missed by 7.4e-9 before the
     # error norm followed the oscillation).
     reference = _exact_reference()
     for el in planets.values():
@@ -275,12 +275,25 @@ def test_bundled_planets_match_exact_advance_at_loose_tol(planets):
 def test_far_from_the_linear_frame_matches_exact_advance(mercury):
     # At 3e4" (epsilon = 0.12) the drift is far from small, and the advance
     # still lands within 1e-10 rad/orbit of the converged 60-digit
-    # reference (2e-13 measured at tol 1e-10).
+    # reference (5.9e-13 measured at tol 1e-10, 2.7e-15 at tol 1e-12).
     exact = float(_exact_reference().exact_advance(mercury.a, mercury.e,
                                                    mercury.tau_days, 3e4))
     for tol in (1e-10, 1e-12):
         measured = measured_precession(mercury, 3e4, tol=tol).per_orbit_rad
         assert abs(measured - exact) <= 1e-10, tol
+
+
+def test_advance_keeps_its_relative_precision(planets):
+    # At the paper's delta the advance is 5e-7 rad/orbit. Formed as
+    # (theta_50 - theta_0) / 50 - 2 pi from theta_50 near 314 it kept about
+    # 22 bits (Mercury missed by 1.1e-9 relative); read off the apse line it
+    # lands within 1e-12 relative of the exact advance (5.3e-16 at most
+    # measured, Venus).
+    reference = _exact_reference()
+    for el in planets.values():
+        exact = float(reference.exact_advance(el.a, el.e, el.tau_days, 0.0398))
+        measured = measured_precession(el, 0.0398, n_orbits=50, tol=1e-12).per_orbit_rad
+        assert abs(measured - exact) <= 1e-12 * exact, el.name
 
 
 def test_benchmark_reference_self_check():
@@ -298,14 +311,18 @@ def test_perihelion_passages(planets, mercury):
     # yet all n_orbits + 1 passages are found, each one exact period apart.
     from qgrav.orbit import _perihelion_passages
     for el in planets.values():
-        assert _perihelion_passages(el, 0.0398, QuantumRule.PERIHELION, 2, 1e-12)[0] == 0.0
+        angles, _ = _perihelion_passages(el, 0.0398, QuantumRule.PERIHELION, 2, 1e-12)
+        assert angles[0] == 0.0
     for delta in (3e4, 5.9e4):
-        angles = _perihelion_passages(mercury, delta, QuantumRule.PERIHELION, 3, 1e-10)
+        angles, _ = _perihelion_passages(mercury, delta, QuantumRule.PERIHELION, 3, 1e-10)
         assert len(angles) == 4
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         assert max(gaps) - min(gaps) < 1e-7
+        # The advance is read off the apse line, not off theta_3 - theta_0;
+        # the two agree within the rounding of theta_3.
         result = measured_precession(mercury, delta, n_orbits=3, tol=1e-10)
-        assert result.per_orbit_rad == (angles[-1] - angles[0]) / 3 - 2.0 * math.pi
+        mean_gap = (angles[-1] - angles[0]) / 3 - 2.0 * math.pi
+        assert abs(result.per_orbit_rad - mean_gap) <= 4.0 * math.ulp(angles[-1]) / 3
     assert angles[0] > 5.0
     # Nearer the breakdown the exact period passes twice the first-order
     # one: the fourth passage lies beyond the span searched, and no average
