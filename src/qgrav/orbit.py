@@ -33,9 +33,9 @@ re-integrates a short fixed-step segment and inserts three extra samples
 stencil and the chord zero serve the export's bytes alone; the
 measurement uses neither.
 
-integrate runs on plain floats and returns a record of array('d') fields,
-so the whole module, measured_precession and the orbit export included,
-needs only the standard library.
+integrate runs on plain floats and returns what the export prints, theta
+and u as array('d') and the two step counts, so the whole module needs only
+the standard library.
 
 _perihelion_start refuses, through precession.orbit_params and the
 breakdown rule every path shares, a quantum whose exact orbit from the
@@ -45,6 +45,7 @@ perihelion is unbounded.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from functools import partial
 
@@ -71,11 +72,11 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_MAX_STEP = math.pi / 16          # integrate's cap: sample gaps well under pi/8
+# integrate's cap. The export's samples, and so its bytes, depend on it.
+_MAX_STEP = math.pi / 16
 # The drift's cap: 16 steps per radial period. From pi/7 up the controller
 # starts to act on planet orbits at tol 1e-10, and their error grows to tol.
 _MAX_DRIFT_STEP = math.pi / 8
-_MAX_GAP = math.pi / 8            # a trajectory's theta gaps stay below this
 _INITIAL_STEP = math.pi / 256
 _STENCIL_HALF_WIDTH = 1e-3        # rad; extremum stencil spacing
 
@@ -83,41 +84,36 @@ TOL_MIN = 1e-14
 TOL_MAX = 1e-6
 
 _NOT_INCREASING = "trajectory samples must be strictly increasing in theta"
-_TOO_SPARSE = "trajectory sampling too sparse: a theta gap reaches pi/8"
 
 
 class Trajectory(Record):
-    """Ordered integration samples plus integrator metadata.
+    """The samples `qgrav orbit` exports plus the integrator's step counts.
 
-    theta, u and du are copied into array('d') fields of one length. The
-    angles must strictly increase, number at least two and never leave a gap
-    of pi/8; anything else raises DomainError.
+    theta and u are copied into array('d') fields of one length. The angles
+    must strictly increase and number at least two; anything else raises
+    DomainError.
     """
 
-    _fields = ("theta", "u", "du", "tol", "n_accepted", "n_rejected")
+    _fields = ("theta", "u", "n_accepted", "n_rejected")
 
-    def __init__(self, theta: Iterable[float], u: Iterable[float], du: Iterable[float],
-                 tol: float, n_accepted: int, n_rejected: int) -> None:
+    def __init__(self, theta: Iterable[float], u: Iterable[float],
+                 n_accepted: int, n_rejected: int) -> None:
         from array import array
-        self.__dict__.update(theta=array("d", theta), u=array("d", u), du=array("d", du),
-                             tol=tol, n_accepted=n_accepted, n_rejected=n_rejected)
+        self.__dict__.update(theta=array("d", theta), u=array("d", u),
+                             n_accepted=n_accepted, n_rejected=n_rejected)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         thetas = self.theta
-        if not len(thetas) == len(self.u) == len(self.du):
+        if not len(thetas) == len(self.u):
             raise DomainError(
-                f"trajectory fields differ in length: theta {len(thetas)}, "
-                f"u {len(self.u)}, du {len(self.du)}"
+                f"trajectory fields differ in length: theta {len(thetas)}, u {len(self.u)}"
             )
         if len(thetas) < 2:
             raise DomainError(_NOT_INCREASING)
         for a, b in zip(thetas, thetas[1:]):
-            gap = b - a
-            if not gap > 0.0:
+            if not b > a:
                 raise DomainError(_NOT_INCREASING)
-            if not gap < _MAX_GAP:
-                raise DomainError(_TOO_SPARSE)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -233,22 +229,20 @@ def _refine_stencil(step, c, q, samples, theta_hat):
 
 
 def _distinct_samples(rows):
-    """Split theta-ordered (theta, u, du) rows into three array('d').
+    """The theta and u lists of theta-ordered (theta, u, du) rows.
 
     A row within 1e-12 rad of the one kept before it (a stencil point on an
     accepted step) is dropped.
     """
-    from array import array
-    thetas, us, vs = array("d"), array("d"), array("d")
+    thetas, us = [], []
     last = -math.inf
-    for t, uu, vv in rows:
+    for t, uu, _ in rows:
         if -1e-12 < t - last < 1e-12:
             continue
         last = t
         thetas.append(t)
         us.append(uu)
-        vs.append(vv)
-    return thetas, us, vs
+    return thetas, us
 
 
 def _check_tol(tol: float) -> None:
@@ -340,10 +334,9 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
 
     samples += extras
     samples.sort(key=lambda row: row[0])
-    theta, u, du = _distinct_samples(samples)
-    del samples, extras  # the rows go before Trajectory copies the arrays
-    return Trajectory(theta=theta, u=u, du=du, tol=tol, n_accepted=n_accepted,
-                      n_rejected=n_rejected)
+    theta, u = _distinct_samples(samples)
+    del samples, extras  # the rows go before Trajectory copies the lists
+    return Trajectory(theta=theta, u=u, n_accepted=n_accepted, n_rejected=n_rejected)
 
 
 def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
@@ -565,15 +558,20 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
     passage (see _perihelion_passages) and extrapolated to a century exactly
     as the analytic chain does. tol bounds the local error per step relative
     to the oscillation amplitude |u0 - u_star|, so it bounds the angle error
-    on any eccentricity. Raises DomainError unless n_orbits is an int of at
-    least 2 and tol lies in [TOL_MIN, TOL_MAX], or for a circular start;
+    on any eccentricity. Raises DomainError unless n_orbits is an integer
+    of at least 2 (by operator.index: NumPy integers pass, True is 1) and
+    tol lies in [TOL_MIN, TOL_MAX], or for a circular start;
     ModelBreakdownError when the exact orbit is unbounded, and
     InsufficientSpanError when its period is too long to find the passages.
     """
-    if not (isinstance(n_orbits, int) and n_orbits >= 2):
+    try:
+        n = operator.index(n_orbits)
+    except TypeError:
+        n = 0
+    if n < 2:
         raise DomainError(f"need a whole number of at least 2 orbits to average "
                           f"advances, got {n_orbits!r}")
-    _, per_orbit = _perihelion_passages(el, delta_arcsec, rule, n_orbits, tol)
+    _, per_orbit = _perihelion_passages(el, delta_arcsec, rule, n, tol)
     per_century = per_orbit * derive_orbit(el).orbits_per_century * ARCSEC_PER_RAD
     return PrecessionResult(per_orbit_rad=per_orbit,
                             per_century_arcsec=per_century,
