@@ -10,6 +10,7 @@ iterative optimizer is warranted.
 from __future__ import annotations
 
 import math
+import operator
 from pathlib import Path
 from typing import IO
 
@@ -93,9 +94,10 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     small quantity is carried in full relative precision, so composing with
     planet_precession is the identity to roundoff.
     """
+    orbit = derive_orbit(el)
+    scale = _scale(orbit, rule)
     if not (math.isfinite(target_arcsec) and target_arcsec >= 0):
         raise DomainError(f"target precession must be >= 0, got {target_arcsec!r}")
-    orbit = derive_orbit(el)
     advance = target_arcsec / (orbit.orbits_per_century * ARCSEC_PER_RAD)
     two_pi = 2.0 * math.pi
     freq_ratio = two_pi / (two_pi + advance)
@@ -105,7 +107,7 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     quantum = eps * orbit.h * orbit.h / orbit.mu
     if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
         _check_bounded(quantum, eps, quantum / orbit.r_p)
-    return rad_to_arcsec(quantum / _scale(orbit, rule))
+    return rad_to_arcsec(quantum / scale)
 
 
 def fit_delta(observations: list[Observation],
@@ -181,17 +183,18 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
                 steps: int,
                 rule: QuantumRule = QuantumRule.PERIHELION) -> list[tuple[float, float]]:
     """Evenly spaced (delta, arcsec/century) rows over [delta_min, delta_max]."""
-    if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
-        raise DomainError("sweep bounds must be finite")
-    if not 0.0 <= delta_min < delta_max:
-        raise DomainError(
-            f"sweep needs 0 <= delta_min < delta_max, got [{delta_min!r}, {delta_max!r}]"
-        )
-    if steps < 2:
+    if not (0.0 <= delta_min < delta_max and math.isfinite(delta_max)):
+        raise DomainError(f"sweep needs finite 0 <= delta_min < delta_max, "
+                          f"got [{delta_min!r}, {delta_max!r}]")
+    try:
+        n = operator.index(steps)
+    except TypeError:
+        n = 0
+    if n < 2:
         raise DomainError(f"sweep needs at least 2 steps, got {steps!r}")
     span = delta_max - delta_min
     # endpoints are hit exactly, not via accumulated float arithmetic
-    deltas = [delta_min + span * i / (steps - 1) for i in range(steps - 1)] + [delta_max]
+    deltas = [delta_min + span * i / (n - 1) for i in range(n - 1)] + [delta_max]
     # the same values as planet_precession(el, delta, rule), bit for bit
     advances = _advances(derive_orbit(el), deltas, rule)
     return [(delta, per_century) for delta, (_, per_century) in zip(deltas, advances)]

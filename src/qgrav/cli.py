@@ -55,56 +55,38 @@ _RULE_HELP = (
 )
 
 
+def _bounded(convert, low, high):
+    """An argparse type reading convert(text), kept if in [low, high] and finite."""
+    def parse(text: str):
+        try:
+            value = convert(text) + 0  # a float -0 becomes 0
+        except ValueError:
+            value = math.nan
+        # The range test comes first: isfinite raises OverflowError on a huge int.
+        if not (low <= value <= high and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {convert.__name__} in [{low}, {high}], got {text!r}")
+        return value
+    return parse
+
+
+_delta = _bounded(float, 0.0, math.inf)
+
+
 def _parse_deltas(text: str) -> list[float]:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
+    parts = [part for part in text.split(",") if part.strip()]
     if not parts:
         raise argparse.ArgumentTypeError("at least one delta value is required")
     if len(parts) > MAX_DELTAS:
         raise argparse.ArgumentTypeError(
             f"at most {MAX_DELTAS} delta values, got {len(parts)}")
-    try:
-        values = [float(part) for part in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad delta list {text!r}: {exc}") from exc
-    if any(not math.isfinite(v) or v < 0 for v in values):
-        raise argparse.ArgumentTypeError("delta values must be finite and >= 0")
-    # + 0.0 turns -0 into 0. Labels rise with the value, so equal labels
-    # (a repeated value among them) are neighbours.
-    values = sorted(v + 0.0 for v in values)
+    # Sorted, equal labels (a repeated value among them) are neighbours.
+    values = sorted(map(_delta, parts))
     for a, b in zip(values, values[1:]):
         if _fmt_delta(a) == _fmt_delta(b):
             raise argparse.ArgumentTypeError(
                 f"delta values {a!r} and {b!r} share the column label {_fmt_delta(a)!r}")
     return values
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value + 0.0  # -0 becomes 0
-
-
-def _bounded_int(low: int, high: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
-        return value
-    return parse
-
-
-def _tolerance(text: str) -> float:
-    value = _nonnegative_float(text)
-    if not TOL_MIN <= value <= TOL_MAX:
-        raise argparse.ArgumentTypeError(f"must lie in [{TOL_MIN}, {TOL_MAX}], got {text!r}")
-    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, *, observations: bool = False,
@@ -139,17 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_precess = sub.add_parser("precess", help="analytic precession for one planet")
     _add_common(p_precess, planet=True)
-    p_precess.add_argument("--delta", type=_nonnegative_float, required=True,
+    p_precess.add_argument("--delta", type=_delta, required=True,
                            help="measurement error angle in arcsec")
     p_precess.set_defaults(func=cmd_precess)
 
     p_orbit = sub.add_parser("orbit", help="integrate the exact orbit and export samples")
     _add_common(p_orbit, planet=True)
-    p_orbit.add_argument("--delta", type=_nonnegative_float, required=True,
+    p_orbit.add_argument("--delta", type=_delta, required=True,
                          help="measurement error angle in arcsec")
-    p_orbit.add_argument("--orbits", type=_bounded_int(1, MAX_ORBITS), default=3,
+    p_orbit.add_argument("--orbits", type=_bounded(int, 1, MAX_ORBITS), default=3,
                          help=f"revolutions to integrate (1..{MAX_ORBITS})")
-    p_orbit.add_argument("--tol", type=_tolerance, default=1e-12,
+    p_orbit.add_argument("--tol", type=_bounded(float, TOL_MIN, TOL_MAX), default=1e-12,
                          help="integrator relative tolerance")
     p_orbit.set_defaults(func=cmd_orbit)
 
@@ -159,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="precession over a range of error angles")
     _add_common(p_sweep, planet=True)
-    p_sweep.add_argument("--delta-min", type=_nonnegative_float, default=0.01)
-    p_sweep.add_argument("--delta-max", type=_nonnegative_float, default=0.05)
-    p_sweep.add_argument("--steps", type=_bounded_int(2, MAX_SWEEP_STEPS), default=5,
+    p_sweep.add_argument("--delta-min", type=_delta, default=0.01)
+    p_sweep.add_argument("--delta-max", type=_delta, default=0.05)
+    p_sweep.add_argument("--steps", type=_bounded(int, 2, MAX_SWEEP_STEPS), default=5,
                          help=f"rows, endpoints included (2..{MAX_SWEEP_STEPS})")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -209,7 +191,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     observations = load_observations(args.observations)
     obs_by_planet = {obs.planet.lower(): obs for obs in observations}
-    rule = QuantumRule(args.rule)
     deltas = args.deltas
 
     rows = []
@@ -217,7 +198,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         obs = obs_by_planet.get(el.name.lower())
         baseline = gr_precession_baseline(el)
         with naming_planet(el.name):
-            model = {delta: planet_precession(el, delta, rule).per_century_arcsec
+            model = {delta: planet_precession(el, delta, args.rule).per_century_arcsec
                      for delta in deltas}
         rows.append((el, obs, baseline, model))
 
@@ -265,9 +246,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_precess(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    rule = QuantumRule(args.rule)
     with naming_planet(el.name):
-        result = planet_precession(el, args.delta, rule)
+        result = planet_precession(el, args.delta, args.rule)
     if args.format == "json":
         _emit_json({
             "meta": _meta(args, planet=el.name, delta_arcsec=args.delta),
@@ -278,7 +258,7 @@ def cmd_precess(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _emit_csv(["planet", "delta_arcsec", "rule", "per_orbit_rad",
                    "per_century_arcsec", "provenance"],
-                  [[el.name, repr(args.delta), rule.value, repr(result.per_orbit_rad),
+                  [[el.name, repr(args.delta), args.rule, repr(result.per_orbit_rad),
                     repr(result.per_century_arcsec), result.provenance.value]])
     else:
         _emit([f"{result.per_century_arcsec:.2f} arcsec/century\n"])
@@ -289,8 +269,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     with naming_planet(el.name):
-        model, u0, theta_max = _perihelion_start(el, args.delta, QuantumRule(args.rule),
-                                                 args.orbits)
+        model, u0, theta_max = _perihelion_start(el, args.delta, args.rule, args.orbits)
     traj = integrate(model, u0, 0.0, theta_max, args.tol)
     thetas, us = traj.theta, traj.u
     if args.format == "json":
@@ -316,8 +295,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     observations = load_observations(args.observations)
-    rule = QuantumRule(args.rule)
-    result = fit_delta(observations, rule, planets)
+    result = fit_delta(observations, args.rule, planets)
     obs_order = [obs.planet for obs in observations]
     if args.format == "json":
         _emit_json({
@@ -354,9 +332,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    rule = QuantumRule(args.rule)
     with naming_planet(el.name):
-        rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, rule)
+        rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, args.rule)
     if args.format == "json":
         _emit_json({
             "meta": _meta(args, planet=el.name, delta_min=args.delta_min,

@@ -38,7 +38,8 @@ class QuantumRule(enum.Enum):
     The perihelion-distance rule (q = delta_rad * a(1-e)) reproduces the
     reference precession table; the semi-minor-axis rule (q = delta_rad * b)
     is selectable for comparison and differs by >20% at Mercury's
-    eccentricity. They coincide for circular orbits.
+    eccentricity. They coincide for circular orbits. Functions taking a rule
+    accept a member or its value and raise DomainError for anything else.
     """
 
     PERIHELION = "perihelion"
@@ -50,9 +51,17 @@ def _check_delta(delta_arcsec: float) -> None:
         raise DomainError(f"measurement error must be >= 0 arcsec, got {delta_arcsec!r}")
 
 
-def _scale(orbit: DerivedOrbit, rule: QuantumRule) -> float:
-    """The orbit length the rule multiplies: perihelion distance or semi-minor axis."""
-    return orbit.r_p if rule is QuantumRule.PERIHELION else orbit.b
+# Bound once: each read of a member through its class costs about 0.1 us.
+_PERIHELION, _SEMIMINOR = QuantumRule.PERIHELION, QuantumRule.SEMIMINOR
+
+
+def _scale(orbit: DerivedOrbit, rule: QuantumRule | str) -> float:
+    """The length a QuantumRule or its value multiplies: r_p or b, else DomainError."""
+    if rule is _PERIHELION or rule == "perihelion":
+        return orbit.r_p
+    if rule is _SEMIMINOR or rule == "semiminor":
+        return orbit.b
+    raise DomainError(f"quantum rule must be 'perihelion' or 'semiminor', got {rule!r}")
 
 
 def quantum_from_error(delta_arcsec: float, orbit: DerivedOrbit,
@@ -61,7 +70,7 @@ def quantum_from_error(delta_arcsec: float, orbit: DerivedOrbit,
 
     The angular error is converted to radians and multiplied by the orbit
     scale the rule selects (perihelion distance or semi-minor axis), giving
-    a length.
+    a length; DomainError for a negative delta or an unknown rule.
     """
     _check_delta(delta_arcsec)
     return arcsec_to_rad(delta_arcsec) * _scale(orbit, rule)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +233,15 @@ def test_sweep_validation(mercury):
         sweep_delta(mercury, 0.0, 0.05, 1)
     with pytest.raises(DomainError):
         sweep_delta(mercury, -0.01, 0.05, 2)
+    for lo, hi in ((0.0, math.inf), (math.nan, 0.05), (0.01, math.nan)):
+        with pytest.raises(DomainError, match="sweep needs finite"):
+            sweep_delta(mercury, lo, hi, 2)
+    # steps goes through operator.index: a float or True (which is 1) is
+    # refused, a NumPy integer is a count
+    for steps in (3.0, 2.5, True, "3"):
+        with pytest.raises(DomainError, match="sweep needs at least 2 steps"):
+            sweep_delta(mercury, 0.01, 0.05, steps)
+    assert sweep_delta(mercury, 0.01, 0.05, np.int64(3)) == sweep_delta(mercury, 0.01, 0.05, 3)
 
 
 @pytest.mark.parametrize("rule", list(QuantumRule))
@@ -265,7 +275,7 @@ def _planet(draw):
     return PlanetElements(name=name, a=a, e=e, tau_days=tau_days)
 
 
-_rules = st.sampled_from(list(QuantumRule))
+_rules = st.sampled_from([*QuantumRule, *(rule.value for rule in QuantumRule)])
 _deltas = st.floats(0.0, 300.0)
 
 

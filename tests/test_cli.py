@@ -291,6 +291,42 @@ def test_bad_flag_values_are_usage_errors():
         assert proc.stdout == ""
 
 
+ORBIT = ("orbit", "--planet", "mercury", "--delta", "0")
+SWEEP = ("sweep", "--planet", "mercury")
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    ((*ORBIT, "--tol", "1e-14"), "tol", 1e-14), ((*ORBIT, "--tol", "1e-6"), "tol", 1e-6),
+    ((*ORBIT, "--orbits", "1"), "orbits", 1), ((*ORBIT, "--orbits", "1000"), "orbits", 1000),
+    ((*SWEEP, "--steps", "2"), "steps", 2), ((*SWEEP, "--steps", "100000"), "steps", 100000),
+    (("precess", "--planet", "mercury", "--delta", "-0"), "delta", 0.0),
+    (("table", "--deltas=-0,0.01"), "deltas", [0.0, 0.01]),
+])
+def test_number_flags_accept_their_range_ends(argv, dest, value):
+    from qgrav.cli import build_parser
+    parsed = getattr(build_parser().parse_args(argv), dest)
+    assert repr(parsed) == repr(value)  # repr tells 0.0 from -0.0
+
+
+@pytest.mark.parametrize("argv", [
+    (*ORBIT[:-1], "nan"), (*ORBIT[:-1], "inf"), (*ORBIT[:-1], "1e400"),
+    (*SWEEP, "--delta-max", "nan"), (*ORBIT, "--tol", "inf"),
+    (*ORBIT, "--orbits", "1.5"), (*SWEEP, "--steps", "2.0"),
+    (*ORBIT, "--orbits", "9" * 400), (*ORBIT, "--orbits", "-" + "9" * 400),
+    ("table", "--deltas", "0.01,abc"), ("table", "--deltas", "0.01,1e400"),
+])
+def test_unreadable_or_unbounded_numbers_are_usage_errors(capsys, argv):
+    # a 400-digit int fails the range test before isfinite, which would
+    # raise OverflowError on it
+    from qgrav.cli import build_parser
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument" in err
+
+
 def test_table_accepts_the_most_deltas():
     proc = run_cli("table", "--deltas", ",".join(str(i / 1000) for i in range(100)),
                    "--format", "csv")

@@ -5,7 +5,8 @@ lower rank: a module that needs something from its own rank or above is in
 the wrong layer. __init__ and __main__ sit on top and are exempt.
 
 Data files are read in one place: only bodies opens or parses JSON. Steps
-are sized in one place: orbit has one step-size controller.
+are sized in one place: orbit has one step-size controller. The quantum
+rule is read in one place: only precession converts or compares it.
 """
 
 import ast
@@ -115,3 +116,30 @@ def test_orbit_has_one_step_controller():
                         for node in ast.walk(tree))
               for name, (kind, text) in CONTROLLER.items()}
     assert counts == dict.fromkeys(CONTROLLER, 1)
+
+
+RULE_NAMES = {"QuantumRule", "PERIHELION", "SEMIMINOR"}
+
+
+def _names_rule(node: ast.AST) -> bool:
+    """Whether node names QuantumRule or a member, bound under any underscores."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return isinstance(name, str) and name.lstrip("_") in RULE_NAMES
+
+
+def _rule_readings(tree: ast.Module) -> list[str]:
+    """Calls of QuantumRule(...) and comparisons or match cases that name
+    QuantumRule or a member: the ways to read a rule. Attribute reads, such
+    as cli's choices and default, are not readings."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if (isinstance(node, ast.Call) and _names_rule(node.func))
+            or (isinstance(node, (ast.Compare, ast.MatchValue))
+                and any(map(_names_rule, ast.walk(node))))]
+
+
+def test_only_precession_reads_the_rule():
+    readings = {path.stem: _rule_readings(ast.parse(path.read_text(encoding="utf-8")))
+                for path in sorted(PACKAGE.glob("*.py"))}
+    # precession._scale compares with both members; nothing else may read
+    assert len(readings.pop("precession")) == 2
+    assert {stem: found for stem, found in readings.items() if found} == {}

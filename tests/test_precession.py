@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qgrav import (ARCSEC_PER_RAD, DomainError, ModelBreakdownError, PlanetElements,
-                   Provenance, QuantumRule, derive_orbit, orbit_params,
-                   planet_precession, quantum_from_error)
+                   Provenance, QuantumRule, derive_orbit, fit_delta, invert_delta,
+                   load_observations, measured_precession, orbit_params,
+                   planet_precession, quantum_from_error, sweep_delta)
 
 GM = 1.32712440018e20
 
@@ -161,3 +162,35 @@ def test_result_consistency(planets):
         result = planet_precession(el, 0.0398)
         assert result.per_century_arcsec == pytest.approx(
             result.per_orbit_rad * orbit.orbits_per_century * ARCSEC_PER_RAD, rel=1e-13)
+
+
+# Every function that takes a quantum rule, called on the bundled data.
+# measured_precession integrates, so it runs on the fewest orbits it takes.
+RULE_READERS = {
+    "planet_precession": lambda p, rule: planet_precession(p["Mercury"], 0.0398, rule),
+    "quantum_from_error": lambda p, rule: quantum_from_error(
+        0.0398, derive_orbit(p["Mercury"]), rule),
+    "invert_delta": lambda p, rule: invert_delta(p["Mercury"], 43.11, rule),
+    "sweep_delta": lambda p, rule: sweep_delta(p["Venus"], 0.01, 0.05, 3, rule),
+    "fit_delta": lambda p, rule: fit_delta(load_observations(), rule, list(p.values())),
+    "measured_precession": lambda p, rule: measured_precession(
+        p["Mercury"], 0.0398, rule, n_orbits=2),
+}
+
+
+@pytest.mark.parametrize("reader", RULE_READERS)
+@pytest.mark.parametrize("rule", list(QuantumRule))
+def test_a_rule_value_reads_as_its_member(planets, reader, rule):
+    by_value = RULE_READERS[reader](planets, rule.value)
+    assert repr(by_value) == repr(RULE_READERS[reader](planets, rule))
+
+
+def test_perihelion_by_value_reproduces_the_table(mercury):
+    assert f"{planet_precession(mercury, 0.0398, 'perihelion').per_century_arcsec:.2f}" == "43.06"
+
+
+@pytest.mark.parametrize("reader", RULE_READERS)
+@pytest.mark.parametrize("rule", [None, "bogus", "Perihelion", 0])
+def test_anything_else_is_not_a_rule(planets, reader, rule):
+    with pytest.raises(DomainError, match="quantum rule must be 'perihelion' or 'semiminor'"):
+        RULE_READERS[reader](planets, rule)
