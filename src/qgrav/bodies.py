@@ -35,6 +35,10 @@ CONSTANTS_VERSION = "qgrav-constants-1"
 
 DATA_DIR_ENV = "QGRAV_DATA_DIR"
 
+# A range test against this, unlike math.isfinite, refuses an int beyond the
+# float range instead of raising OverflowError, and refuses nan and +-inf.
+_FLOAT_MAX = sys.float_info.max
+
 _T = TypeVar("_T")
 
 
@@ -42,7 +46,7 @@ def _is_finite_number(value: object) -> bool:
     """A finite float or an int within the float range (compared exactly, so
     a huge int cannot overflow); bool is excluded although it subclasses int."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+            and abs(value) <= _FLOAT_MAX)
 
 
 def _check_record(record: Record, what: str, name_field: str,
@@ -63,14 +67,14 @@ def _check_record(record: Record, what: str, name_field: str,
 
 def arcsec_to_rad(x: float) -> float:
     """Convert arcseconds to radians (x * pi / 648000)."""
-    if not math.isfinite(x):
+    if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
         raise DomainError(f"angle must be finite, got {x!r}")
     return x * math.pi / 648000.0
 
 
 def rad_to_arcsec(x: float) -> float:
     """Convert radians to arcseconds; inverse of arcsec_to_rad."""
-    if not math.isfinite(x):
+    if not -_FLOAT_MAX <= x <= _FLOAT_MAX:
         raise DomainError(f"angle must be finite, got {x!r}")
     return x * ARCSEC_PER_RAD
 

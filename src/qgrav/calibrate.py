@@ -14,9 +14,9 @@ import operator
 from pathlib import Path
 from typing import IO
 
-from .bodies import (ARCSEC_PER_RAD, PlanetElements, _check_record, _check_unique,
-                     _load_records, derive_orbit, load_planets, planet_by_name,
-                     rad_to_arcsec)
+from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, _check_record,
+                     _check_unique, _load_records, derive_orbit, load_planets,
+                     planet_by_name, rad_to_arcsec)
 from .errors import DomainError, IngestionError, naming_planet
 from .forces import _EPS_BOX, _X_BOX, _check_bounded
 from .precession import QuantumRule, _advances, _scale, planet_precession
@@ -96,7 +96,7 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     """
     orbit = derive_orbit(el)
     scale = _scale(orbit, rule)
-    if not (math.isfinite(target_arcsec) and target_arcsec >= 0):
+    if not 0.0 <= target_arcsec <= _FLOAT_MAX:
         raise DomainError(f"target precession must be >= 0, got {target_arcsec!r}")
     advance = target_arcsec / (orbit.orbits_per_century * ARCSEC_PER_RAD)
     two_pi = 2.0 * math.pi
@@ -183,7 +183,7 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
                 steps: int,
                 rule: QuantumRule = QuantumRule.PERIHELION) -> list[tuple[float, float]]:
     """Evenly spaced (delta, arcsec/century) rows over [delta_min, delta_max]."""
-    if not (0.0 <= delta_min < delta_max and math.isfinite(delta_max)):
+    if not 0.0 <= delta_min < delta_max <= _FLOAT_MAX:
         raise DomainError(f"sweep needs finite 0 <= delta_min < delta_max, "
                           f"got [{delta_min!r}, {delta_max!r}]")
     try:

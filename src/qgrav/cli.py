@@ -15,16 +15,25 @@ evaluate valid input (model breakdown or another domain error).
 
 Every command, `orbit` included, runs on the standard library alone.
 
-Output reaches stdout in a few large writes, each joining up to _BATCH json
-tokens, csv rows or text lines, because a stdout write costs microseconds
-whatever its size, and a system call of its own when stdout is unbuffered
-(python -u or PYTHONUNBUFFERED).
+Output reaches stdout in a few large writes, each joining up to _BATCH
+pieces, because a stdout write costs microseconds whatever its size, and a
+system call of its own when stdout is unbuffered (python -u or
+PYTHONUNBUFFERED). A piece is a json token, csv row or text line for
+`table`, `precess` and `fit`, and a whole row for `orbit` and `sweep`.
+
+The rows of `orbit` and `sweep` are flat floats, and _emit_rows writes each
+through one %-template per format, built once, with no encoder in the loop.
+The json and csv templates format floats with %r, which is float.__repr__:
+the same bytes as json.dumps(indent=2) and csv.writer over the repr strings
+write for any finite float (a repr never holds a comma, quote or newline,
+so csv quotes none). json writes Infinity where repr writes inf, so a row
+value beyond the float range raises DomainError (exit 3) before the first
+write, in every format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -34,7 +43,7 @@ from itertools import chain, islice
 
 from .bodies import CONSTANTS_VERSION, load_planets, planet_by_name
 from .calibrate import fit_delta, load_observations, sweep_delta
-from .errors import IngestionError, QgravError, naming_planet
+from .errors import DomainError, IngestionError, QgravError, naming_planet
 from .forces import gr_precession_baseline
 from .orbit import TOL_MAX, TOL_MIN, _perihelion_start, integrate
 from .precession import QuantumRule, planet_precession
@@ -179,8 +188,40 @@ class _Echo:
 
 
 def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
+    import csv  # here, so that orbit and sweep, which never use it, start without it
     writer = csv.writer(_Echo(), lineterminator="\n")
     _emit(map(writer.writerow, chain([header], rows)))
+
+
+def _emit_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
+               text_head: str, text_row: str, rows: Iterable[tuple[float, ...]],
+               largest: float) -> None:
+    """Write float rows in args.format, one %-template per row.
+
+    json puts meta first and one object per row under "rows"; csv writes
+    keys as its header; text writes text_head, then text_row per row. rows
+    holds at least one row and is read once, as it is written. largest is
+    a value that is finite exactly when every row value is; DomainError
+    unless it is, before anything is written.
+    """
+    if not math.isfinite(largest):
+        raise DomainError(f"{args.command} output holds {largest!r}, beyond the float "
+                          f"range; only finite values are written")
+    rows = iter(rows)
+    if args.format == "json":
+        # json.dumps without its closing "\n}", the rows' list inserted there
+        head = json.dumps({"meta": meta}, indent=2)[:-2]
+        row = ("    {\n"
+               + ",\n".join(f"      {json.dumps(key)}: %r" for key in keys)
+               + "\n    }")
+        pieces = chain([head, ',\n  "rows": [\n', row % next(rows)],
+                       map((",\n" + row).__mod__, rows), ["\n  ]\n}\n"])
+    elif args.format == "csv":
+        row = ",".join(["%r"] * len(keys)) + "\n"
+        pieces = chain([",".join(keys) + "\n"], map(row.__mod__, rows))
+    else:
+        pieces = chain([text_head], map(text_row.__mod__, rows))
+    _emit(pieces)
 
 
 def _fmt_delta(delta: float) -> str:
@@ -271,24 +312,17 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     with naming_planet(el.name):
         model, u0, theta_max = _perihelion_start(el, args.delta, args.rule, args.orbits)
     traj = integrate(model, u0, 0.0, theta_max, args.tol)
-    thetas, us = traj.theta, traj.u
-    if args.format == "json":
-        _emit_json({
-            "meta": _meta(args, planet=el.name, delta_arcsec=args.delta,
-                          orbits=args.orbits, tol=args.tol,
-                          steps_accepted=traj.n_accepted,
-                          steps_rejected=traj.n_rejected),
-            "rows": [
-                {"theta_rad": t, "u_per_m": u, "r_m": 1.0 / u}
-                for t, u in zip(thetas, us)
-            ],
-        })
-    elif args.format == "csv":
-        _emit_csv(["theta_rad", "u_per_m", "r_m"],
-                  ([repr(t), repr(u), repr(1.0 / u)] for t, u in zip(thetas, us)))
-    else:
-        _emit(chain([f"{'theta_rad':>18}  {'u_per_m':>24}  {'r_m':>24}\n"],
-                    (f"{t:18.9f}  {u:24.15e}  {1.0 / u:24.15e}\n" for t, u in zip(thetas, us))))
+    # theta is at most theta_max and every u passed the forcing check
+    # (u > 0, q u < 1), so only r = 1/u can leave the float range.
+    _emit_rows(args,
+               _meta(args, planet=el.name, delta_arcsec=args.delta, orbits=args.orbits,
+                     tol=args.tol, steps_accepted=traj.n_accepted,
+                     steps_rejected=traj.n_rejected),
+               ("theta_rad", "u_per_m", "r_m"),
+               f"{'theta_rad':>18}  {'u_per_m':>24}  {'r_m':>24}\n",
+               "%18.9f  %24.15e  %24.15e\n",
+               zip(traj.theta, traj.u, map((1.0).__truediv__, traj.u)),
+               1.0 / min(traj.u))
     return 0
 
 
@@ -334,18 +368,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     el = planet_by_name(planets, args.planet)
     with naming_planet(el.name):
         rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, args.rule)
-    if args.format == "json":
-        _emit_json({
-            "meta": _meta(args, planet=el.name, delta_min=args.delta_min,
-                          delta_max=args.delta_max, steps=args.steps),
-            "rows": [{"delta_arcsec": d, "per_century_arcsec": v} for d, v in rows],
-        })
-    elif args.format == "csv":
-        _emit_csv(["delta_arcsec", "per_century_arcsec"],
-                  ([repr(d), repr(v)] for d, v in rows))
-    else:
-        _emit(chain([f"{'delta_arcsec':>14}  {'arcsec/century':>16}\n"],
-                    (f"{d:14.5f}  {v:16.2f}\n" for d, v in rows)))
+    # every delta is finite, being at most delta_max, so only a precession can overflow
+    _emit_rows(args,
+               _meta(args, planet=el.name, delta_min=args.delta_min,
+                     delta_max=args.delta_max, steps=args.steps),
+               ("delta_arcsec", "per_century_arcsec"),
+               f"{'delta_arcsec':>14}  {'arcsec/century':>16}\n",
+               "%14.5f  %16.2f\n",
+               rows, max(per_century for _, per_century in rows))
     return 0
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .bodies import (ARCSEC_PER_RAD, DerivedOrbit, PlanetElements,
+from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, DerivedOrbit, PlanetElements,
                      arcsec_to_rad, derive_orbit)
 from .errors import DomainError
 from .forces import (_EPS_BOX, _X_BOX, PrecessionResult, Provenance,
@@ -47,7 +47,7 @@ class QuantumRule(enum.Enum):
 
 
 def _check_delta(delta_arcsec: float) -> None:
-    if not (math.isfinite(delta_arcsec) and delta_arcsec >= 0):
+    if not 0.0 <= delta_arcsec <= _FLOAT_MAX:
         raise DomainError(f"measurement error must be >= 0 arcsec, got {delta_arcsec!r}")
 
 
@@ -84,7 +84,7 @@ def orbit_params(quantum: float, orbit: DerivedOrbit) -> tuple[float, float]:
     too large for the orbit: when the exact orbit from its perihelion is
     unbounded (see _check_bounded), which holds for every eps >= 1/4.
     """
-    if not (math.isfinite(quantum) and quantum >= 0):
+    if not 0.0 <= quantum <= _FLOAT_MAX:
         raise DomainError(f"space quantum must be >= 0, got {quantum!r}")
     eps = quantum * orbit.mu / (orbit.h * orbit.h)
     _check_bounded(quantum, eps, quantum / orbit.r_p)

@@ -5,10 +5,14 @@ import math
 import subprocess
 import sys
 import textwrap
+from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, env=None):
@@ -642,6 +646,78 @@ def test_orbit_export_matches_integrate():
     writer.writerow(["theta_rad", "u_per_m", "r_m"])
     writer.writerows([repr(t), repr(x), repr(1.0 / x)] for t, x in zip(theta, u))
     assert stdout == buf.getvalue()
+
+
+# The two row shapes _emit_rows writes, as cmd_orbit and cmd_sweep pass
+# them: keys, text head, text row template, and the f-string each text
+# row was written with before the templates.
+ROW_SHAPES = {
+    3: (("theta_rad", "u_per_m", "r_m"), "head\n", "%18.9f  %24.15e  %24.15e\n",
+        lambda t, u, r: f"{t:18.9f}  {u:24.15e}  {r:24.15e}\n"),
+    2: (("delta_arcsec", "per_century_arcsec"), "head\n", "%14.5f  %16.2f\n",
+        lambda d, v: f"{d:14.5f}  {v:16.2f}\n"),
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# where repr changes notation or precision, and the range's ends
+EDGES = (-0.0, 5e-324, 1.7976931348623157e308, 1e16, 9999999999999998.0,
+         1e-5, 0.0001, -1e-5, 2.2250738585072014e-308)
+
+
+def _emitted(fmt, meta, width, rows):
+    from qgrav import cli
+    keys, head, row, _ = ROW_SHAPES[width]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_rows(SimpleNamespace(command="orbit", format=fmt), meta, keys, head, row,
+                       iter(rows), 0.0)
+    return out.getvalue()
+
+
+def _windows(width):
+    return [EDGES[i:i + width] for i in range(len(EDGES) - width + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(sorted(ROW_SHAPES)).flatmap(lambda width: st.tuples(
+           st.just(width), st.lists(st.tuples(*[FINITE] * width), min_size=1, max_size=8))),
+       meta=st.dictionaries(st.text(max_size=5), FINITE | st.text(max_size=5) | st.integers(),
+                            max_size=3))
+@example(case=(3, _windows(3)), meta={"command": "orbit"})
+@example(case=(2, _windows(2)), meta={})
+def test_row_writer_matches_the_encoders(case, meta):
+    width, rows = case
+    keys, head, _, text_row = ROW_SHAPES[width]
+    doc = {"meta": meta, "rows": [dict(zip(keys, r)) for r in rows]}
+    assert _emitted("json", meta, width, rows) == json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([repr(x) for x in r] for r in rows)
+    assert _emitted("csv", meta, width, rows) == buf.getvalue()
+    assert _emitted("text", meta, width, rows) == head + "".join(text_row(*r) for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_orbit_refuses_a_radius_beyond_the_float_range(monkeypatch, capsys, fmt):
+    # 1 / 5e-324 is inf: json would write Infinity, csv and text inf
+    from qgrav import Trajectory, cli
+    monkeypatch.setattr(cli, "integrate", lambda *args: Trajectory(
+        theta=[0.0, 1.0], u=[1.0, 5e-324], n_accepted=1, n_rejected=0))
+    code = cli.main(["orbit", "--planet", "mercury", "--delta", "0.0398", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("qgrav: error: ")
+    assert "Infinity" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_sweep_refuses_a_precession_beyond_the_float_range(monkeypatch, capsys, fmt):
+    from qgrav import cli
+    monkeypatch.setattr(cli, "sweep_delta", lambda *args: [(0.01, 1.0), (0.05, math.inf)])
+    code = cli.main(["sweep", "--planet", "mercury", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("qgrav: error: ")
 
 
 class _CountingStdout(io.StringIO):

@@ -6,7 +6,8 @@ the wrong layer. __init__ and __main__ sit on top and are exempt.
 
 Data files are read in one place: only bodies opens or parses JSON. Steps
 are sized in one place: orbit has one step-size controller. The quantum
-rule is read in one place: only precession converts or compares it.
+rule is read in one place: only precession converts or compares it. The
+float rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows.
 """
 
 import ast
@@ -143,3 +144,36 @@ def test_only_precession_reads_the_rule():
     # precession._scale compares with both members; nothing else may read
     assert len(readings.pop("precession")) == 2
     assert {stem: found for stem, found in readings.items() if found} == {}
+
+
+ROW_COMMANDS = ("cmd_orbit", "cmd_sweep")
+# Nodes whose body may run once per row.
+PER_ROW = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+           ast.Lambda)
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    return {call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def _builds_dict(node: ast.AST) -> bool:
+    return any(isinstance(sub, (ast.Dict, ast.DictComp))
+               or (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id == "dict")
+               for sub in ast.walk(node))
+
+
+def test_float_rows_have_one_writer():
+    # orbit and sweep rows go through _emit_rows' templates, not through the
+    # json encoder or csv.writer, and no dict is built per row on the way.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ROW_COMMANDS:
+        called = _called_names(functions[name])
+        assert "_emit_rows" in called, name
+        assert not called & {"_emit", "_emit_json", "_emit_csv"}, name
+    per_row = [ast.unparse(loop) for name in (*ROW_COMMANDS, "_emit_rows")
+               for loop in ast.walk(functions[name])
+               if isinstance(loop, PER_ROW) and _builds_dict(loop)]
+    assert per_row == []

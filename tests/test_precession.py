@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qgrav import (ARCSEC_PER_RAD, DomainError, ModelBreakdownError, PlanetElements,
-                   Provenance, QuantumRule, derive_orbit, fit_delta, invert_delta,
-                   load_observations, measured_precession, orbit_params,
-                   planet_precession, quantum_from_error, sweep_delta)
+                   Provenance, QuantumRule, arcsec_to_rad, derive_orbit, fit_delta,
+                   invert_delta, load_observations, measured_precession, orbit_params,
+                   planet_precession, quantum_from_error, rad_to_arcsec, sweep_delta)
 
 GM = 1.32712440018e20
 
@@ -194,3 +194,34 @@ def test_perihelion_by_value_reproduces_the_table(mercury):
 def test_anything_else_is_not_a_rule(planets, reader, rule):
     with pytest.raises(DomainError, match="quantum rule must be 'perihelion' or 'semiminor'"):
         RULE_READERS[reader](planets, rule)
+
+
+# Every entry point that range-checks an angle, a quantum or a target, each
+# given a value x in the checked argument.
+HUGE_INT_READERS = {
+    "planet_precession": lambda p, x: planet_precession(p["Mercury"], x),
+    "quantum_from_error": lambda p, x: quantum_from_error(x, derive_orbit(p["Mercury"])),
+    "orbit_params": lambda p, x: orbit_params(x, derive_orbit(p["Mercury"])),
+    "measured_precession": lambda p, x: measured_precession(p["Mercury"], x, n_orbits=2),
+    "invert_delta": lambda p, x: invert_delta(p["Mercury"], x),
+    "sweep_delta": lambda p, x: sweep_delta(p["Mercury"], 0.0, x, 2),
+    "arcsec_to_rad": lambda p, x: arcsec_to_rad(x),
+    "rad_to_arcsec": lambda p, x: rad_to_arcsec(-x),
+}
+
+
+@pytest.mark.parametrize("reader", HUGE_INT_READERS)
+def test_an_int_beyond_the_float_range_is_a_domain_error(planets, reader):
+    # math.isfinite would raise OverflowError converting it to a float
+    with pytest.raises(DomainError):
+        HUGE_INT_READERS[reader](planets, 10**400)
+
+
+@pytest.mark.parametrize("reader", HUGE_INT_READERS)
+def test_an_int_in_the_float_range_reads_as_its_float(planets, reader):
+    assert (HUGE_INT_READERS[reader](planets, 43)
+            == HUGE_INT_READERS[reader](planets, 43.0))
+
+
+def test_a_zero_int_delta_reads_as_zero(mercury):
+    assert planet_precession(mercury, 0) == planet_precession(mercury, 0.0)
