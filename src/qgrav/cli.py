@@ -15,11 +15,12 @@ evaluate valid input (model breakdown or another domain error).
 
 Every command, `orbit` included, runs on the standard library alone.
 
-Output reaches stdout in a few large writes, each joining up to _BATCH
-pieces, because a stdout write costs microseconds whatever its size, and a
-system call of its own when stdout is unbuffered (python -u or
-PYTHONUNBUFFERED). A piece is a json token, csv row or text line for
-`table`, `precess` and `fit`, and a whole row for `orbit` and `sweep`.
+A stdout write costs microseconds whatever its size, and a system call of
+its own when stdout is unbuffered (python -u or PYTHONUNBUFFERED). The
+documents of `table`, `precess` and `fit` are small, a row per planet, so
+each is built as one string and written once. The rows of `orbit` and
+`sweep` can number thousands, so _emit_rows writes them as they are made,
+_BATCH rows to a write.
 
 The rows of `orbit` and `sweep` are flat floats, and _emit_rows writes each
 through one %-template per format, built once, with no encoder in the loop.
@@ -34,6 +35,7 @@ write, in every format.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -53,7 +55,7 @@ MAX_ORBITS = 1000
 MAX_SWEEP_STEPS = 100_000
 MAX_DELTAS = 100
 
-# Pieces of output joined into one stdout write.
+# Rows of `orbit` and `sweep` joined into one stdout write.
 _BATCH = 1024
 
 _RULE_HELP = (
@@ -166,37 +168,21 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
-def _emit(pieces: Iterable[str]) -> None:
-    """Write the strings of pieces to stdout, _BATCH of them to a write."""
-    write = sys.stdout.write
-    pieces = iter(pieces)
-    while batch := list(islice(pieces, _BATCH)):
-        write("".join(batch))
-
-
 def _emit_json(doc: dict) -> None:
-    # The encoder and chunks json.dump(doc, fp, indent=2) would use.
-    _emit(chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]))
-
-
-class _Echo:
-    """A file for csv.writer: writerow returns what write returns, the row."""
-
-    @staticmethod
-    def write(line: str) -> str:
-        return line
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
     import csv  # here, so that orbit and sweep, which never use it, start without it
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    _emit(map(writer.writerow, chain([header], rows)))
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(chain([header], rows))
+    sys.stdout.write(buffer.getvalue())
 
 
 def _emit_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
                text_head: str, text_row: str, rows: Iterable[tuple[float, ...]],
                largest: float) -> None:
-    """Write float rows in args.format, one %-template per row.
+    """Write float rows in args.format, one %-template per row, _BATCH to a write.
 
     json puts meta first and one object per row under "rows"; csv writes
     keys as its header; text writes text_head, then text_row per row. rows
@@ -221,7 +207,9 @@ def _emit_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
         pieces = chain([",".join(keys) + "\n"], map(row.__mod__, rows))
     else:
         pieces = chain([text_head], map(text_row.__mod__, rows))
-    _emit(pieces)
+    write = sys.stdout.write
+    while batch := list(islice(pieces, _BATCH)):
+        write("".join(batch))
 
 
 def _fmt_delta(delta: float) -> str:
@@ -278,9 +266,10 @@ def cmd_table(args: argparse.Namespace) -> int:
             table.append([el.name, obs_text, f"{baseline.per_century_arcsec:.2f}"]
                          + [f"{model[d]:.2f}" for d in deltas])
         widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-        _emit("  ".join(cell.rjust(width) if j else cell.ljust(width)
-                        for j, (cell, width) in enumerate(zip(line, widths))) + "\n"
-              for line in table)
+        sys.stdout.write("".join(
+            "  ".join(cell.rjust(width) if j else cell.ljust(width)
+                      for j, (cell, width) in enumerate(zip(line, widths))) + "\n"
+            for line in table))
     return 0
 
 
@@ -302,7 +291,7 @@ def cmd_precess(args: argparse.Namespace) -> int:
                   [[el.name, repr(args.delta), args.rule, repr(result.per_orbit_rad),
                     repr(result.per_century_arcsec), result.provenance.value]])
     else:
-        _emit([f"{result.per_century_arcsec:.2f} arcsec/century\n"])
+        sys.stdout.write(f"{result.per_century_arcsec:.2f} arcsec/century\n")
     return 0
 
 
@@ -330,7 +319,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     observations = load_observations(args.observations)
     result = fit_delta(observations, args.rule, planets)
-    obs_order = [obs.planet for obs in observations]
     if args.format == "json":
         _emit_json({
             "meta": _meta(args),
@@ -356,10 +344,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     repr(result.delta_star), repr(result.delta_sigma), repr(result.chi2)]
                    for obs in observations])
     else:
-        _emit(chain([f"delta* = {result.delta_star:.5f} ± {result.delta_sigma:.5f} arcsec "
-                     f"(chi2 = {result.chi2:.2f})\n"],
-                    (f"  {planet:<10} predicted {result.predicted[planet]:7.2f}  "
-                     f"residual {result.residuals[planet]:+7.2f}\n" for planet in obs_order)))
+        sys.stdout.write(
+            f"delta* = {result.delta_star:.5f} ± {result.delta_sigma:.5f} arcsec "
+            f"(chi2 = {result.chi2:.2f})\n"
+            + "".join(f"  {obs.planet:<10} predicted {result.predicted[obs.planet]:7.2f}  "
+                      f"residual {result.residuals[obs.planet]:+7.2f}\n" for obs in observations))
     return 0
 
 

@@ -39,7 +39,8 @@ the standard library.
 
 _perihelion_start refuses, through precession.orbit_params and the
 breakdown rule every path shares, a quantum whose exact orbit from the
-perihelion is unbounded.
+perihelion falls into it, and then refuses an orbit that escapes from its
+perihelion to u = 0, so neither path integrates an orbit that never closes.
 """
 
 from __future__ import annotations
@@ -346,14 +347,25 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     perihelion is bracketed.
 
     The period is the first-order 2 pi / x; at large epsilon it falls short
-    of the exact one. Raises ModelBreakdownError when that orbit is
-    unbounded, through orbit_params.
+    of the exact one. Raises ModelBreakdownError when that orbit falls into
+    the quantum, through orbit_params, and then DomainError, naming the
+    planet, when it escapes: with the first integral u'^2/2 + W(u) = W(u0),
+    W(u) = u^2/2 + (c/q) log1p(-q u) and W(0) = 0, the orbit turns back
+    before u = 0 only if W(u0) < 0, that is u0 < 2 c L(q u0) with
+    L(x) = -log1p(-x)/x and L(0) = 1 (h^2 < 2 mu r_p at q = 0).
     """
     orbit = derive_orbit(el)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
     _, freq_ratio = orbit_params(quantum, orbit)
     model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
     u0 = 1.0 / orbit.r_p
+    c, q = _binet_constants(model)
+    x = q * u0
+    bound = 2.0 * c * (-math.log1p(-x) / x if x else 1.0)
+    if not u0 < bound:
+        raise DomainError(f"{el.name}: the exact orbit from perihelion escapes, its speed "
+                          f"there at or above escape speed (1/r_p = {u0!r} /m is not below "
+                          f"2 c L(q/r_p) = {bound!r} /m)")
     theta_max = n_periods * (2.0 * math.pi / freq_ratio) + 0.5
     return model, u0, theta_max
 
@@ -560,9 +572,11 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
     to the oscillation amplitude |u0 - u_star|, so it bounds the angle error
     on any eccentricity. Raises DomainError unless n_orbits is an integer
     of at least 2 (by operator.index: NumPy integers pass, True is 1) and
-    tol lies in [TOL_MIN, TOL_MAX], or for a circular start;
-    ModelBreakdownError when the exact orbit is unbounded, and
-    InsufficientSpanError when its period is too long to find the passages.
+    tol lies in [TOL_MIN, TOL_MAX], for a circular start, or, naming the
+    planet, when the exact orbit escapes from its perihelion (see
+    _perihelion_start); ModelBreakdownError when the exact orbit falls into
+    the quantum, and InsufficientSpanError when its period is too long to
+    find the passages.
     """
     try:
         n = operator.index(n_orbits)

@@ -743,6 +743,49 @@ def test_orbit_export_writes_in_batches(monkeypatch, fmt):
     assert out.writes <= 200
 
 
+def _planets_file(path, records):
+    path.write_text(json.dumps({"schema_version": 1, "planets": records}))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_documents_are_written_once(monkeypatch, tmp_path, fmt):
+    # 30 planets by 20 deltas make some 3.5k json tokens: streamed 1024 to
+    # a write, the json table would take four writes.
+    from qgrav import GM_SUN, cli
+    from qgrav.bodies import DAY_S
+    records = []
+    for i in range(30):
+        a = 5.79092e10 * (1.0 + i / 10.0)
+        records.append({"name": f"P{i:02d}", "a_m": a, "e": 0.2,
+                        "tau_days": 2.0 * math.pi * math.sqrt(a ** 3 / GM_SUN) / DAY_S})
+    planets = _planets_file(tmp_path / "planets.json", records)
+    deltas = ",".join(f"{0.01 * k:g}" for k in range(1, 21))
+    for argv in (["table", "--planets", planets, "--deltas", deltas],
+                 ["precess", "--planet", "mercury", "--delta", "0.0398"],
+                 ["fit"]):
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main([*argv, "--format", fmt]) == 0
+        assert out.writes == 1, argv[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_orbit_refuses_an_escaping_orbit(monkeypatch, capsys, tmp_path, fmt):
+    # h^2/(mu r_p) = 5: the perihelion speed is above escape speed, so the
+    # orbit never comes back; it is refused before integrate is called.
+    from qgrav import cli
+    monkeypatch.setattr(cli, "integrate", None)
+    planets = _planets_file(tmp_path / "planets.json", [
+        {"name": "Fast", "a_m": 1.495978707e11, "e": 0.5, "tau_days": 200.0}])
+    code = cli.main(["orbit", "--planets", planets, "--planet", "fast", "--delta", "0.0398",
+                     "--orbits", "2", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("qgrav: error: Fast: the exact orbit from perihelion escapes")
+    assert "inverse radius" not in err
+
+
 def test_closed_pipe_is_not_an_error():
     # The reader stops after a few bytes of a 200-orbit export.
     with subprocess.Popen([sys.executable, "-m", "qgrav", "orbit", "--planet", "mercury",

@@ -7,7 +7,9 @@ the wrong layer. __init__ and __main__ sit on top and are exempt.
 Data files are read in one place: only bodies opens or parses JSON. Steps
 are sized in one place: orbit has one step-size controller. The quantum
 rule is read in one place: only precession converts or compares it. The
-float rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows.
+float rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows,
+and it is the only writer that streams: it alone batches its writes, and
+cli drives no json encoder token by token.
 """
 
 import ast
@@ -177,3 +179,19 @@ def test_float_rows_have_one_writer():
                for loop in ast.walk(functions[name])
                if isinstance(loop, PER_ROW) and _builds_dict(loop)]
     assert per_row == []
+
+
+def test_only_the_float_rows_stream():
+    # table, precess and fit build their document whole; only _emit_rows
+    # writes in batches, and neither a json encoder driven token by token
+    # nor the piece streamer and csv echo file that served it remain.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    batching = [getattr(node, "name", None) or ast.unparse(node) for node in tree.body
+                if getattr(node, "name", None) != "_emit_rows"
+                and {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                & {"islice", "_BATCH"}]
+    assert batching == []
+    named = {getattr(node, field, None) for node in ast.walk(tree)
+             for field in ("id", "attr", "name")}
+    assert not named & {"iterencode", "JSONEncoder", "_emit", "_Echo"}

@@ -21,7 +21,7 @@ def _mercury_model(mercury_orbit, delta=0.0398):
     return QuantizedModel(quantum=q, mu=mercury_orbit.mu, h=mercury_orbit.h), q
 
 
-def test_binet_rhs_newtonian_limit(mercury_orbit):
+def test_forcing_newtonian_limit(mercury_orbit):
     model = QuantizedModel(quantum=0.0, mu=mercury_orbit.mu, h=mercury_orbit.h)
     c, q = _binet_constants(model)
     assert c == mercury_orbit.mu / mercury_orbit.h ** 2
@@ -29,7 +29,7 @@ def test_binet_rhs_newtonian_limit(mercury_orbit):
         assert _forcing(c, q, u) == pytest.approx(-u + c, rel=1e-15)
 
 
-def test_binet_rhs_first_order_expansion(mercury_orbit):
+def test_forcing_first_order_expansion(mercury_orbit):
     # the exact forcing matches -u + c(1 + q u) up to O((q u)^2)
     model, q = _mercury_model(mercury_orbit)
     c = mercury_orbit.mu / mercury_orbit.h ** 2
@@ -39,7 +39,7 @@ def test_binet_rhs_first_order_expansion(mercury_orbit):
         assert abs(exact - first_order) <= 2.0 * c * (q * u) ** 2
 
 
-def test_binet_rhs_frozen_point(mercury_orbit):
+def test_forcing_frozen_point(mercury_orbit):
     # single-point oracle: independent arithmetic at u = 1/r_p
     model, q = _mercury_model(mercury_orbit)
     u = 1.0 / mercury_orbit.r_p
@@ -49,7 +49,7 @@ def test_binet_rhs_frozen_point(mercury_orbit):
     assert got == pytest.approx(-3.707747858585475e-12, rel=1e-12)
 
 
-def test_binet_rhs_singularity(mercury_orbit):
+def test_forcing_singularity(mercury_orbit):
     c, q = _binet_constants(QuantizedModel(quantum=1e9, mu=mercury_orbit.mu,
                                            h=mercury_orbit.h))
     with pytest.raises(SingularityError):
@@ -353,6 +353,27 @@ def test_measured_precession_breakdown(mercury):
     for delta in (6e4, 1e5):
         with pytest.raises(ModelBreakdownError, match="unbounded"):
             measured_precession(mercury, delta, n_orbits=3, tol=1e-10)
+
+
+def _at_escape_ratio(ratio):
+    """Elements at 1 AU, e = 0.5 whose h^2/(mu r_p) is ratio; 2 is escape speed at q = 0."""
+    a, e = AU, 0.5
+    b = a * math.sqrt(1.0 - e * e)
+    h = math.sqrt(ratio * GM_SUN * a * (1.0 - e))
+    return PlanetElements(name="Edge", a=a, e=e, tau_days=2.0 * math.pi * a * b / h / 86400.0)
+
+
+def test_measured_precession_refuses_an_escaping_orbit():
+    bound = _at_escape_ratio(1.999)
+    for delta in (0.0, 0.0398, 300.0):
+        assert measured_precession(bound, delta, n_orbits=3, tol=1e-10).per_orbit_rad >= 0.0
+    escaping = _at_escape_ratio(2.0001)
+    for delta in (0.0, 0.0398):
+        with pytest.raises(DomainError, match="^Edge: the exact orbit from perihelion escapes"):
+            measured_precession(escaping, delta, n_orbits=3, tol=1e-10)
+    # A quantum large enough deepens the well until the same start is bound.
+    result = measured_precession(escaping, 300.0, n_orbits=3, tol=1e-10)
+    assert result.per_orbit_rad == pytest.approx(0.0022891, rel=1e-4)
 
 
 def test_measured_precession_validation(mercury):
