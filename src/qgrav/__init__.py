@@ -19,9 +19,8 @@ from .bodies import (ARCSEC_PER_RAD, AU, C_LIGHT, CENTURY_DAYS, CONSTANTS_VERSIO
                      derive_orbit, load_planets, planet_by_name, rad_to_arcsec)
 from .calibrate import (Observation, FitResult, fit_delta, invert_delta,
                         load_observations, sweep_delta)
-from .errors import (DomainError, IngestionError, InsufficientSpanError,
-                     ModelBreakdownError, QgravError, SingularityError,
-                     StepFailureError)
+from .errors import (DomainError, IngestionError, ModelBreakdownError, QgravError,
+                     SingularityError, StepFailureError)
 from .forces import (NEWTON_G, PrecessionResult, Provenance, QuantizedModel,
                      corrected_force, gr_precession_baseline, newtonian_force,
                      state_weight, weight_increment)
@@ -37,8 +36,8 @@ __all__ = [
     "load_planets", "planet_by_name", "rad_to_arcsec",
     "Observation", "FitResult", "fit_delta", "invert_delta",
     "load_observations", "sweep_delta",
-    "DomainError", "IngestionError", "InsufficientSpanError",
-    "ModelBreakdownError", "QgravError", "SingularityError", "StepFailureError",
+    "DomainError", "IngestionError", "ModelBreakdownError", "QgravError",
+    "SingularityError", "StepFailureError",
     "NEWTON_G", "QuantizedModel", "corrected_force", "gr_precession_baseline",
     "newtonian_force", "state_weight", "weight_increment",
     "Trajectory", "integrate", "measured_precession",

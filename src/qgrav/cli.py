@@ -299,7 +299,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     with naming_planet(el.name):
-        model, u0, theta_max = _perihelion_start(el, args.delta, args.rule, args.orbits)
+        model, u0, period = _perihelion_start(el, args.delta, args.rule)
+    # --orbits first-order periods, plus half a radian to bracket the last
+    # perihelion; at large epsilon they span fewer exact periods.
+    theta_max = args.orbits * period + 0.5
     traj = integrate(model, u0, 0.0, theta_max, args.tol)
     # theta is at most theta_max and every u passed the forcing check
     # (u > 0, q u < 1), so only r = 1/u can leave the float range.

@@ -39,10 +39,6 @@ class SingularityError(QgravError):
         )
 
 
-class InsufficientSpanError(QgravError):
-    """The orbit searched holds too few perihelion passages to measure an advance."""
-
-
 class StepFailureError(QgravError):
     """Adaptive integrator step size underflowed before meeting the tolerance."""
 

@@ -23,7 +23,8 @@ oscillation amplitude |u0 - u_star|, the quantity a perihelion angle
 depends on, so it holds on near-circular orbits too. A passage is where
 omega theta - atan2(b, a) reaches a multiple of 2 pi, placed by Newton
 inside the step that crosses it, and the advance is read off the turn of
-atan2(b, a) from the first passage to the last.
+atan2(b, a) from the first passage to the last. The steps stop at the
+last passage, with no span of theta: the orbits admitted are periodic.
 
 integrate stores the samples for the `qgrav orbit` export. Its stepper,
 _dopri_step, follows (u, du/dtheta) with local error below tol relative to
@@ -50,9 +51,8 @@ import operator
 from collections.abc import Iterable
 from functools import partial
 
-from .bodies import ARCSEC_PER_RAD, PlanetElements, derive_orbit
-from .errors import (DomainError, InsufficientSpanError, QgravError,
-                     SingularityError, StepFailureError)
+from .bodies import _FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, derive_orbit
+from .errors import DomainError, QgravError, SingularityError, StepFailureError
 from .forces import PrecessionResult, Provenance, QuantizedModel
 from .precession import QuantumRule, _advance_from_eps, orbit_params, quantum_from_error
 from .record import Record
@@ -128,7 +128,8 @@ def _binet_constants(model: QuantizedModel) -> tuple[float, float]:
 def _forcing_error(u: float, q: float) -> QgravError:
     """The error for a forcing evaluation at u, where u > 0 or q u < 1 fails."""
     if not u > 0:
-        return DomainError(f"inverse radius must be positive, got {u!r}")
+        return DomainError(f"inverse radius must be positive, got {u!r}: the orbit "
+                           f"escapes, and is integrated only up to its asymptote u = 0")
     return SingularityError(1.0 / u, q)
 
 
@@ -302,7 +303,9 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     raises SingularityError if a stage evaluates the force at or inside the
     quantum, or StepFailureError if the step size underflows first as the
     force diverges; measured_precession and `qgrav orbit` refuse such a
-    start beforehand with ModelBreakdownError.
+    start beforehand with ModelBreakdownError. An escaping start is
+    integrated up to its asymptote, where u reaches 0, and a theta_max past
+    that raises DomainError there; the two refuse it beforehand too.
     """
     if not (math.isfinite(theta_max) and theta_max > 0):
         raise DomainError(f"theta_max must be positive, got {theta_max!r}")
@@ -340,19 +343,18 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
     return Trajectory(theta=theta, u=u, n_accepted=n_accepted, n_rejected=n_rejected)
 
 
-def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
-                      n_periods: int):
-    """(model, u0, theta_max) to integrate n_periods radial periods of the
-    exact orbit, starting at its perihelion, plus half a radian so the last
-    perihelion is bracketed.
+def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule):
+    """(model, u0, period): the model, the inverse perihelion distance and
+    the first-order radial period 2 pi / x of el's exact orbit at the
+    quantum of delta_arcsec, started at its perihelion.
 
-    The period is the first-order 2 pi / x; at large epsilon it falls short
-    of the exact one. Raises ModelBreakdownError when that orbit falls into
-    the quantum, through orbit_params, and then DomainError, naming the
-    planet, when it escapes: with the first integral u'^2/2 + W(u) = W(u0),
+    Raises ModelBreakdownError when that orbit falls into the quantum,
+    through orbit_params, and then DomainError, naming the planet, when it
+    escapes: with the first integral u'^2/2 + W(u) = W(u0),
     W(u) = u^2/2 + (c/q) log1p(-q u) and W(0) = 0, the orbit turns back
     before u = 0 only if W(u0) < 0, that is u0 < 2 c L(q u0) with
-    L(x) = -log1p(-x)/x and L(0) = 1 (h^2 < 2 mu r_p at q = 0).
+    L(x) = -log1p(-x)/x and L(0) = 1 (h^2 < 2 mu r_p at q = 0). An orbit
+    that passes both is periodic.
     """
     orbit = derive_orbit(el)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
@@ -366,8 +368,7 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
         raise DomainError(f"{el.name}: the exact orbit from perihelion escapes, its speed "
                           f"there at or above escape speed (1/r_p = {u0!r} /m is not below "
                           f"2 c L(q/r_p) = {bound!r} /m)")
-    theta_max = n_periods * (2.0 * math.pi / freq_ratio) + 0.5
-    return model, u0, theta_max
+    return model, u0, 2.0 * math.pi / freq_ratio
 
 
 def _drift_step(omega, u_star, d, q, g, atol, theta, state, h):
@@ -509,14 +510,15 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     with the first term from _advance_from_eps(kappa): each term is small
     and keeps its relative precision, where the mean of theta_n - theta_0
     (about 2 pi n) keeps only the bits of the advance that theta_n holds.
-    The first-order period undershoots the exact one at large epsilon (the
-    exact one is 1.57 times it at epsilon = 0.237), so the search runs over
-    2 n_orbits + 1 first-order periods; InsufficientSpanError, naming the
-    passages found, if those hold fewer than n_orbits + 1. DomainError for
-    a tol outside [TOL_MIN, TOL_MAX] or a circular start, which has no
-    perihelion; StepFailureError if the step size underflows.
+    The steps run until passage n_orbits is placed, over no span of theta:
+    _perihelion_start admits only an orbit that neither falls into the
+    quantum nor escapes, so the orbit is periodic. Near the separatrix its
+    exact period outgrows any multiple of the first-order one, but only like
+    the logarithm of the distance to it, so n_orbits bounds the work.
+    DomainError for a tol outside [TOL_MIN, TOL_MAX] or a circular start,
+    which has no perihelion; StepFailureError if the step size underflows.
     """
-    model, u0, theta_cap = _perihelion_start(el, delta_arcsec, rule, 2 * n_orbits + 1)
+    model, u0, _ = _perihelion_start(el, delta_arcsec, rule)
     _check_tol(tol)
     c, q = _binet_constants(model)
     u_star = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * q * c))
@@ -528,8 +530,6 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     if a == 0.0:
         raise DomainError(f"no perihelion: the start u = {u0!r} is the circular orbit")
     dw = d - q * a
-    if not dw > 0.0:
-        raise _forcing_error(u0, q)
     step = partial(_drift_step, omega, u_star, d, q, g, tol * abs(a))
 
     atan2 = math.atan2
@@ -537,7 +537,8 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     phi = atan2(b, a)
     # phi_0 is phi at passage 0, once placed.
     passages, phi_0 = ([0.0], phi) if a > 0.0 else ([], None)
-    for theta, _, state, _ in _adaptive_steps(step, (a, b, 0.0, g * a * a / dw), theta_cap,
+    # No theta_max: _FLOAT_MAX lies beyond any theta the steps can reach.
+    for theta, _, state, _ in _adaptive_steps(step, (a, b, 0.0, g * a * a / dw), _FLOAT_MAX,
                                               _MAX_DRIFT_STEP):
         a_new, b_new, _, _ = state
         # phi follows the turn of (a, b) over the step, so it never wraps.
@@ -552,10 +553,6 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
             if len(passages) > n_orbits:
                 drift = (phi + turn - phi_0) / (n_orbits * omega)
                 return passages, _advance_from_eps(kappa) + drift
-    raise InsufficientSpanError(
-        f"{len(passages)} perihelion passage(s) within theta = {theta_cap!r}; "
-        f"need {n_orbits + 1}"
-    )
 
 
 def measured_precession(el: PlanetElements, delta_arcsec: float,
@@ -575,8 +572,8 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
     tol lies in [TOL_MIN, TOL_MAX], for a circular start, or, naming the
     planet, when the exact orbit escapes from its perihelion (see
     _perihelion_start); ModelBreakdownError when the exact orbit falls into
-    the quantum, and InsufficientSpanError when its period is too long to
-    find the passages.
+    the quantum. Every other orbit is periodic, so its passages are found
+    however long its period grows near the breakdown boundary.
     """
     try:
         n = operator.index(n_orbits)

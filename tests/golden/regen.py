@@ -87,8 +87,10 @@ CASES = [command + ["--rule", rule, "--format", fmt]
 ]
 
 # measured_precession: every bundled planet x delta x tol at 50 orbits, then
-# Mercury far from the linear frame, at an aphelion start (5.9e4") and where
-# the search span holds too few passages (5.975e4")
+# Mercury far from the linear frame: at an aphelion start (5.9e4"), where
+# the exact radial period is 2.2 first-order ones (5.975e4"), and 1.3e-6 of
+# delta below the breakdown boundary at 5.9783325e4", where it is 3.4
+# (5.9783246e4")
 PRECESSION_CASES = [
     {"planet": planet, "delta_arcsec": delta, "tol": tol, "n_orbits": 50}
     for planet in ("Mercury", "Venus", "Earth") for delta in (0.0, 0.0398, 300.0)
@@ -96,6 +98,7 @@ PRECESSION_CASES = [
     {"planet": "Mercury", "delta_arcsec": 3e4, "tol": 1e-10, "n_orbits": 50},
     {"planet": "Mercury", "delta_arcsec": 5.9e4, "tol": 1e-12, "n_orbits": 3},
     {"planet": "Mercury", "delta_arcsec": 5.975e4, "tol": 1e-10, "n_orbits": 3},
+    {"planet": "Mercury", "delta_arcsec": 59783.246490105, "tol": 1e-12, "n_orbits": 3},
 ]
 
 

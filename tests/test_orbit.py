@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrav import (AU, GM_SUN, DomainError, InsufficientSpanError, ModelBreakdownError,
-                   PlanetElements, Provenance, QuantumRule, QuantizedModel,
-                   SingularityError, StepFailureError, Trajectory, integrate,
+from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
+                   Provenance, QuantumRule, QuantizedModel, SingularityError,
+                   StepFailureError, Trajectory, derive_orbit, integrate,
                    measured_precession, orbit_params, quantum_from_error, rad_to_arcsec)
-from qgrav.orbit import _binet_constants, _forcing
+from qgrav.orbit import _binet_constants, _forcing, _perihelion_start
 
 GM = 1.32712440018e20
 
@@ -322,11 +322,87 @@ def test_perihelion_passages(planets, mercury):
         mean_gap = (angles[-1] - angles[0]) / 3 - 2.0 * math.pi
         assert abs(result.per_orbit_rad - mean_gap) <= 4.0 * math.ulp(angles[-1]) / 3
     assert angles[0] > 5.0
-    # Nearer the breakdown the exact period passes twice the first-order
-    # one: the fourth passage lies beyond the span searched, and no average
-    # of fewer gaps is returned.
-    with pytest.raises(InsufficientSpanError, match="3 perihelion passage"):
-        measured_precession(mercury, 5.975e4, n_orbits=3, tol=1e-10)
+    # Nearer the breakdown boundary (5.9783325e4" for Mercury) the exact
+    # period grows past twice the first-order one, and the passages are
+    # still all found. Against a 50-digit quadrature of the exact advance,
+    # tol 1e-12 and n = 3 miss by 7.9e-12, 2.9e-11 and 1.9e-9 relative;
+    # each bound is 4 times that.
+    for delta, bound in ((59750.0, 3.2e-11), (59775.49157436139, 1.2e-10),
+                         (59783.246490105, 7.6e-9)):
+        model, u0, _ = _perihelion_start(mercury, delta, QuantumRule.PERIHELION)
+        exact = _exact_advance(model, u0)
+        measured = measured_precession(mercury, delta, n_orbits=3, tol=1e-12).per_orbit_rad
+        assert abs(measured - exact) <= bound * exact, delta
+
+
+def _exact_advance(model, u0):
+    """The exact advance per radial period of the orbit from rest at u0, by
+    50-digit quadrature: 2 times the integral of du / sqrt(2 (E - W(u)))
+    between the turning points, less 2 pi, with E = W(u0) and
+    W(u) = u^2/2 + (c/q) log1p(-q u). The other turning point is bisected on
+    the far side of the circular point u_star, where W rises to the barrier
+    at u_plus or to W(0) = 0, and kept on its side of the well so that
+    E - W stays positive but for rounding at the ends."""
+    mpmath = pytest.importorskip("mpmath")
+    mp, mpf = mpmath.mp, mpmath.mpf
+    with mp.workdps(50):
+        q, mu, h, u0 = mpf(model.quantum), mpf(model.mu), mpf(model.h), mpf(u0)
+        c = mu / (h * h)
+        s = mp.sqrt(1 - 4 * q * c)
+        u_star = 2 * c / (1 + s)
+
+        def W(u):
+            return u * u / 2 + (c / q) * mp.log1p(-q * u)
+
+        energy = W(u0)
+        inner, outer = u_star, (1 + s) / (2 * q) if u0 < u_star else mpf(0)
+        for _ in range(200):
+            mid = (inner + outer) / 2
+            if W(mid) < energy:
+                inner = mid
+            else:
+                outer = mid
+        a, b = sorted((u0, inner))
+        period = 2 * mp.quad(lambda u: 1 / mp.sqrt(2 * abs(energy - W(u))), [a, u_star, b])
+        return float(period - 2 * mp.pi)
+
+
+def _breakdown_delta(el, rule):
+    """The largest delta, in arcsec, that orbit_params admits on el: the
+    last float before ModelBreakdownError, by bisection."""
+    orbit = derive_orbit(el)
+
+    def admitted(delta):
+        try:
+            orbit_params(quantum_from_error(delta, orbit, rule), orbit)
+        except ModelBreakdownError:
+            return False
+        return True
+
+    low, high = 0.0, 1e3
+    while admitted(high):
+        low, high = high, 2.0 * high
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return low
+        low, high = (mid, high) if admitted(mid) else (low, mid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["Mercury", "Venus", "Earth"]),
+       rule=st.sampled_from(list(QuantumRule)), fraction=st.floats(0.0, 1.0 - 1e-9),
+       n=st.sampled_from([2, 3]), tol=st.sampled_from([1e-10, 1e-12]))
+def test_measurement_reaches_the_breakdown_boundary(planets, name, rule, fraction, n, tol):
+    # Every admitted orbit is periodic, so the measurement returns at any
+    # delta below the breakdown boundary, however long the exact period,
+    # and refuses just past it exactly as orbit_params does.
+    el = planets[name]
+    delta_max = _breakdown_delta(el, rule)
+    result = measured_precession(el, fraction * delta_max, rule, n_orbits=n, tol=tol)
+    assert math.isfinite(result.per_orbit_rad) and result.per_orbit_rad >= 0.0
+    with pytest.raises(ModelBreakdownError, match="unbounded"):
+        measured_precession(el, math.nextafter(delta_max, math.inf), rule, n_orbits=n, tol=tol)
 
 
 def test_measured_precession_streams(mercury):
@@ -437,6 +513,27 @@ def test_integrate_stage_domain_check(mercury_orbit):
         integrate(model, u0, -1e4 * u0, 1.0)
 
 
+def test_integrate_follows_an_escaping_orbit_to_its_asymptote():
+    # At q = 0, h^2/(mu r_p) = 5.003 gives the hyperbola u = c (1 + e cos
+    # theta) with e = 4.003, whose asymptote u = 0 lies at theta = 1.8233.
+    # integrate follows it up to there, and a span past it fails on the
+    # step that crosses, naming the cause.
+    orbit = derive_orbit(PlanetElements(name="Fast", a=1.495978707e11, e=0.5,
+                                        tau_days=200.0))
+    model = QuantizedModel(quantum=0.0, mu=orbit.mu, h=orbit.h)
+    u0 = 1.0 / orbit.r_p
+    c, _ = _binet_constants(model)
+    ecc = u0 / c - 1.0
+    assert 1.8 < math.acos(-1.0 / ecc) < 1.83
+    traj = integrate(model, u0, 0.0, 1.8)
+    assert traj.theta[-1] == 1.8
+    for theta, u in zip(traj.theta, traj.u):
+        assert abs(u - c * (1.0 + ecc * math.cos(theta))) <= 1e-11 * u0
+    with pytest.raises(DomainError, match=r"^inverse radius must be positive, got .*: "
+                                          r"the orbit escapes"):
+        integrate(model, u0, 0.0, 20.0)
+
+
 def test_trajectory_validation():
     # out of order is refused; a wide gap is not, as no reader needs it narrow
     with pytest.raises(DomainError, match="strictly increasing"):
@@ -481,7 +578,6 @@ def test_perihelion_count_over_n_periods(el, n, delta, rule, tol):
     # From a perihelion start over n radial periods (theta_max = n 2 pi/x
     # + 0.5) every later perihelion is found once: none lost, none repeated.
     # A perihelion is an interior maximum of u over the samples.
-    from qgrav.orbit import _perihelion_start
-    model, u0, theta_max = _perihelion_start(el, delta, rule, n)
-    u = integrate(model, u0, 0.0, theta_max, tol=tol).u
+    model, u0, period = _perihelion_start(el, delta, rule)
+    u = integrate(model, u0, 0.0, n * period + 0.5, tol=tol).u
     assert sum(a < b >= c for a, b, c in zip(u, u[1:], u[2:])) == n
