@@ -21,10 +21,10 @@ O(epsilon^2 e) of the amplitude, so on planet orbits every step sits at
 the drift's own cap: 16 per radial period. tol is relative to the
 oscillation amplitude |u0 - u_star|, the quantity a perihelion angle
 depends on, so it holds on near-circular orbits too. A passage is where
-omega theta - atan2(b, a) reaches a multiple of 2 pi, placed by Newton
-inside the step that crosses it, and the advance is read off the turn of
-atan2(b, a) from the first passage to the last. The steps stop at the
-last passage, with no span of theta: the orbits admitted are periodic.
+omega theta - atan2(b, a) reaches a multiple of 2 pi. The steps count the
+passages, place only the first and the last by Newton in the step that
+crosses each, read the advance off the turn of atan2(b, a) between them
+and stop at the last, with no span of theta: the orbits admitted are periodic.
 
 integrate stores the samples for the `qgrav orbit` export. Its stepper,
 _dopri_step, follows (u, du/dtheta) with local error below tol relative to
@@ -484,10 +484,10 @@ def _place_passage(step, omega, theta, state, phase_gap):
 
 
 def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumRule,
-                         n_orbits: int, tol: float) -> tuple[list[float], float]:
-    """(angles, per_orbit): the angles of the first n_orbits + 1 perihelion
-    passages of the exact orbit started at el's perihelion distance with
-    du/dtheta = 0, and its mean advance per radial period in rad.
+                         n_orbits: int, tol: float) -> tuple[tuple[float, float], float]:
+    """((theta_0, theta_n), per_orbit): the angles of perihelion passages 0
+    and n = n_orbits of the exact orbit started at el's perihelion distance
+    with du/dtheta = 0, and its mean advance per radial period in rad.
 
     The orbit is followed in the frame that turns with it (Encke's method
     with variation of parameters). The circular fixed point u_star is the
@@ -502,17 +502,18 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     every step sits at the cap _MAX_DRIFT_STEP: 16 per radial period.
 
     Passage k is where G = omega theta - phi reaches 2 pi k, phi = atan2(b, a)
-    followed continuously; _place_passage puts it inside the step that
-    crosses. Passage 0 is theta = 0 when u0 > u_star, else the start is an
-    aphelion and the first passage is where G reaches 0. No sample is kept.
+    followed continuously; passage 0 is theta = 0 unless u0 < u_star, an
+    aphelion start. The steps count passages, and _place_passage places only
+    0 and n, in the step crossing each; it never feeds back into the steps,
+    so theta_n at n_orbits = k is passage k of any longer call. No sample is kept.
     As theta_n - theta_0 = (2 pi n + phi_n - phi_0) / omega, the advance is
     read off the apse line, 2 pi (1/omega - 1) + (phi_n - phi_0) / (n omega)
     with the first term from _advance_from_eps(kappa): each term is small
     and keeps its relative precision, where the mean of theta_n - theta_0
     (about 2 pi n) keeps only the bits of the advance that theta_n holds.
-    The steps run until passage n_orbits is placed, over no span of theta:
-    _perihelion_start admits only an orbit that neither falls into the
-    quantum nor escapes, so the orbit is periodic. Near the separatrix its
+    The steps stop at passage n, over no span of theta: _perihelion_start
+    admits only an orbit that neither falls into the quantum nor escapes,
+    so the orbit is periodic. Near the separatrix its
     exact period outgrows any multiple of the first-order one, but only like
     the logarithm of the distance to it, so n_orbits bounds the work.
     DomainError for a tol outside [TOL_MIN, TOL_MAX] or a circular start,
@@ -535,8 +536,8 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     atan2 = math.atan2
     two_pi = 2.0 * math.pi
     phi = atan2(b, a)
-    # phi_0 is phi at passage 0, once placed.
-    passages, phi_0 = ([0.0], phi) if a > 0.0 else ([], None)
+    # k counts the passages crossed; theta_0 and phi_0 are set once passage 0 is.
+    k, theta_0, phi_0 = (1, 0.0, phi) if a > 0.0 else (0, None, None)
     # No theta_max: _FLOAT_MAX lies beyond any theta the steps can reach.
     for theta, _, state, _ in _adaptive_steps(step, (a, b, 0.0, g * a * a / dw), _FLOAT_MAX,
                                               _MAX_DRIFT_STEP):
@@ -544,15 +545,15 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
         # phi follows the turn of (a, b) over the step, so it never wraps.
         phi += atan2(a * b_new - b * a_new, a * a_new + b * b_new)
         a, b = a_new, b_new
-        phase_gap = omega * theta - phi - two_pi * len(passages)
+        phase_gap = omega * theta - phi - two_pi * k
         if phase_gap >= 0.0:
-            h, turn = _place_passage(step, omega, theta, state, phase_gap)
-            passages.append(theta + h)
-            if phi_0 is None:
-                phi_0 = phi + turn
-            if len(passages) > n_orbits:
-                drift = (phi + turn - phi_0) / (n_orbits * omega)
-                return passages, _advance_from_eps(kappa) + drift
+            if k == 0 or k == n_orbits:
+                h, turn = _place_passage(step, omega, theta, state, phase_gap)
+                if k:
+                    drift = (phi + turn - phi_0) / (n_orbits * omega)
+                    return (theta_0, theta + h), _advance_from_eps(kappa) + drift
+                theta_0, phi_0 = theta + h, phi + turn
+            k += 1
 
 
 def measured_precession(el: PlanetElements, delta_arcsec: float,
@@ -560,20 +561,19 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
                         n_orbits: int = 50, tol: float = 1e-12) -> PrecessionResult:
     """Measure the perihelion advance by exact integration from a perihelion start.
 
-    Integrates the drift of the apse line under the exact force until
-    n_orbits + 1 perihelion passages theta_0..theta_n have been placed, with
-    no sample stored. The mean advance (theta_n - theta_0) / n_orbits - 2 pi
-    is read off the turn of the apse line between the first and the last
-    passage (see _perihelion_passages) and extrapolated to a century exactly
-    as the analytic chain does. tol bounds the local error per step relative
-    to the oscillation amplitude |u0 - u_star|, so it bounds the angle error
-    on any eccentricity. Raises DomainError unless n_orbits is an integer
-    of at least 2 (by operator.index: NumPy integers pass, True is 1) and
-    tol lies in [TOL_MIN, TOL_MAX], for a circular start, or, naming the
-    planet, when the exact orbit escapes from its perihelion (see
-    _perihelion_start); ModelBreakdownError when the exact orbit falls into
-    the quantum. Every other orbit is periodic, so its passages are found
-    however long its period grows near the breakdown boundary.
+    Integrates the drift of the apse line under the exact force across
+    n_orbits + 1 perihelion passages, placing only the first and the last,
+    and reads the mean advance off the turn of the apse line between them
+    (see _perihelion_passages), extrapolated to a century as the analytic
+    chain does. tol bounds the local error per step relative to the
+    oscillation amplitude |u0 - u_star|, so it bounds the angle error on any
+    eccentricity away from the breakdown boundary; near it the advance is
+    ill-conditioned and tol does not bound it (README). Raises DomainError
+    unless n_orbits is an integer of at least 2 (by operator.index: NumPy
+    integers pass, True is 1) and tol lies in [TOL_MIN, TOL_MAX], for a
+    circular start, or, naming the planet, when the exact orbit escapes from
+    its perihelion (see _perihelion_start); ModelBreakdownError when the
+    exact orbit falls into the quantum. Every other orbit is periodic and is measured.
     """
     try:
         n = operator.index(n_orbits)

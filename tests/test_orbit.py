@@ -11,7 +11,8 @@ from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
                    Provenance, QuantumRule, QuantizedModel, SingularityError,
                    StepFailureError, Trajectory, derive_orbit, integrate,
                    measured_precession, orbit_params, quantum_from_error, rad_to_arcsec)
-from qgrav.orbit import _binet_constants, _forcing, _perihelion_start
+from qgrav.orbit import (_binet_constants, _forcing, _perihelion_passages,
+                         _perihelion_start, _place_passage)
 
 GM = 1.32712440018e20
 
@@ -151,9 +152,17 @@ def test_integrate_deterministic(mercury_orbit):
     assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
 
 
+def _passage_angles(el, delta, n, tol):
+    """theta_0..theta_n of el's exact orbit. _perihelion_passages places only
+    its first and last passage, and placing never feeds back into the steps,
+    so theta_k is the last angle of the call with n_orbits = k."""
+    ends = [_perihelion_passages(el, delta, QuantumRule.PERIHELION, k, tol)[0]
+            for k in range(1, n + 1)]
+    return [ends[0][0]] + [theta_k for _, theta_k in ends]
+
+
 def test_advance_positivity(mercury):
-    from qgrav.orbit import _perihelion_passages
-    angles, _ = _perihelion_passages(mercury, 0.0398, QuantumRule.PERIHELION, 5, 1e-12)
+    angles = _passage_angles(mercury, 0.0398, 5, 1e-12)
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     assert len(gaps) == 5
     assert all(gap > 2.0 * math.pi for gap in gaps)
@@ -217,10 +226,9 @@ def test_measured_precession_matches_exact_advance(planets):
 def test_passages_on_a_kepler_ellipse():
     # At q = 0 the drift rates vanish, the apse line stands still and
     # passage k is placed at exactly 2 pi k, however eccentric the ellipse.
-    from qgrav.orbit import _perihelion_passages
     for e in (0.2, 0.9):
         el = PlanetElements(name="K", a=1.5e11, e=e, tau_days=365.0)
-        angles, _ = _perihelion_passages(el, 0.0, QuantumRule.PERIHELION, 5, 1e-12)
+        angles = _passage_angles(el, 0.0, 5, 1e-12)
         assert angles == [2.0 * math.pi * k for k in range(6)]
 
 
@@ -307,12 +315,11 @@ def test_perihelion_passages(planets, mercury):
     # planets. At large epsilon the first-order period undershoots the exact
     # one (1.6x at 5.9e4", where the start is the exact orbit's aphelion),
     # yet all n_orbits + 1 passages are found, each one exact period apart.
-    from qgrav.orbit import _perihelion_passages
     for el in planets.values():
-        angles, _ = _perihelion_passages(el, 0.0398, QuantumRule.PERIHELION, 2, 1e-12)
-        assert angles[0] == 0.0
+        (theta_0, _), _ = _perihelion_passages(el, 0.0398, QuantumRule.PERIHELION, 2, 1e-12)
+        assert theta_0 == 0.0
     for delta in (3e4, 5.9e4):
-        angles, _ = _perihelion_passages(mercury, delta, QuantumRule.PERIHELION, 3, 1e-10)
+        angles = _passage_angles(mercury, delta, 3, 1e-10)
         assert len(angles) == 4
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         assert max(gaps) - min(gaps) < 1e-7
@@ -333,6 +340,26 @@ def test_perihelion_passages(planets, mercury):
         exact = _exact_advance(model, u0)
         measured = measured_precession(mercury, delta, n_orbits=3, tol=1e-12).per_orbit_rad
         assert abs(measured - exact) <= bound * exact, delta
+
+
+def test_only_the_first_and_last_passage_are_placed(planets, mercury, monkeypatch):
+    # The advance reads passages 0 and n alone, so the passages between are
+    # counted and not placed. A perihelion start is passage 0 itself; at
+    # 5.9e4" the start is an aphelion, and passage 0 is placed too.
+    thetas = []
+
+    def counted(step, omega, theta, state, phase_gap):
+        thetas.append(theta)
+        return _place_passage(step, omega, theta, state, phase_gap)
+
+    monkeypatch.setattr("qgrav.orbit._place_passage", counted)
+    for el in planets.values():
+        thetas.clear()
+        measured_precession(el, 0.0398, n_orbits=50)
+        assert len(thetas) == 1, el.name
+    thetas.clear()
+    measured_precession(mercury, 5.9e4, n_orbits=3)
+    assert len(thetas) == 2
 
 
 def _exact_advance(model, u0):
