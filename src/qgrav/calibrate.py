@@ -16,7 +16,7 @@ from typing import IO
 
 from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, _check_record,
                      _check_unique, _load_records, derive_orbit, load_planets,
-                     planet_by_name, rad_to_arcsec)
+                     planet_by_name)
 from .errors import DomainError, IngestionError, naming_planet
 from .forces import _EPS_BOX, _X_BOX, _check_bounded
 from .precession import QuantumRule, _advances, _scale, planet_precession
@@ -92,14 +92,15 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     recovered from the per-century value, the frequency ratio from the
     advance, the quantum from the ratio, delta from the quantum. Every
     small quantity is carried in full relative precision, so composing with
-    planet_precession is the identity to roundoff.
+    planet_precession is the identity to roundoff. The box or the breakdown
+    rule leaves q < r_p <= b, so q/scale < 1 rad needs no range check.
     """
     orbit = derive_orbit(el)
     scale = _scale(orbit, rule)
     if not 0.0 <= target_arcsec <= _FLOAT_MAX:
         raise DomainError(f"target precession must be >= 0, got {target_arcsec!r}")
     advance = target_arcsec / (orbit.orbits_per_century * ARCSEC_PER_RAD)
-    two_pi = 2.0 * math.pi
+    two_pi = math.tau
     freq_ratio = two_pi / (two_pi + advance)
     # 1 - x^2 = (1 - x)(1 + x) with 1 - x = advance / (2 pi + advance): no
     # cancellation, unlike forming 1 - freq_ratio**2 near freq_ratio = 1.
@@ -107,7 +108,7 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     quantum = eps * orbit.h * orbit.h / orbit.mu
     if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
         _check_bounded(quantum, eps, quantum / orbit.r_p)
-    return rad_to_arcsec(quantum / scale)
+    return quantum / scale * ARCSEC_PER_RAD
 
 
 def fit_delta(observations: list[Observation],
@@ -182,7 +183,11 @@ def _weighted_sums(observations: list[Observation], slopes: list[float],
 def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
                 steps: int,
                 rule: QuantumRule = QuantumRule.PERIHELION) -> list[tuple[float, float]]:
-    """Evenly spaced (delta, arcsec/century) rows over [delta_min, delta_max]."""
+    """Evenly spaced (delta, arcsec/century) rows over [delta_min, delta_max].
+
+    Only the endpoints are range-checked, the breakdown by _advances: an
+    interior row overflows only if span * i does, when row 1 breaks down first.
+    """
     if not 0.0 <= delta_min < delta_max <= _FLOAT_MAX:
         raise DomainError(f"sweep needs finite 0 <= delta_min < delta_max, "
                           f"got [{delta_min!r}, {delta_max!r}]")
@@ -195,6 +200,5 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     span = delta_max - delta_min
     # endpoints are hit exactly, not via accumulated float arithmetic
     deltas = [delta_min + span * i / (n - 1) for i in range(n - 1)] + [delta_max]
-    # the same values as planet_precession(el, delta, rule), bit for bit
-    advances = _advances(derive_orbit(el), deltas, rule)
-    return [(delta, per_century) for delta, (_, per_century) in zip(deltas, advances)]
+    orbit = derive_orbit(el)
+    return _advances(orbit, _scale(orbit, rule), deltas)

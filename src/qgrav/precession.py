@@ -100,6 +100,17 @@ def _advance_from_eps(eps: float) -> float:
     return 2.0 * math.pi * eps / (x * (1.0 + x))
 
 
+def _checked_eps(orbit: DerivedOrbit, scale: float, delta_arcsec: float) -> float:
+    """eps = q mu/h^2 for a delta its caller has range-checked, after the
+    breakdown box or, outside it, the rule; q is formed with arcsec_to_rad's
+    operations and eps as orbit_params forms it, so they agree bit for bit."""
+    quantum = delta_arcsec * math.pi / 648000.0 * scale
+    eps = quantum * orbit.mu / (orbit.h * orbit.h)
+    if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
+        _check_bounded(quantum, eps, quantum / orbit.r_p)
+    return eps
+
+
 def planet_precession(el: PlanetElements, delta_arcsec: float,
                       rule: QuantumRule = QuantumRule.PERIHELION) -> PrecessionResult:
     """Full analytic chain: elements + measurement error -> centurial precession.
@@ -107,37 +118,36 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
     Composes derive_orbit, quantum_from_error, orbit_params and the advance
     formulas; the advance is evaluated from eps = q mu/h^2 directly (see
     module note) so that inverting the result recovers delta to ~1e-15.
+    The rule and delta are checked here, the breakdown by _checked_eps.
     """
-    [(per_orbit, per_century)] = _advances(derive_orbit(el), [delta_arcsec], rule)
+    orbit = derive_orbit(el)
+    scale = _scale(orbit, rule)
+    _check_delta(delta_arcsec)
+    per_orbit = _advance_from_eps(_checked_eps(orbit, scale, delta_arcsec))
     return PrecessionResult(
         per_orbit_rad=per_orbit,
-        per_century_arcsec=per_century,
+        per_century_arcsec=per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD,
         provenance=Provenance.ANALYTIC,
     )
 
 
-def _advances(orbit: DerivedOrbit, deltas: list[float],
-              rule: QuantumRule) -> list[tuple[float, float]]:
-    """(rad/orbit, arcsec/century) for each delta on an already derived orbit.
+def _advances(orbit: DerivedOrbit, scale: float,
+              deltas: list[float]) -> list[tuple[float, float]]:
+    """sweep_delta's rows (delta, arcsec/century) on an orbit read once, each
+    what planet_precession gives, bit for bit; the caller checks each delta.
 
-    The body of planet_precession, shared with sweep_delta so that a sweep
-    reads its orbit once rather than once per row. Each quantum and eps is
-    formed as quantum_from_error and orbit_params form it, operation for
-    operation, so the values agree bit for bit; the century figure is the
-    per-orbit advance times orbits per century times arcsec per radian.
+    q and eps never fall as delta rises, so when the largest row (one of the
+    last two: the grid rises up to the last but one) is inside the breakdown
+    box, every row is. Past it, _checked_eps checks the rows in turn, and the
+    first that the rule refuses raises. The rows repeat its operations inline.
     """
-    scale = _scale(orbit, rule)
+    pi = math.pi
     mu = orbit.mu
     h2 = orbit.h * orbit.h
-    quantum_box = _X_BOX * orbit.r_p
+    quantum = max(deltas[-2:]) * pi / 648000.0 * scale
+    if not (quantum * mu / h2 < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
+        for delta in deltas:
+            _checked_eps(orbit, scale, delta)
     orbits_per_century = orbit.orbits_per_century
-    rows = []
-    for delta_arcsec in deltas:
-        _check_delta(delta_arcsec)
-        quantum = arcsec_to_rad(delta_arcsec) * scale
-        eps = quantum * mu / h2
-        if not (eps < _EPS_BOX and quantum < quantum_box):
-            _check_bounded(quantum, eps, quantum / orbit.r_p)
-        per_orbit = _advance_from_eps(eps)
-        rows.append((per_orbit, per_orbit * orbits_per_century * ARCSEC_PER_RAD))
-    return rows
+    return [(delta, _advance_from_eps(delta * pi / 648000.0 * scale * mu / h2)
+             * orbits_per_century * ARCSEC_PER_RAD) for delta in deltas]

@@ -84,6 +84,11 @@ CASES = [command + ["--rule", rule, "--format", fmt]
     ["precess", "--planet", "mercury", "--delta", "1e5", "--format", "json"],
     ["orbit", "--planet", "mercury", "--delta", "6e4", "--format", "csv"],
     ["table", "--deltas", "0.0398,1e5"],
+    # a sweep whose first failing row is an interior one, and one whose
+    # interior rows overflow: row 1 (5.7e307") to an infinite quantum, row 2
+    # to an infinite delta
+    ["sweep", "--planet", "mercury", "--delta-min", "0", "--delta-max", "1e6", "--steps", "1000"],
+    ["sweep", "--planet", "mercury", "--delta-min", "0", "--delta-max", "1.7e308", "--steps", "4"],
 ]
 
 # measured_precession: every bundled planet x delta x tol at 50 orbits, then

@@ -1,16 +1,17 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrav import (AU, GM_SUN, DomainError, IngestionError, ModelBreakdownError,
-                   Observation, PlanetElements, QuantumRule, derive_orbit,
-                   fit_delta, invert_delta, load_observations,
-                   planet_precession, sweep_delta)
+from qgrav import (ARCSEC_PER_RAD, AU, GM_SUN, DomainError, IngestionError,
+                   ModelBreakdownError, Observation, PlanetElements, QuantumRule,
+                   derive_orbit, fit_delta, invert_delta, load_observations,
+                   planet_precession, precession, sweep_delta)
 
 
 def test_load_bundled_observations():
@@ -260,6 +261,55 @@ def test_sweep_into_breakdown_raises_like_planet_precession(mercury):
     assert str(swept.value) == str(single.value)
 
 
+def _first_failure(el, lo, hi, steps, rule):
+    """(row, type, message) of the first row of sweep_delta's grid that
+    planet_precession refuses."""
+    span = hi - lo
+    deltas = [lo + span * i / (steps - 1) for i in range(steps - 1)] + [hi]
+    for row, delta in enumerate(deltas):
+        try:
+            planet_precession(el, delta, rule)
+        except (DomainError, ModelBreakdownError) as exc:
+            return row, type(exc), str(exc)
+    raise AssertionError("no row breaks down")
+
+
+@pytest.mark.parametrize("rule", list(QuantumRule))
+@pytest.mark.parametrize("hi, steps", [(6e4, 1000), (1e6, 1000), (1.7e308, 4)])
+def test_sweep_past_the_box_raises_at_its_first_failing_row(mercury, rule, hi, steps):
+    # the box is tested on the largest row only; past it the rows are
+    # checked in turn, so the sweep raises what planet_precession raises at
+    # the first failing row: an interior one, and at 1.7e308 row 1
+    # (5.7e307"), whose quantum overflows, not row 2, whose delta does
+    failing, kind, message = _first_failure(mercury, 0.0, hi, steps, rule)
+    assert 0 < failing < steps - 1
+    if hi == 1.7e308:
+        assert failing == 1 and kind is ModelBreakdownError
+    with pytest.raises(kind) as swept:
+        sweep_delta(mercury, 0.0, hi, steps, rule)
+    assert str(swept.value) == message
+
+
+def _counting(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(precession, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(precession, name, counted)
+    return counts
+
+
+def test_an_in_box_sweep_checks_no_row(monkeypatch, mercury):
+    counts = _counting(monkeypatch, "_check_bounded", "_check_delta", "_advance_from_eps")
+    rows = sweep_delta(mercury, 0.01, 0.05, 1000)
+    assert len(rows) == 1000
+    assert counts == {"_check_bounded": 0, "_check_delta": 0, "_advance_from_eps": 1000}
+    counts.update(dict.fromkeys(counts, 0))
+    planet_precession(mercury, 0.0398)
+    assert counts["_check_delta"] == 1
+
+
 # Planets with Kepler-consistent periods (within a factor of two), so that
 # deltas up to 300 arcsec stay far from breakdown. Each example draws fresh
 # elements, and each record derives its own orbit when it is built.
@@ -291,6 +341,18 @@ def test_sweep_rows_are_planet_precession_bit_for_bit(el, rule, bounds, steps):
 def test_invert_delta_undoes_planet_precession(el, rule, delta):
     forward = planet_precession(el, delta, rule).per_century_arcsec
     assert invert_delta(el, forward, rule) == pytest.approx(delta, rel=1e-12, abs=0.0)
+
+
+@given(el=_planet(), rule=_rules,
+       target=st.floats(0.0, sys.float_info.max) | st.integers(0, int(sys.float_info.max)))
+def test_invert_delta_is_under_a_radian_or_breaks_down(el, rule, target):
+    # the box or the breakdown rule leaves q < r_p <= b, so delta is
+    # q/scale < 1 rad: invert_delta forms arcsec without a range check
+    try:
+        delta = invert_delta(el, target, rule)
+    except ModelBreakdownError:
+        return
+    assert type(delta) is float and 0.0 <= delta < ARCSEC_PER_RAD
 
 
 @given(el=_planet(), rule=_rules, deltas=st.lists(_deltas, min_size=2, max_size=2))
