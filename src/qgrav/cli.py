@@ -298,8 +298,7 @@ def cmd_precess(args: argparse.Namespace) -> int:
 def cmd_orbit(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    with naming_planet(el.name):
-        model, u0, period = _perihelion_start(el, args.delta, args.rule)
+    model, u0, period = _perihelion_start(el, args.delta, args.rule)
     # --orbits first-order periods, plus half a radian to bracket the last
     # perihelion; at large epsilon they span fewer exact periods.
     theta_max = args.orbits * period + 0.5

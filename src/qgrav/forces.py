@@ -11,7 +11,8 @@ is L quanta has states of weight 1/L, and the interaction strength follows
 the weight increment 1/(L-1) - 1/L = 1/(L(L-1)) gained by contracting one
 quantum.
 
-The breakdown rule and PrecessionResult live here, below precession.
+The breakdown rule, the exact orbit's well (its escape test and the frame
+about its circular point) and PrecessionResult live here, below precession.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None
     first integral u'^2/2 + W(u) = W(u_p), where
     W(u) = u^2/2 + (c/q) log1p(-q u) and c = mu/h^2, the orbit from rest at
     its perihelion stays bounded only behind the barrier of W at
-    u+ = (1 + sqrt(1 - 4 eps))/(2q), the larger root of u (1 - q u) = c.
-    It falls into the quantum if eps >= 1/4 (no barrier), u_p >= u+, or
-    W(u_p) >= W(u+). Both sides are compared as
+    u+ = (1 + sqrt(1 - 4 eps))/(2q) = d/q of _drift_frame, the larger root
+    of u (1 - q u) = c. It falls into the quantum if eps >= 1/4 (no
+    barrier), u_p >= u+, or W(u_p) >= W(u+). Both sides are compared as
     q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
     1 - x+ = 2 eps/(1 + s) formed without cancellation. With x_p omitted
     (a model with no perihelion) only eps >= 1/4 is refused. eps = 0 (q = 0,
@@ -86,6 +87,32 @@ def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None
         f"quantum {quantum!r} m too large for this orbit: the exact orbit "
         f"from perihelion is unbounded (epsilon = {eps!r})"
     )
+
+
+def _check_escape(name: str, c: float, q: float, u0: float) -> None:
+    """DomainError, naming the planet, unless the exact orbit from rest at
+    u0 turns back before u = 0: by the first integral above and W(0) = 0,
+    only if W(u0) < 0, that is u0 < 2 c L(q u0) with L(x) = -log1p(-x)/x
+    and L(0) = 1 (h^2 < 2 mu r_p at q = 0). An orbit that passes this
+    escape test and _check_bounded is periodic."""
+    x = q * u0
+    bound = 2.0 * c * (-math.log1p(-x) / x if x else 1.0)
+    if not u0 < bound:
+        raise DomainError(f"{name}: the exact orbit from perihelion escapes, its speed "
+                          f"there at or above escape speed (1/r_p = {u0!r} /m is not below "
+                          f"2 c L(q/r_p) = {bound!r} /m)")
+
+
+def _drift_frame(c: float, q: float) -> tuple[float, float, float, float]:
+    """(u_star, d, kappa, omega) at the bottom of the well W: the circular
+    point u_star is the smaller root of u (1 - q u) = c, and with
+    d = 1 - q u_star, kappa = c q/d^2 and omega = sqrt(1 - kappa) the
+    deviation w = u - u_star obeys w'' = -omega^2 w + R exactly, with
+    R = kappa q w^2 / (d - q w). omega is the small-oscillation frequency."""
+    u_star = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * q * c))
+    d = 1.0 - q * u_star
+    kappa = c * q / (d * d)
+    return u_star, d, kappa, math.sqrt(1.0 - kappa)
 
 
 class QuantizedModel(Record):

@@ -38,10 +38,10 @@ integrate runs on plain floats and returns what the export prints, theta
 and u as array('d') and the two step counts, so the whole module needs only
 the standard library.
 
-_perihelion_start refuses, through precession.orbit_params and the
-breakdown rule every path shares, a quantum whose exact orbit from the
-perihelion falls into it, and then refuses an orbit that escapes from its
-perihelion to u = 0, so neither path integrates an orbit that never closes.
+_perihelion_start refuses, by the two halves of the rule in forces, an
+orbit from the perihelion that falls into the quantum or escapes to u = 0,
+so neither path integrates an orbit that never closes. forces also holds
+the well's circular point and the frame about it; this module only steps.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from collections.abc import Iterable
 from functools import partial
 
 from .bodies import _FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, derive_orbit
-from .errors import DomainError, QgravError, SingularityError, StepFailureError
-from .forces import PrecessionResult, Provenance, QuantizedModel
+from .errors import DomainError, QgravError, SingularityError, StepFailureError, naming_planet
+from .forces import PrecessionResult, Provenance, QuantizedModel, _check_escape, _drift_frame
 from .precession import QuantumRule, _advance_from_eps, orbit_params, quantum_from_error
 from .record import Record
 
@@ -348,26 +348,17 @@ def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule
     the first-order radial period 2 pi / x of el's exact orbit at the
     quantum of delta_arcsec, started at its perihelion.
 
-    Raises ModelBreakdownError when that orbit falls into the quantum,
-    through orbit_params, and then DomainError, naming the planet, when it
-    escapes: with the first integral u'^2/2 + W(u) = W(u0),
-    W(u) = u^2/2 + (c/q) log1p(-q u) and W(0) = 0, the orbit turns back
-    before u = 0 only if W(u0) < 0, that is u0 < 2 c L(q u0) with
-    L(x) = -log1p(-x)/x and L(0) = 1 (h^2 < 2 mu r_p at q = 0). An orbit
-    that passes both is periodic.
+    Raises ModelBreakdownError when that orbit falls into the quantum
+    (orbit_params) and DomainError when it escapes (forces._check_escape),
+    each naming the planet.
     """
     orbit = derive_orbit(el)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
-    _, freq_ratio = orbit_params(quantum, orbit)
+    with naming_planet(el.name):
+        _, freq_ratio = orbit_params(quantum, orbit)
     model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
     u0 = 1.0 / orbit.r_p
-    c, q = _binet_constants(model)
-    x = q * u0
-    bound = 2.0 * c * (-math.log1p(-x) / x if x else 1.0)
-    if not u0 < bound:
-        raise DomainError(f"{el.name}: the exact orbit from perihelion escapes, its speed "
-                          f"there at or above escape speed (1/r_p = {u0!r} /m is not below "
-                          f"2 c L(q/r_p) = {bound!r} /m)")
+    _check_escape(el.name, *_binet_constants(model), u0)
     return model, u0, 2.0 * math.pi / freq_ratio
 
 
@@ -490,14 +481,12 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     with du/dtheta = 0, and its mean advance per radial period in rad.
 
     The orbit is followed in the frame that turns with it (Encke's method
-    with variation of parameters). The circular fixed point u_star is the
-    smaller root of u (1 - q u) = c; with d = 1 - q u_star, kappa = c q/d^2
-    and omega = sqrt(1 - kappa), the deviation w = u - u_star obeys
-    w'' = -omega^2 w + R exactly, R = kappa q w^2 / (d - q w). Writing
-    w = a cos(omega theta) + b sin(omega theta) with the apse-line drift
-    a' = -(R/omega) sin(omega theta), b' = (R/omega) cos(omega theta), the
-    step driver _adaptive_steps moves (a, b) from (u0 - u_star, 0) with
-    _drift_step, its error norm on the one absolute scale tol |u0 - u_star|.
+    with variation of parameters) about the circular point u_star of
+    forces._drift_frame, where w = u - u_star obeys w'' = -omega^2 w + R.
+    Writing w = a cos(omega theta) + b sin(omega theta) with the drift
+    a' = -(R/omega) sin(omega theta), b' = (R/omega) cos(omega theta) of the
+    apse line, the step driver _adaptive_steps moves (a, b) from
+    (u0 - u_star, 0) with _drift_step, its norm on the scale tol |u0 - u_star|.
     The drift rates are O(epsilon^2 e) of the amplitude, so on planet orbits
     every step sits at the cap _MAX_DRIFT_STEP: 16 per radial period.
 
@@ -513,19 +502,16 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     (about 2 pi n) keeps only the bits of the advance that theta_n holds.
     The steps stop at passage n, over no span of theta: _perihelion_start
     admits only an orbit that neither falls into the quantum nor escapes,
-    so the orbit is periodic. Near the separatrix its
-    exact period outgrows any multiple of the first-order one, but only like
-    the logarithm of the distance to it, so n_orbits bounds the work.
+    so the orbit is periodic. Near the separatrix its exact period outgrows
+    any multiple of the first-order one, but only like the logarithm of the
+    distance to it, so n_orbits bounds the work.
     DomainError for a tol outside [TOL_MIN, TOL_MAX] or a circular start,
     which has no perihelion; StepFailureError if the step size underflows.
     """
     model, u0, _ = _perihelion_start(el, delta_arcsec, rule)
     _check_tol(tol)
     c, q = _binet_constants(model)
-    u_star = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * q * c))
-    d = 1.0 - q * u_star
-    kappa = c * q / (d * d)
-    omega = math.sqrt(1.0 - kappa)
+    u_star, d, kappa, omega = _drift_frame(c, q)
     g = kappa * q / omega
     a, b = u0 - u_star, 0.0
     if a == 0.0:
@@ -570,10 +556,10 @@ def measured_precession(el: PlanetElements, delta_arcsec: float,
     eccentricity away from the breakdown boundary; near it the advance is
     ill-conditioned and tol does not bound it (README). Raises DomainError
     unless n_orbits is an integer of at least 2 (by operator.index: NumPy
-    integers pass, True is 1) and tol lies in [TOL_MIN, TOL_MAX], for a
-    circular start, or, naming the planet, when the exact orbit escapes from
-    its perihelion (see _perihelion_start); ModelBreakdownError when the
-    exact orbit falls into the quantum. Every other orbit is periodic and is measured.
+    integers pass, True is 1) and tol lies in [TOL_MIN, TOL_MAX], and for a
+    circular start. Naming the planet, it raises DomainError when the exact
+    orbit escapes from its perihelion and ModelBreakdownError when it falls
+    into the quantum (see _perihelion_start). Every other orbit is periodic.
     """
     try:
         n = operator.index(n_orbits)

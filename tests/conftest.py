@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from qgrav import derive_orbit, load_planets
+
+# pyproject's pythonpath puts src on this process's sys.path; the child
+# interpreters that the CLI tests start find qgrav through PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,10 @@ the wrong layer. __init__ and __main__ sit on top and are exempt.
 Data files are read in one place: only bodies opens or parses JSON. Steps
 are sized in one place: orbit has one step-size controller. The quantum
 rule is read in one place: only precession converts or compares it. The
-float rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows,
-and it is the only writer that streams: it alone batches its writes, and
-cli drives no json encoder token by token.
+exact orbit's well is formed in one place: only forces names its logarithm
+or its quadratic root. The float rows of `qgrav orbit` and `sweep` have one
+writer, cli._emit_rows, and it is the only writer that streams: it alone
+batches its writes, and cli drives no json encoder token by token.
 """
 
 import ast
@@ -195,3 +196,37 @@ def test_only_the_float_rows_stream():
     named = {getattr(node, field, None) for node in ast.walk(tree)
              for field in ("id", "attr", "name")}
     assert not named & {"iterencode", "JSONEncoder", "_emit", "_Echo"}
+
+
+# The exact orbit's well: W's logarithm, the root sqrt(1 - 4 q c) of
+# u (1 - q u) = c, and the helpers that form them.
+WELL_HELPERS = {"_check_bounded", "_check_escape", "_drift_frame"}
+
+
+def _well_forms(tree: ast.Module) -> list[str]:
+    """The parts of the well a module forms: a log or log1p it names (the
+    first integral's potential), a sqrt of 1 - 4 x (the circular point and
+    the barrier) and a definition of a well helper."""
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in ("log", "log1p"):
+            found.append(name)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) in ("sqrt", "math.sqrt")
+              and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub)
+              and ast.unparse(node.args[0].right).startswith(("4 *", "4.0 *"))):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.FunctionDef) and node.name in WELL_HELPERS:
+            found.append(f"def {node.name}")
+    return found
+
+
+def test_only_forces_forms_the_well():
+    # orbit steps in the frame forces hands it and asks forces whether the
+    # start escapes; no module besides forces forms the potential or its roots.
+    forms = {path.stem: _well_forms(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    in_forces = forms.pop("forces")
+    assert {stem: found for stem, found in forms.items() if found} == {}
+    assert sorted(f for f in in_forces if f.startswith("def ")) == [
+        f"def {name}" for name in sorted(WELL_HELPERS)]

@@ -11,6 +11,7 @@ from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
                    Provenance, QuantumRule, QuantizedModel, SingularityError,
                    StepFailureError, Trajectory, derive_orbit, integrate,
                    measured_precession, orbit_params, quantum_from_error, rad_to_arcsec)
+from qgrav.forces import _drift_frame
 from qgrav.orbit import (_binet_constants, _forcing, _perihelion_passages,
                          _perihelion_start, _place_passage)
 
@@ -432,6 +433,22 @@ def test_measurement_reaches_the_breakdown_boundary(planets, name, rule, fractio
         measured_precession(el, math.nextafter(delta_max, math.inf), rule, n_orbits=n, tol=tol)
 
 
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["Mercury", "Venus", "Earth"]),
+       rule=st.sampled_from(list(QuantumRule)), fraction=st.floats(0.0, 1.0 - 1e-9))
+def test_drift_frame_sits_in_the_breakdown_rules_well(planets, name, rule, fraction):
+    # The measurement's frame and the breakdown rule describe one well: the
+    # frame's d = 1 - q u_star is the rule's barrier x+ = q u+, the other
+    # root of u (1 - q u) = c, and kappa + omega^2 = 1.
+    orbit = derive_orbit(planets[name])
+    q = quantum_from_error(fraction * _breakdown_delta(planets[name], rule), orbit, rule)
+    eps = q * orbit.mu / (orbit.h * orbit.h)  # as orbit_params forms it
+    _, d, kappa, omega = _drift_frame(orbit.mu / (orbit.h * orbit.h), q)
+    x_plus = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * eps))
+    assert abs(d - x_plus) <= 1e-15 * x_plus
+    assert abs(kappa + omega * omega - 1.0) <= 4.5e-16
+
+
 def test_measured_precession_streams(mercury):
     # No sample is stored: 200 orbits peak within 16 KiB of 2 orbits (the
     # stored trajectory took 1.5 MB more at tol 1e-8, 8.8 MB at 1e-12). The
@@ -450,11 +467,12 @@ def test_measured_precession_streams(mercury):
 
 
 def test_measured_precession_breakdown(mercury):
-    # epsilon = 0.237 still gives a bounded exact orbit; 0.241 and 0.40 do not
+    # epsilon = 0.237 still gives a bounded exact orbit; 0.241 and 0.40 do
+    # not. The refusal names the planet, as the escape refusal does.
     result = measured_precession(mercury, 5.9e4, n_orbits=3, tol=1e-10)
     assert result.per_orbit_rad > 0.0
     for delta in (6e4, 1e5):
-        with pytest.raises(ModelBreakdownError, match="unbounded"):
+        with pytest.raises(ModelBreakdownError, match="^Mercury: quantum .* unbounded"):
             measured_precession(mercury, delta, n_orbits=3, tol=1e-10)
 
 
