@@ -18,7 +18,7 @@ from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, _check_record,
                      _check_unique, _load_records, derive_orbit, load_planets,
                      planet_by_name)
 from .errors import DomainError, IngestionError, naming_planet
-from .forces import _EPS_BOX, _X_BOX, _check_bounded
+from .forces import _EPS_BOX, _X_BOX, _epsilon
 from .precession import QuantumRule, _advances, _scale, planet_precession
 from .record import Record
 
@@ -92,8 +92,14 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     recovered from the per-century value, the frequency ratio from the
     advance, the quantum from the ratio, delta from the quantum. Every
     small quantity is carried in full relative precision, so composing with
-    planet_precession is the identity to roundoff. The box or the breakdown
-    rule leaves q < r_p <= b, so q/scale < 1 rad needs no range check.
+    planet_precession is the identity to roundoff.
+
+    The breakdown rule is applied to the delta returned, so invert_delta
+    refuses what planet_precession refuses, with its message. Inside the
+    box the inverted eps and q pass the rule, and so do the forward ones a
+    few ulps from them; past it forces._epsilon judges the quantum that
+    planet_precession forms from the delta. The box or the rule leaves
+    q < r_p <= b, so q/scale < 1 rad needs no range check.
     """
     orbit = derive_orbit(el)
     scale = _scale(orbit, rule)
@@ -106,9 +112,10 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     # cancellation, unlike forming 1 - freq_ratio**2 near freq_ratio = 1.
     eps = (advance / (two_pi + advance)) * (1.0 + freq_ratio)
     quantum = eps * orbit.h * orbit.h / orbit.mu
+    delta = quantum / scale * ARCSEC_PER_RAD
     if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
-        _check_bounded(quantum, eps, quantum / orbit.r_p)
-    return quantum / scale * ARCSEC_PER_RAD
+        _epsilon(delta * math.pi / 648000.0 * scale, orbit.mu, orbit.h, orbit.r_p)
+    return delta
 
 
 def fit_delta(observations: list[Observation],

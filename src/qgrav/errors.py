@@ -22,8 +22,10 @@ class ModelBreakdownError(QgravError):
     """The space quantum is too large for the orbit.
 
     Every path (the closed form, its inversion, the model and the
-    integrator) applies one rule: the exact orbit from the perihelion must
-    be bounded, which fails from epsilon = q mu / h^2 = 1/4 at the latest.
+    integrator) applies one rule, through forces._epsilon: the exact orbit
+    from the perihelion must be bounded, which fails from
+    epsilon = q mu / h^2 = 1/4 at the latest. The two row paths, sweep_delta
+    and invert_delta, first test a box inside which the rule always passes.
     """
 
 

@@ -11,8 +11,9 @@ is L quanta has states of weight 1/L, and the interaction strength follows
 the weight increment 1/(L-1) - 1/L = 1/(L(L-1)) gained by contracting one
 quantum.
 
-The breakdown rule, the exact orbit's well (its escape test and the frame
-about its circular point) and PrecessionResult live here, below precession.
+epsilon = q mu/h^2 and the breakdown rule (_epsilon), the exact orbit's
+well (its escape test and the frame about its circular point) and
+PrecessionResult live here, below precession.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class PrecessionResult(Record):
 
 
 # _check_bounded passes inside eps < _EPS_BOX, x_p < _X_BOX (see its
-# docstring), so row loops test this box inline and call it only outside.
+# docstring). The two row paths, precession._advances and
+# calibrate.invert_delta, test this box inline and call _epsilon only outside.
 _EPS_BOX = 0.01
 _X_BOX = 0.9
 
@@ -89,6 +91,15 @@ def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None
     )
 
 
+def _epsilon(quantum: float, mu: float, h: float, r_p: float | None = None) -> float:
+    """eps = quantum mu/h^2 once the breakdown rule passes: _check_bounded at
+    x_p = quantum/r_p, or on eps alone with r_p omitted. Only the row paths
+    form eps without it, and only inside the box."""
+    eps = quantum * mu / (h * h)
+    _check_bounded(quantum, eps, None if r_p is None else quantum / r_p)
+    return eps
+
+
 def _check_escape(name: str, c: float, q: float, u0: float) -> None:
     """DomainError, naming the planet, unless the exact orbit from rest at
     u0 turns back before u = 0: by the first integral above and W(0) = 0,
@@ -123,8 +134,10 @@ class QuantizedModel(Record):
     h        specific angular momentum, m^2/s
 
     The model carries GM alone: G never enters an orbit, only the
-    two-mass force laws below take it. epsilon >= 1/4, where no exact orbit
-    is bounded, raises ModelBreakdownError.
+    two-mass force laws below take it. Construction keeps
+    epsilon = quantum * mu / h^2, which takes no part in equality, hashing
+    or repr; epsilon >= 1/4, where no exact orbit is bounded, raises
+    ModelBreakdownError.
     """
 
     _fields = ("quantum", "mu", "h")
@@ -140,12 +153,7 @@ class QuantizedModel(Record):
             raise DomainError(f"gravitational parameter must be positive, got {self.mu!r}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise DomainError(f"angular momentum must be positive, got {self.h!r}")
-        _check_bounded(self.quantum, self.epsilon)
-
-    @property
-    def epsilon(self) -> float:
-        """Dimensionless perturbation strength quantum * mu / h^2."""
-        return self.quantum * self.mu / (self.h * self.h)
+        self.__dict__["epsilon"] = _epsilon(self.quantum, self.mu, self.h)
 
 
 def state_weight(n_states: int) -> float:

@@ -17,7 +17,8 @@ advance is formed from eps = q mu / h^2 directly (2 pi eps / (x (1 + x)),
 identical algebraically to 2 pi (1/x - 1)); routing the value through a
 rounded x near 1 would cap round-trip accuracy near 1e-9.
 
-The breakdown rule and PrecessionResult come from forces, the layer below.
+eps with the breakdown rule (forces._epsilon) and PrecessionResult come
+from forces, the layer below.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import math
 from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, DerivedOrbit, PlanetElements,
                      arcsec_to_rad, derive_orbit)
 from .errors import DomainError
-from .forces import (_EPS_BOX, _X_BOX, PrecessionResult, Provenance,
-                     _check_bounded)
+from .forces import _EPS_BOX, _X_BOX, PrecessionResult, Provenance, _epsilon
 
 
 class QuantumRule(enum.Enum):
@@ -80,14 +80,14 @@ def orbit_params(quantum: float, orbit: DerivedOrbit) -> tuple[float, float]:
     """Semi-latus rectum p and frequency ratio x for a quantum on an orbit.
 
     p = (h^2 - q mu)/mu and x = sqrt(1 - eps) with eps = q mu/h^2, so
-    x^2 + eps = 1 exactly. Raises ModelBreakdownError when the quantum is
-    too large for the orbit: when the exact orbit from its perihelion is
-    unbounded (see _check_bounded), which holds for every eps >= 1/4.
+    x^2 + eps = 1 exactly. eps comes from forces._epsilon, which raises
+    ModelBreakdownError when the quantum is too large for the orbit: when
+    the exact orbit from its perihelion is unbounded, which holds for every
+    eps >= 1/4.
     """
     if not 0.0 <= quantum <= _FLOAT_MAX:
         raise DomainError(f"space quantum must be >= 0, got {quantum!r}")
-    eps = quantum * orbit.mu / (orbit.h * orbit.h)
-    _check_bounded(quantum, eps, quantum / orbit.r_p)
+    eps = _epsilon(quantum, orbit.mu, orbit.h, orbit.r_p)
     x = math.sqrt(1.0 - eps)
     p = (orbit.h * orbit.h - quantum * orbit.mu) / orbit.mu
     return p, x
@@ -100,30 +100,21 @@ def _advance_from_eps(eps: float) -> float:
     return 2.0 * math.pi * eps / (x * (1.0 + x))
 
 
-def _checked_eps(orbit: DerivedOrbit, scale: float, delta_arcsec: float) -> float:
-    """eps = q mu/h^2 for a delta its caller has range-checked, after the
-    breakdown box or, outside it, the rule; q is formed with arcsec_to_rad's
-    operations and eps as orbit_params forms it, so they agree bit for bit."""
-    quantum = delta_arcsec * math.pi / 648000.0 * scale
-    eps = quantum * orbit.mu / (orbit.h * orbit.h)
-    if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
-        _check_bounded(quantum, eps, quantum / orbit.r_p)
-    return eps
-
-
 def planet_precession(el: PlanetElements, delta_arcsec: float,
                       rule: QuantumRule = QuantumRule.PERIHELION) -> PrecessionResult:
     """Full analytic chain: elements + measurement error -> centurial precession.
 
-    Composes derive_orbit, quantum_from_error, orbit_params and the advance
-    formulas; the advance is evaluated from eps = q mu/h^2 directly (see
-    module note) so that inverting the result recovers delta to ~1e-15.
-    The rule and delta are checked here, the breakdown by _checked_eps.
+    The rule and delta are checked here. The quantum is formed with
+    arcsec_to_rad's operations, and eps = q mu/h^2 and the breakdown rule
+    come from forces._epsilon, as in orbit_params. The advance is evaluated
+    from eps directly (see module note), so that inverting the result
+    recovers delta to ~1e-15.
     """
     orbit = derive_orbit(el)
     scale = _scale(orbit, rule)
     _check_delta(delta_arcsec)
-    per_orbit = _advance_from_eps(_checked_eps(orbit, scale, delta_arcsec))
+    quantum = delta_arcsec * math.pi / 648000.0 * scale
+    per_orbit = _advance_from_eps(_epsilon(quantum, orbit.mu, orbit.h, orbit.r_p))
     return PrecessionResult(
         per_orbit_rad=per_orbit,
         per_century_arcsec=per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD,
@@ -138,8 +129,9 @@ def _advances(orbit: DerivedOrbit, scale: float,
 
     q and eps never fall as delta rises, so when the largest row (one of the
     last two: the grid rises up to the last but one) is inside the breakdown
-    box, every row is. Past it, _checked_eps checks the rows in turn, and the
-    first that the rule refuses raises. The rows repeat its operations inline.
+    box, every row is. Past it, forces._epsilon checks the rows in turn, and
+    the first that the rule refuses raises. The rows repeat planet_precession's
+    operations inline.
     """
     pi = math.pi
     mu = orbit.mu
@@ -147,7 +139,7 @@ def _advances(orbit: DerivedOrbit, scale: float,
     quantum = max(deltas[-2:]) * pi / 648000.0 * scale
     if not (quantum * mu / h2 < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
         for delta in deltas:
-            _checked_eps(orbit, scale, delta)
+            _epsilon(delta * pi / 648000.0 * scale, mu, orbit.h, orbit.r_p)
     orbits_per_century = orbit.orbits_per_century
     return [(delta, _advance_from_eps(delta * pi / 648000.0 * scale * mu / h2)
              * orbits_per_century * ARCSEC_PER_RAD) for delta in deltas]

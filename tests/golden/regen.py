@@ -89,6 +89,14 @@ CASES = [command + ["--rule", rule, "--format", fmt]
     # to an infinite delta
     ["sweep", "--planet", "mercury", "--delta-min", "0", "--delta-max", "1e6", "--steps", "1000"],
     ["sweep", "--planet", "mercury", "--delta-min", "0", "--delta-max", "1.7e308", "--steps", "4"],
+    # Mercury's breakdown boundary: the last delta the perihelion rule
+    # admits, the first it refuses, the first the semi-minor rule refuses,
+    # and a sweep up to the last admitted whose rows all lie past the box
+    ["precess", "--planet", "mercury", "--delta", "59783.32482258726", "--format", "json"],
+    ["precess", "--planet", "mercury", "--delta", "59783.32482258727"],
+    ["precess", "--planet", "mercury", "--rule", "semiminor", "--delta", "48527.07845886897"],
+    ["sweep", "--planet", "mercury", "--delta-min", "30000", "--delta-max", "59783.32482258726",
+     "--steps", "5", "--format", "csv"],
 ]
 
 # measured_precession: every bundled planet x delta x tol at 50 orbits, then

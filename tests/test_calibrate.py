@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qgrav import (ARCSEC_PER_RAD, AU, GM_SUN, DomainError, IngestionError,
                    ModelBreakdownError, Observation, PlanetElements, QuantumRule,
-                   derive_orbit, fit_delta, invert_delta, load_observations,
+                   calibrate, derive_orbit, fit_delta, invert_delta, load_observations,
                    planet_precession, precession, sweep_delta)
 
 
@@ -301,13 +301,79 @@ def _counting(monkeypatch, *names):
 
 
 def test_an_in_box_sweep_checks_no_row(monkeypatch, mercury):
-    counts = _counting(monkeypatch, "_check_bounded", "_check_delta", "_advance_from_eps")
+    counts = _counting(monkeypatch, "_epsilon", "_check_delta", "_advance_from_eps")
     rows = sweep_delta(mercury, 0.01, 0.05, 1000)
     assert len(rows) == 1000
-    assert counts == {"_check_bounded": 0, "_check_delta": 0, "_advance_from_eps": 1000}
+    assert counts == {"_epsilon": 0, "_check_delta": 0, "_advance_from_eps": 1000}
     counts.update(dict.fromkeys(counts, 0))
     planet_precession(mercury, 0.0398)
-    assert counts["_check_delta"] == 1
+    assert counts["_check_delta"] == 1 and counts["_epsilon"] == 1
+
+
+def test_invert_delta_refuses_the_delta_planet_precession_refuses(mercury):
+    # this target inverts to 59783.32482258727", the first delta the rule
+    # refuses on Mercury, though the eps it inverts lies just inside the rule
+    with pytest.raises(ModelBreakdownError) as single:
+        planet_precession(mercury, 59783.32482258727)
+    with pytest.raises(ModelBreakdownError) as inverted:
+        invert_delta(mercury, 79306830.71481125)
+    assert str(inverted.value) == str(single.value)
+
+
+def _last_admitted(el, rule):
+    """The largest delta planet_precession admits on el, by bisection."""
+    def admitted(delta):
+        try:
+            planet_precession(el, delta, rule)
+        except ModelBreakdownError:
+            return False
+        return True
+
+    low, high = 0.0, 1e6
+    assert not admitted(high)
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return low
+        low, high = (mid, high) if admitted(mid) else (low, mid)
+
+
+def _outcome(call, *args):
+    """call's result in float hex, or its error type and message."""
+    try:
+        return call(*args).hex()
+    except ModelBreakdownError as exc:
+        return type(exc), str(exc)
+
+
+def _admitted(el, delta, rule):
+    """delta, if planet_precession admits it on el."""
+    planet_precession(el, delta, rule)
+    return delta
+
+
+@pytest.mark.parametrize("rule", list(QuantumRule))
+def test_invert_delta_breaks_down_where_planet_precession_does(monkeypatch, planets, rule):
+    # Over 3000 floats either side of each boundary target, invert_delta
+    # raises if and only if planet_precession raises on the delta the
+    # inversion forms, with the same message, and otherwise returns it.
+    for el in planets.values():
+        target = planet_precession(el, _last_admitted(el, rule), rule).per_century_arcsec
+        targets = [target]
+        for direction in (-math.inf, math.inf):
+            t = target
+            for _ in range(3000):
+                t = math.nextafter(t, direction)
+                targets.append(t)
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(calibrate, "_epsilon", lambda *args: 0.0)
+            formed = [invert_delta(el, t, rule) for t in targets]
+        refused = 0
+        for t, delta in zip(targets, formed):
+            expected = _outcome(_admitted, el, delta, rule)
+            assert _outcome(invert_delta, el, t, rule) == expected, (el.name, t.hex())
+            refused += isinstance(expected, tuple)
+        assert 0 < refused < len(targets)
 
 
 # Planets with Kepler-consistent periods (within a factor of two), so that

@@ -8,9 +8,11 @@ Data files are read in one place: only bodies opens or parses JSON. Steps
 are sized in one place: orbit has one step-size controller. The quantum
 rule is read in one place: only precession converts or compares it. The
 exact orbit's well is formed in one place: only forces names its logarithm
-or its quadratic root. The float rows of `qgrav orbit` and `sweep` have one
-writer, cli._emit_rows, and it is the only writer that streams: it alone
-batches its writes, and cli drives no json encoder token by token.
+or its quadratic root. The breakdown rule is called in one place,
+forces._epsilon, and only the two row paths test its box inline. The float
+rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows, and it
+is the only writer that streams: it alone batches its writes, and cli
+drives no json encoder token by token.
 """
 
 import ast
@@ -230,3 +232,27 @@ def test_only_forces_forms_the_well():
     assert {stem: found for stem, found in forms.items() if found} == {}
     assert sorted(f for f in in_forces if f.startswith("def ")) == [
         f"def {name}" for name in sorted(WELL_HELPERS)]
+
+
+BREAKDOWN = {"_check_bounded", "_EPS_BOX", "_X_BOX"}
+
+
+def _breakdown_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(scope, name) for each read of the breakdown rule or its box, by the
+    top-level function or class that makes it; imports are not reads."""
+    return {(getattr(top, "name", "<module>"), name)
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(getattr(node, "ctx", None), ast.Load)
+            and (name := getattr(node, "id", None) or getattr(node, "attr", None)) in BREAKDOWN}
+
+
+def test_only_epsilon_applies_the_breakdown_rule():
+    # eps and the rule come from forces._epsilon; only the two row paths
+    # pre-test the box in which the rule always passes.
+    reads = {(f"{path.stem}.{scope}", name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for scope, name in _breakdown_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert {scope for scope, name in reads if name == "_check_bounded"} == {"forces._epsilon"}
+    assert {scope for scope, name in reads
+            if name != "_check_bounded" and not scope.startswith("forces.")} == {
+        "precession._advances", "calibrate.invert_delta"}
