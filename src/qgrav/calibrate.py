@@ -17,7 +17,7 @@ from typing import IO
 from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, _check_record,
                      _check_unique, _load_records, derive_orbit, load_planets,
                      planet_by_name)
-from .errors import DomainError, IngestionError, naming_planet
+from .errors import DomainError, IngestionError
 from .forces import _EPS_BOX, _X_BOX, _epsilon
 from .precession import QuantumRule, _advances, _scale, planet_precession
 from .record import Record
@@ -114,7 +114,7 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     quantum = eps * orbit.h * orbit.h / orbit.mu
     delta = quantum / scale * ARCSEC_PER_RAD
     if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
-        _epsilon(delta * math.pi / 648000.0 * scale, orbit.mu, orbit.h, orbit.r_p)
+        _epsilon(delta * math.pi / 648000.0 * scale, orbit.mu, orbit.h, orbit.r_p, el.name)
     return delta
 
 
@@ -138,9 +138,7 @@ def fit_delta(observations: list[Observation],
     elements = {obs.planet: planet_by_name(planets, obs.planet) for obs in observations}
 
     def per_century(planet: str, delta: float) -> float:
-        el = elements[planet]
-        with naming_planet(el.name):
-            return planet_precession(el, delta, rule).per_century_arcsec
+        return planet_precession(elements[planet], delta, rule).per_century_arcsec
 
     slopes = [per_century(obs.planet, DELTA_REF) / DELTA_REF for obs in observations]
     weights = [1.0 / (obs.sigma_arcsec * obs.sigma_arcsec) for obs in observations]
@@ -208,4 +206,4 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     # endpoints are hit exactly, not via accumulated float arithmetic
     deltas = [delta_min + span * i / (n - 1) for i in range(n - 1)] + [delta_max]
     orbit = derive_orbit(el)
-    return _advances(orbit, _scale(orbit, rule), deltas)
+    return _advances(orbit, _scale(orbit, rule), deltas, el.name)

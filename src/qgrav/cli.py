@@ -45,9 +45,9 @@ from itertools import chain, islice
 
 from .bodies import CONSTANTS_VERSION, load_planets, planet_by_name
 from .calibrate import fit_delta, load_observations, sweep_delta
-from .errors import DomainError, IngestionError, QgravError, naming_planet
+from .errors import DomainError, IngestionError, QgravError
 from .forces import gr_precession_baseline
-from .orbit import TOL_MAX, TOL_MIN, _perihelion_start, integrate
+from .orbit import TOL_MAX, TOL_MIN, _export
 from .precession import QuantumRule, planet_precession
 
 # Size flags are bounded so that no invocation can ask for unbounded work.
@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument("--delta", type=_delta, required=True,
                          help="measurement error angle in arcsec")
     p_orbit.add_argument("--orbits", type=_bounded(int, 1, MAX_ORBITS), default=3,
-                         help=f"revolutions to integrate (1..{MAX_ORBITS})")
+                         help=f"first-order radial periods 2 pi/x to integrate, plus 0.5 "
+                              f"rad (1..{MAX_ORBITS}); at large epsilon fewer exact periods")
     p_orbit.add_argument("--tol", type=_bounded(float, TOL_MIN, TOL_MAX), default=1e-12,
                          help="integrator relative tolerance")
     p_orbit.set_defaults(func=cmd_orbit)
@@ -226,9 +227,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     for el in planets:
         obs = obs_by_planet.get(el.name.lower())
         baseline = gr_precession_baseline(el)
-        with naming_planet(el.name):
-            model = {delta: planet_precession(el, delta, args.rule).per_century_arcsec
-                     for delta in deltas}
+        model = {delta: planet_precession(el, delta, args.rule).per_century_arcsec
+                 for delta in deltas}
         rows.append((el, obs, baseline, model))
 
     if args.format == "json":
@@ -276,8 +276,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_precess(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    with naming_planet(el.name):
-        result = planet_precession(el, args.delta, args.rule)
+    result = planet_precession(el, args.delta, args.rule)
     if args.format == "json":
         _emit_json({
             "meta": _meta(args, planet=el.name, delta_arcsec=args.delta),
@@ -298,12 +297,8 @@ def cmd_precess(args: argparse.Namespace) -> int:
 def cmd_orbit(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    model, u0, period = _perihelion_start(el, args.delta, args.rule)
-    # --orbits first-order periods, plus half a radian to bracket the last
-    # perihelion; at large epsilon they span fewer exact periods.
-    theta_max = args.orbits * period + 0.5
-    traj = integrate(model, u0, 0.0, theta_max, args.tol)
-    # theta is at most theta_max and every u passed the forcing check
+    traj = _export(el, args.delta, args.rule, args.orbits, args.tol)
+    # theta is at most _export's span and every u passed the forcing check
     # (u > 0, q u < 1), so only r = 1/u can leave the float range.
     _emit_rows(args,
                _meta(args, planet=el.name, delta_arcsec=args.delta, orbits=args.orbits,
@@ -357,8 +352,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
-    with naming_planet(el.name):
-        rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, args.rule)
+    rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, args.rule)
     # every delta is finite, being at most delta_max, so only a precession can overflow
     _emit_rows(args,
                _meta(args, planet=el.name, delta_min=args.delta_min,

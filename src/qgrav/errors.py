@@ -1,9 +1,7 @@
-"""Exception hierarchy shared by all qgrav modules."""
+"""Exception hierarchy shared by all qgrav modules. A refusal names its
+planet where it is decided, in forces; no wrapper adds the name after."""
 
 from __future__ import annotations
-
-from collections.abc import Iterator
-from contextlib import contextmanager
 
 
 class QgravError(Exception):
@@ -26,6 +24,8 @@ class ModelBreakdownError(QgravError):
     from the perihelion must be bounded, which fails from
     epsilon = q mu / h^2 = 1/4 at the latest. The two row paths, sweep_delta
     and invert_delta, first test a box inside which the rule always passes.
+    Only forces raises it, its message led by "<planet>: " when the caller
+    took elements (orbit_params and QuantizedModel take none).
     """
 
 
@@ -44,11 +44,3 @@ class SingularityError(QgravError):
 class StepFailureError(QgravError):
     """Adaptive integrator step size underflowed before meeting the tolerance."""
 
-
-@contextmanager
-def naming_planet(planet: str) -> Iterator[None]:
-    """Put the planet's name in front of a ModelBreakdownError raised inside."""
-    try:
-        yield
-    except ModelBreakdownError as exc:
-        raise ModelBreakdownError(f"{planet}: {exc}") from exc

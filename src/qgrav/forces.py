@@ -54,7 +54,8 @@ _EPS_BOX = 0.01
 _X_BOX = 0.9
 
 
-def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None:
+def _check_bounded(quantum: float, eps: float, x_p: float | None = None,
+                   name: str | None = None) -> None:
     """The breakdown rule: raise ModelBreakdownError unless the exact orbit is bounded.
 
     eps = q mu/h^2, and x_p = q/r_p places the orbit's perihelion. With the
@@ -67,7 +68,7 @@ def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None
     q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
     1 - x+ = 2 eps/(1 + s) formed without cancellation. With x_p omitted
     (a model with no perihelion) only eps >= 1/4 is refused. eps = 0 (q = 0,
-    Newton's conic) always passes.
+    Newton's conic) always passes. A name, if given, leads the message.
 
     The box eps < 0.01, x_p < 0.9 always passes:
     - x+ falls as eps grows and is 0.9899 at eps = 0.01, above 0.9 > x_p;
@@ -85,18 +86,19 @@ def _check_bounded(quantum: float, eps: float, x_p: float | None = None) -> None
             w_plus = 0.5 * x_plus * x_plus + eps * math.log(2.0 * eps / (1.0 + s))
             if w_p < w_plus:
                 return
+    named = "" if name is None else f"{name}: "
     raise ModelBreakdownError(
-        f"quantum {quantum!r} m too large for this orbit: the exact orbit "
-        f"from perihelion is unbounded (epsilon = {eps!r})"
-    )
+        f"{named}quantum {quantum!r} m too large for this orbit: the exact orbit "
+        f"from perihelion is unbounded (epsilon = {eps!r})")
 
 
-def _epsilon(quantum: float, mu: float, h: float, r_p: float | None = None) -> float:
+def _epsilon(quantum: float, mu: float, h: float, r_p: float | None = None,
+             name: str | None = None) -> float:
     """eps = quantum mu/h^2 once the breakdown rule passes: _check_bounded at
-    x_p = quantum/r_p, or on eps alone with r_p omitted. Only the row paths
-    form eps without it, and only inside the box."""
+    x_p = quantum/r_p, or on eps alone with r_p omitted, a refusal led by
+    name. Only the row paths form eps without it, and only inside the box."""
     eps = quantum * mu / (h * h)
-    _check_bounded(quantum, eps, None if r_p is None else quantum / r_p)
+    _check_bounded(quantum, eps, None if r_p is None else quantum / r_p, name)
     return eps
 
 
@@ -137,7 +139,8 @@ class QuantizedModel(Record):
     two-mass force laws below take it. Construction keeps
     epsilon = quantum * mu / h^2, which takes no part in equality, hashing
     or repr; epsilon >= 1/4, where no exact orbit is bounded, raises
-    ModelBreakdownError.
+    ModelBreakdownError, naming no planet. A model has no perihelion, so
+    construction applies only this half of the rule.
     """
 
     _fields = ("quantum", "mu", "h")

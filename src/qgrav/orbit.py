@@ -38,10 +38,11 @@ integrate runs on plain floats and returns what the export prints, theta
 and u as array('d') and the two step counts, so the whole module needs only
 the standard library.
 
-_perihelion_start refuses, by the two halves of the rule in forces, an
-orbit from the perihelion that falls into the quantum or escapes to u = 0,
-so neither path integrates an orbit that never closes. forces also holds
-the well's circular point and the frame about it; this module only steps.
+_perihelion_start refuses, by the two checks in forces, each naming the
+planet, an orbit from the perihelion that falls into the quantum or
+escapes to u = 0, so neither path integrates an orbit that never closes;
+_export spans the export from it. forces also holds the well's circular
+point and the frame about it; this module only steps.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ from collections.abc import Iterable
 from functools import partial
 
 from .bodies import _FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, derive_orbit
-from .errors import DomainError, QgravError, SingularityError, StepFailureError, naming_planet
-from .forces import PrecessionResult, Provenance, QuantizedModel, _check_escape, _drift_frame
-from .precession import QuantumRule, _advance_from_eps, orbit_params, quantum_from_error
+from .errors import DomainError, QgravError, SingularityError, StepFailureError
+from .forces import (PrecessionResult, Provenance, QuantizedModel, _check_escape, _drift_frame,
+                     _epsilon)
+from .precession import QuantumRule, _advance_from_eps, quantum_from_error
 from .record import Record
 
 # Dormand-Prince 5(4) tableau. The orbit equation is autonomous in theta;
@@ -344,22 +346,30 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
 
 
 def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule):
-    """(model, u0, period): the model, the inverse perihelion distance and
-    the first-order radial period 2 pi / x of el's exact orbit at the
-    quantum of delta_arcsec, started at its perihelion.
+    """(model, u0): the model and the inverse perihelion distance of el's
+    exact orbit at the quantum of delta_arcsec, started at its perihelion.
 
     Raises ModelBreakdownError when that orbit falls into the quantum
-    (orbit_params) and DomainError when it escapes (forces._check_escape),
-    each naming the planet.
+    (forces._epsilon at r_p) and DomainError when it escapes
+    (forces._check_escape), each naming the planet.
     """
     orbit = derive_orbit(el)
     quantum = quantum_from_error(delta_arcsec, orbit, rule)
-    with naming_planet(el.name):
-        _, freq_ratio = orbit_params(quantum, orbit)
+    _epsilon(quantum, orbit.mu, orbit.h, orbit.r_p, el.name)
     model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
     u0 = 1.0 / orbit.r_p
     _check_escape(el.name, *_binet_constants(model), u0)
-    return model, u0, 2.0 * math.pi / freq_ratio
+    return model, u0
+
+
+def _export(el: PlanetElements, delta_arcsec: float, rule: QuantumRule, n_orbits: int,
+            tol: float) -> Trajectory:
+    """The `qgrav orbit` export from _perihelion_start: n_orbits first-order
+    radial periods 2 pi/x, x = sqrt(1 - epsilon), plus 0.5 rad to bracket the
+    last perihelion. At large epsilon they span fewer exact periods."""
+    model, u0 = _perihelion_start(el, delta_arcsec, rule)
+    theta_max = n_orbits * (2.0 * math.pi / math.sqrt(1.0 - model.epsilon)) + 0.5
+    return integrate(model, u0, 0.0, theta_max, tol)
 
 
 def _drift_step(omega, u_star, d, q, g, atol, theta, state, h):
@@ -508,7 +518,7 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     DomainError for a tol outside [TOL_MIN, TOL_MAX] or a circular start,
     which has no perihelion; StepFailureError if the step size underflows.
     """
-    model, u0, _ = _perihelion_start(el, delta_arcsec, rule)
+    model, u0 = _perihelion_start(el, delta_arcsec, rule)
     _check_tol(tol)
     c, q = _binet_constants(model)
     u_star, d, kappa, omega = _drift_frame(c, q)

@@ -106,15 +106,15 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
 
     The rule and delta are checked here. The quantum is formed with
     arcsec_to_rad's operations, and eps = q mu/h^2 and the breakdown rule
-    come from forces._epsilon, as in orbit_params. The advance is evaluated
-    from eps directly (see module note), so that inverting the result
-    recovers delta to ~1e-15.
+    come from forces._epsilon, as in orbit_params, here naming the planet.
+    The advance is evaluated from eps directly (see module note), so that
+    inverting the result recovers delta to ~1e-15.
     """
     orbit = derive_orbit(el)
     scale = _scale(orbit, rule)
     _check_delta(delta_arcsec)
     quantum = delta_arcsec * math.pi / 648000.0 * scale
-    per_orbit = _advance_from_eps(_epsilon(quantum, orbit.mu, orbit.h, orbit.r_p))
+    per_orbit = _advance_from_eps(_epsilon(quantum, orbit.mu, orbit.h, orbit.r_p, el.name))
     return PrecessionResult(
         per_orbit_rad=per_orbit,
         per_century_arcsec=per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD,
@@ -122,16 +122,17 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
     )
 
 
-def _advances(orbit: DerivedOrbit, scale: float,
-              deltas: list[float]) -> list[tuple[float, float]]:
-    """sweep_delta's rows (delta, arcsec/century) on an orbit read once, each
-    what planet_precession gives, bit for bit; the caller checks each delta.
+def _advances(orbit: DerivedOrbit, scale: float, deltas: list[float],
+              name: str) -> list[tuple[float, float]]:
+    """sweep_delta's rows (delta, arcsec/century) on the orbit of the planet
+    name, read once, each what planet_precession gives, bit for bit; the
+    caller checks each delta.
 
     q and eps never fall as delta rises, so when the largest row (one of the
     last two: the grid rises up to the last but one) is inside the breakdown
     box, every row is. Past it, forces._epsilon checks the rows in turn, and
-    the first that the rule refuses raises. The rows repeat planet_precession's
-    operations inline.
+    the first that the rule refuses raises, naming the planet. The rows
+    repeat planet_precession's operations inline.
     """
     pi = math.pi
     mu = orbit.mu
@@ -139,7 +140,7 @@ def _advances(orbit: DerivedOrbit, scale: float,
     quantum = max(deltas[-2:]) * pi / 648000.0 * scale
     if not (quantum * mu / h2 < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
         for delta in deltas:
-            _epsilon(delta * pi / 648000.0 * scale, mu, orbit.h, orbit.r_p)
+            _epsilon(delta * pi / 648000.0 * scale, mu, orbit.h, orbit.r_p, name)
     orbits_per_century = orbit.orbits_per_century
     return [(delta, _advance_from_eps(delta * pi / 648000.0 * scale * mu / h2)
              * orbits_per_century * ARCSEC_PER_RAD) for delta in deltas]

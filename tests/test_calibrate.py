@@ -320,6 +320,29 @@ def test_invert_delta_refuses_the_delta_planet_precession_refuses(mercury):
     assert str(inverted.value) == str(single.value)
 
 
+def test_every_function_taking_elements_names_the_planet(mercury):
+    # The breakdown rule names the planet where it refuses, for each library
+    # function that takes elements, an infinite quantum (1e308") included; a
+    # fit whose delta* lies past Mercury's boundary (5.98e4") refuses at its
+    # prediction there.
+    from qgrav import QuantizedModel, measured_precession, orbit_params
+    named = "^Mercury: quantum .* unbounded"
+    for call, args in ((planet_precession, (1e6,)), (sweep_delta, (0, 1e6, 1000)),
+                       (invert_delta, (79306830.71481125,)), (measured_precession, (6e4,)),
+                       (measured_precession, (1e308,))):
+        with pytest.raises(ModelBreakdownError, match=named):
+            call(mercury, *args)
+    with pytest.raises(ModelBreakdownError, match=named):
+        fit_delta([Observation("Mercury", 1e8, 1.0)])
+    # orbit_params and QuantizedModel take no elements, so they name no planet
+    orbit = derive_orbit(mercury)
+    q_edge = orbit.h ** 2 / orbit.mu
+    with pytest.raises(ModelBreakdownError, match="^quantum .* unbounded"):
+        orbit_params(0.3 * q_edge, orbit)
+    with pytest.raises(ModelBreakdownError, match="^quantum .* unbounded"):
+        QuantizedModel(quantum=0.3 * q_edge, mu=orbit.mu, h=orbit.h)
+
+
 def _last_admitted(el, rule):
     """The largest delta planet_precession admits on el, by bisection."""
     def admitted(delta):

@@ -606,21 +606,28 @@ def test_measured_precession_does_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_orbit_export_matches_integrate():
-    from qgrav import (CONSTANTS_VERSION, QuantizedModel, QuantumRule, derive_orbit,
+@pytest.mark.parametrize("orbits", [1, 3])
+@pytest.mark.parametrize("delta", [0.0, 0.0398, 300.0, 3e4])
+@pytest.mark.parametrize("rule", ["perihelion", "semiminor"])
+@pytest.mark.parametrize("name", ["Mercury", "Venus", "Earth"])
+def test_orbit_export_matches_integrate(capsys, name, rule, delta, orbits):
+    # The export spans the public recipe: quantum_from_error, x from
+    # orbit_params, theta_max = n 2 pi/x + 0.5, integrate; bit for bit.
+    from qgrav import (CONSTANTS_VERSION, QuantizedModel, QuantumRule, cli, derive_orbit,
                        integrate, load_planets, orbit_params, planet_by_name,
                        quantum_from_error)
-    el = planet_by_name(load_planets(), "venus")
-    orbit = derive_orbit(el)
-    quantum = quantum_from_error(0.0398, orbit, QuantumRule.PERIHELION)
+    orbit = derive_orbit(planet_by_name(load_planets(), name))
+    quantum = quantum_from_error(delta, orbit, QuantumRule(rule))
     _, freq_ratio = orbit_params(quantum, orbit)
     model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
-    theta_max = 2 * (2.0 * math.pi / freq_ratio) + 0.5
+    theta_max = orbits * (2.0 * math.pi / freq_ratio) + 0.5
     traj = integrate(model, 1.0 / orbit.r_p, 0.0, theta_max, tol=1e-12)
     theta, u = traj.theta.tolist(), traj.u.tolist()
-    argv = ("orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2")
+    argv = ["orbit", "--planet", name.lower(), "--delta", repr(delta), "--rule", rule,
+            "--orbits", str(orbits)]
 
-    stdout = run_cli(*argv, "--format", "json").stdout
+    assert cli.main([*argv, "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
     doc = json.loads(stdout)
     assert [row["theta_rad"] for row in doc["rows"]] == theta
     assert [row["u_per_m"] for row in doc["rows"]] == u
@@ -630,14 +637,15 @@ def test_orbit_export_matches_integrate():
     # byte for byte what json.dumps and csv.writer make of the trajectory
     expected = {
         "meta": {"command": "orbit", "constants_version": CONSTANTS_VERSION,
-                 "rule": "perihelion", "planet": "Venus", "delta_arcsec": 0.0398,
-                 "orbits": 2, "tol": 1e-12, "steps_accepted": traj.n_accepted,
+                 "rule": rule, "planet": name, "delta_arcsec": delta,
+                 "orbits": orbits, "tol": 1e-12, "steps_accepted": traj.n_accepted,
                  "steps_rejected": traj.n_rejected},
         "rows": [{"theta_rad": t, "u_per_m": x, "r_m": 1.0 / x} for t, x in zip(theta, u)],
     }
     assert stdout == json.dumps(expected, indent=2) + "\n"
 
-    stdout = run_cli(*argv, "--format", "csv").stdout
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    stdout = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(stdout)))
     assert [float(row[0]) for row in rows[1:]] == theta
     assert [float(row[1]) for row in rows[1:]] == u
@@ -700,8 +708,8 @@ def test_row_writer_matches_the_encoders(case, meta):
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_orbit_refuses_a_radius_beyond_the_float_range(monkeypatch, capsys, fmt):
     # 1 / 5e-324 is inf: json would write Infinity, csv and text inf
-    from qgrav import Trajectory, cli
-    monkeypatch.setattr(cli, "integrate", lambda *args: Trajectory(
+    from qgrav import Trajectory, cli, orbit
+    monkeypatch.setattr(orbit, "integrate", lambda *args: Trajectory(
         theta=[0.0, 1.0], u=[1.0, 5e-324], n_accepted=1, n_rejected=0))
     code = cli.main(["orbit", "--planet", "mercury", "--delta", "0.0398", "--format", fmt])
     out, err = capsys.readouterr()
@@ -774,8 +782,8 @@ def test_documents_are_written_once(monkeypatch, tmp_path, fmt):
 def test_orbit_refuses_an_escaping_orbit(monkeypatch, capsys, tmp_path, fmt):
     # h^2/(mu r_p) = 5: the perihelion speed is above escape speed, so the
     # orbit never comes back; it is refused before integrate is called.
-    from qgrav import cli
-    monkeypatch.setattr(cli, "integrate", None)
+    from qgrav import cli, orbit
+    monkeypatch.setattr(orbit, "integrate", None)
     planets = _planets_file(tmp_path / "planets.json", [
         {"name": "Fast", "a_m": 1.495978707e11, "e": 0.5, "tau_days": 200.0}])
     code = cli.main(["orbit", "--planets", planets, "--planet", "fast", "--delta", "0.0398",

@@ -9,7 +9,9 @@ are sized in one place: orbit has one step-size controller. The quantum
 rule is read in one place: only precession converts or compares it. The
 exact orbit's well is formed in one place: only forces names its logarithm
 or its quadratic root. The breakdown rule is called in one place,
-forces._epsilon, and only the two row paths test its box inline. The float
+forces._epsilon, and only the two row paths test its box inline. Only
+forces constructs a ModelBreakdownError, and cli does no model work: it
+parses, calls one function per command and formats. The float
 rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows, and it
 is the only writer that streams: it alone batches its writes, and cli
 drives no json encoder token by token.
@@ -256,3 +258,32 @@ def test_only_epsilon_applies_the_breakdown_rule():
     assert {scope for scope, name in reads
             if name != "_check_bounded" and not scope.startswith("forces.")} == {
         "precession._advances", "calibrate.invert_delta"}
+
+
+# What cli would need to build a model, span an orbit or refuse one itself.
+MODEL_WORK = {"integrate", "_perihelion_start", "QuantizedModel", "orbit_params",
+              "quantum_from_error", "ModelBreakdownError"}
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, binds, defines or imports."""
+    return ({getattr(node, field, None) for node in ast.walk(tree)
+             for field in ("id", "attr", "name")}
+            | {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names})
+
+
+def test_cli_does_no_model_work():
+    # cli parses and formats; orbit spans the export (orbit._export) and the
+    # rule's checks in forces name the planet, so no wrapper re-raises.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(_names(trees["cli"]) & MODEL_WORK) == []
+    from_orbit = {alias.name for node in ast.walk(trees["cli"])
+                  if isinstance(node, ast.ImportFrom) and node.module == "orbit"
+                  for alias in node.names}
+    assert from_orbit == {"_export", "TOL_MIN", "TOL_MAX"}
+    constructs = {stem for stem, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).endswith("ModelBreakdownError")}
+    assert constructs == {"forces"}

@@ -12,7 +12,7 @@ from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
                    StepFailureError, Trajectory, derive_orbit, integrate,
                    measured_precession, orbit_params, quantum_from_error, rad_to_arcsec)
 from qgrav.forces import _drift_frame
-from qgrav.orbit import (_binet_constants, _forcing, _perihelion_passages,
+from qgrav.orbit import (_binet_constants, _export, _forcing, _perihelion_passages,
                          _perihelion_start, _place_passage)
 
 GM = 1.32712440018e20
@@ -337,7 +337,7 @@ def test_perihelion_passages(planets, mercury):
     # each bound is 4 times that.
     for delta, bound in ((59750.0, 3.2e-11), (59775.49157436139, 1.2e-10),
                          (59783.246490105, 7.6e-9)):
-        model, u0, _ = _perihelion_start(mercury, delta, QuantumRule.PERIHELION)
+        model, u0 = _perihelion_start(mercury, delta, QuantumRule.PERIHELION)
         exact = _exact_advance(model, u0)
         measured = measured_precession(mercury, delta, n_orbits=3, tol=1e-12).per_orbit_rad
         assert abs(measured - exact) <= bound * exact, delta
@@ -620,9 +620,8 @@ def _kepler_planet(draw):
 @given(el=_kepler_planet(), n=st.integers(2, 6), delta=st.floats(0.0, 300.0),
        rule=st.sampled_from(list(QuantumRule)), tol=st.sampled_from([1e-10, 1e-12]))
 def test_perihelion_count_over_n_periods(el, n, delta, rule, tol):
-    # From a perihelion start over n radial periods (theta_max = n 2 pi/x
-    # + 0.5) every later perihelion is found once: none lost, none repeated.
-    # A perihelion is an interior maximum of u over the samples.
-    model, u0, period = _perihelion_start(el, delta, rule)
-    u = integrate(model, u0, 0.0, n * period + 0.5, tol=tol).u
+    # From a perihelion start over n radial periods (the export's theta_max
+    # = n 2 pi/x + 0.5) every later perihelion is found once: none lost, none
+    # repeated. A perihelion is an interior maximum of u over the samples.
+    u = _export(el, delta, rule, n, tol).u
     assert sum(a < b >= c for a, b, c in zip(u, u[1:], u[2:])) == n
