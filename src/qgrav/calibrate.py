@@ -18,8 +18,8 @@ from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, _check_record,
                      _check_unique, _load_records, derive_orbit, load_planets,
                      planet_by_name)
 from .errors import DomainError, IngestionError
-from .forces import _EPS_BOX, _X_BOX, _epsilon
-from .precession import QuantumRule, _advances, _scale, planet_precession
+from .forces import _EPS_BOX, _X_BOX
+from .precession import QuantumRule, _advance_from_eps, _scale, planet_precession
 from .record import Record
 
 # Linearization point for the per-planet slopes d(precession)/d(delta).
@@ -94,12 +94,12 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     small quantity is carried in full relative precision, so composing with
     planet_precession is the identity to roundoff.
 
-    The breakdown rule is applied to the delta returned, so invert_delta
-    refuses what planet_precession refuses, with its message. Inside the
-    box the inverted eps and q pass the rule, and so do the forward ones a
-    few ulps from them; past it forces._epsilon judges the quantum that
-    planet_precession forms from the delta. The box or the rule leaves
-    q < r_p <= b, so q/scale < 1 rad needs no range check.
+    invert_delta refuses what planet_precession refuses, with its message:
+    inside the breakdown box the inverted eps and q pass the rule, and so
+    do the forward ones a few ulps from them; past it planet_precession is
+    asked about the delta returned. An advance past the float range takes
+    the limit eps = 1, which the rule refuses. eps <= 2 leaves q/scale <= 4
+    rad, so delta needs no range check.
     """
     orbit = derive_orbit(el)
     scale = _scale(orbit, rule)
@@ -109,12 +109,14 @@ def invert_delta(el: PlanetElements, target_arcsec: float,
     two_pi = math.tau
     freq_ratio = two_pi / (two_pi + advance)
     # 1 - x^2 = (1 - x)(1 + x) with 1 - x = advance / (2 pi + advance): no
-    # cancellation, unlike forming 1 - freq_ratio**2 near freq_ratio = 1.
-    eps = (advance / (two_pi + advance)) * (1.0 + freq_ratio)
+    # cancellation, unlike forming 1 - freq_ratio**2 near freq_ratio = 1. An
+    # infinite advance takes the limit 1 - x = 1, where the ratio is inf/inf.
+    one_minus_x = advance / (two_pi + advance) if advance <= _FLOAT_MAX else 1.0
+    eps = one_minus_x * (1.0 + freq_ratio)
     quantum = eps * orbit.h * orbit.h / orbit.mu
     delta = quantum / scale * ARCSEC_PER_RAD
     if not (eps < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
-        _epsilon(delta * math.pi / 648000.0 * scale, orbit.mu, orbit.h, orbit.r_p, el.name)
+        planet_precession(el, delta, rule)
     return delta
 
 
@@ -126,7 +128,8 @@ def fit_delta(observations: list[Observation],
     The model is predicted_i = s_i * delta with slope s_i evaluated at
     DELTA_REF; weights are 1/sigma_i^2. Residuals and chi2 are reported
     against the full (unlinearized) prediction at the fitted delta. Each
-    planet may be observed once, compared ignoring case.
+    planet may be observed once, compared ignoring case. Sums that overflow
+    are formed again from weights and slopes scaled by exact powers of two.
     """
     if not observations:
         raise DomainError("fit requires at least one observation")
@@ -143,15 +146,19 @@ def fit_delta(observations: list[Observation],
     slopes = [per_century(obs.planet, DELTA_REF) / DELTA_REF for obs in observations]
     weights = [1.0 / (obs.sigma_arcsec * obs.sigma_arcsec) for obs in observations]
     wsum_so, wsum_ss = _weighted_sums(observations, slopes, weights)
-    # A weight near the top of the float range overflows w * s * s. Every
-    # weight is then scaled by 4**-k, an exact power of two, which leaves
-    # delta_star as it is and divides delta_sigma by 2**k; k stays 0 for
-    # sums that are finite unscaled, so those fits keep every bit.
-    k = 0
+    # A weight near the top of the float range, or a slope past its square
+    # root, overflows w * s * s. The weights are then scaled by 4**-k and, if
+    # that is not enough, the slopes by 2**-j below 1: exact powers of two,
+    # undone below. k = j = 0 keeps every bit of sums that are finite.
+    k = j = 0
     if not (math.isfinite(wsum_so) and math.isfinite(wsum_ss)):
         k = (math.frexp(max(weights))[1] + 1) // 2
-        wsum_so, wsum_ss = _weighted_sums(observations, slopes,
-                                          [math.ldexp(w, -2 * k) for w in weights])
+        weights = [math.ldexp(w, -2 * k) for w in weights]
+        wsum_so, wsum_ss = _weighted_sums(observations, slopes, weights)
+        if not math.isfinite(wsum_ss):
+            j = math.frexp(max(slopes))[1]
+            wsum_so, wsum_ss = _weighted_sums(
+                observations, [math.ldexp(s, -j) for s in slopes], weights)
     if wsum_ss == 0.0:
         raise DomainError("the fitted delta is undetermined: the weighted squared slopes "
                           "underflow to 0")
@@ -159,7 +166,8 @@ def fit_delta(observations: list[Observation],
     delta_star = max(wsum_so / wsum_ss, 0.0)
     if not math.isfinite(delta_star):
         raise DomainError("the fitted delta exceeds the float range: the weighted values overflow")
-    delta_sigma = math.ldexp(wsum_ss ** -0.5, -k)
+    delta_star = math.ldexp(delta_star, -j)
+    delta_sigma = math.ldexp(wsum_ss ** -0.5, -k - j)
 
     predicted = {obs.planet: per_century(obs.planet, delta_star) for obs in observations}
     residuals = {obs.planet: obs.value_arcsec - predicted[obs.planet] for obs in observations}
@@ -188,10 +196,14 @@ def _weighted_sums(observations: list[Observation], slopes: list[float],
 def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
                 steps: int,
                 rule: QuantumRule = QuantumRule.PERIHELION) -> list[tuple[float, float]]:
-    """Evenly spaced (delta, arcsec/century) rows over [delta_min, delta_max].
+    """Evenly spaced (delta, arcsec/century) rows over [delta_min, delta_max],
+    each what planet_precession gives, bit for bit.
 
-    Only the endpoints are range-checked, the breakdown by _advances: an
-    interior row overflows only if span * i does, when row 1 breaks down first.
+    Only the endpoints are range-checked: an interior row overflows only if
+    span * i does, when row 1 breaks down first. q never falls as delta
+    rises, so if the largest row (one of the last two) is inside the
+    breakdown box, every row is, and the rows repeat planet_precession's
+    operations inline; past it planet_precession is asked about each row.
     """
     if not 0.0 <= delta_min < delta_max <= _FLOAT_MAX:
         raise DomainError(f"sweep needs finite 0 <= delta_min < delta_max, "
@@ -206,4 +218,14 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     # endpoints are hit exactly, not via accumulated float arithmetic
     deltas = [delta_min + span * i / (n - 1) for i in range(n - 1)] + [delta_max]
     orbit = derive_orbit(el)
-    return _advances(orbit, _scale(orbit, rule), deltas, el.name)
+    scale = _scale(orbit, rule)
+    pi = math.pi
+    mu = orbit.mu
+    h2 = orbit.h * orbit.h
+    quantum = max(deltas[-2:]) * pi / 648000.0 * scale
+    if not (quantum * mu / h2 < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
+        for delta in deltas:
+            planet_precession(el, delta, rule)
+    orbits_per_century = orbit.orbits_per_century
+    return [(delta, _advance_from_eps(delta * pi / 648000.0 * scale * mu / h2)
+             * orbits_per_century * ARCSEC_PER_RAD) for delta in deltas]

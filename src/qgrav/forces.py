@@ -48,8 +48,8 @@ class PrecessionResult(Record):
 
 
 # _check_bounded passes inside eps < _EPS_BOX, x_p < _X_BOX (see its
-# docstring). The two row paths, precession._advances and
-# calibrate.invert_delta, test this box inline and call _epsilon only outside.
+# docstring). The two row paths, calibrate.sweep_delta and invert_delta,
+# test this box inline and ask planet_precession only outside it.
 _EPS_BOX = 0.01
 _X_BOX = 0.9
 

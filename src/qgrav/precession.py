@@ -29,7 +29,7 @@ import math
 from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, DerivedOrbit, PlanetElements,
                      arcsec_to_rad, derive_orbit)
 from .errors import DomainError
-from .forces import _EPS_BOX, _X_BOX, PrecessionResult, Provenance, _epsilon
+from .forces import PrecessionResult, Provenance, _epsilon
 
 
 class QuantumRule(enum.Enum):
@@ -44,11 +44,6 @@ class QuantumRule(enum.Enum):
 
     PERIHELION = "perihelion"
     SEMIMINOR = "semiminor"
-
-
-def _check_delta(delta_arcsec: float) -> None:
-    if not 0.0 <= delta_arcsec <= _FLOAT_MAX:
-        raise DomainError(f"measurement error must be >= 0 arcsec, got {delta_arcsec!r}")
 
 
 # Bound once: each read of a member through its class costs about 0.1 us.
@@ -70,9 +65,11 @@ def quantum_from_error(delta_arcsec: float, orbit: DerivedOrbit,
 
     The angular error is converted to radians and multiplied by the orbit
     scale the rule selects (perihelion distance or semi-minor axis), giving
-    a length; DomainError for a negative delta or an unknown rule.
+    a length; DomainError for a negative or non-finite delta, checked first,
+    or an unknown rule. The one former of q from delta.
     """
-    _check_delta(delta_arcsec)
+    if not 0.0 <= delta_arcsec <= _FLOAT_MAX:
+        raise DomainError(f"measurement error must be >= 0 arcsec, got {delta_arcsec!r}")
     return arcsec_to_rad(delta_arcsec) * _scale(orbit, rule)
 
 
@@ -104,43 +101,19 @@ def planet_precession(el: PlanetElements, delta_arcsec: float,
                       rule: QuantumRule = QuantumRule.PERIHELION) -> PrecessionResult:
     """Full analytic chain: elements + measurement error -> centurial precession.
 
-    The rule and delta are checked here. The quantum is formed with
-    arcsec_to_rad's operations, and eps = q mu/h^2 and the breakdown rule
-    come from forces._epsilon, as in orbit_params, here naming the planet.
-    The advance is evaluated from eps directly (see module note), so that
-    inverting the result recovers delta to ~1e-15.
+    The one definition of what a delta gives and what it refuses: the
+    quantum comes from quantum_from_error (so a bad delta is reported
+    before a bad rule), and eps = q mu/h^2 and the breakdown rule from
+    forces._epsilon, as in orbit_params, here naming the planet. The
+    advance is evaluated from eps directly (see module note), so that
+    inverting the result recovers delta to ~1e-15. calibrate's row paths
+    ask it wherever they leave the box in which the rule always passes.
     """
     orbit = derive_orbit(el)
-    scale = _scale(orbit, rule)
-    _check_delta(delta_arcsec)
-    quantum = delta_arcsec * math.pi / 648000.0 * scale
+    quantum = quantum_from_error(delta_arcsec, orbit, rule)
     per_orbit = _advance_from_eps(_epsilon(quantum, orbit.mu, orbit.h, orbit.r_p, el.name))
     return PrecessionResult(
         per_orbit_rad=per_orbit,
         per_century_arcsec=per_orbit * orbit.orbits_per_century * ARCSEC_PER_RAD,
         provenance=Provenance.ANALYTIC,
     )
-
-
-def _advances(orbit: DerivedOrbit, scale: float, deltas: list[float],
-              name: str) -> list[tuple[float, float]]:
-    """sweep_delta's rows (delta, arcsec/century) on the orbit of the planet
-    name, read once, each what planet_precession gives, bit for bit; the
-    caller checks each delta.
-
-    q and eps never fall as delta rises, so when the largest row (one of the
-    last two: the grid rises up to the last but one) is inside the breakdown
-    box, every row is. Past it, forces._epsilon checks the rows in turn, and
-    the first that the rule refuses raises, naming the planet. The rows
-    repeat planet_precession's operations inline.
-    """
-    pi = math.pi
-    mu = orbit.mu
-    h2 = orbit.h * orbit.h
-    quantum = max(deltas[-2:]) * pi / 648000.0 * scale
-    if not (quantum * mu / h2 < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
-        for delta in deltas:
-            _epsilon(delta * pi / 648000.0 * scale, mu, orbit.h, orbit.r_p, name)
-    orbits_per_century = orbit.orbits_per_century
-    return [(delta, _advance_from_eps(delta * pi / 648000.0 * scale * mu / h2)
-             * orbits_per_century * ARCSEC_PER_RAD) for delta in deltas]

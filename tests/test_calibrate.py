@@ -155,6 +155,19 @@ def test_fit_keeps_the_plain_sums_when_they_are_finite(planets):
         assert (result.delta_star, result.delta_sigma) == plain(observations)
 
 
+def test_fit_scales_a_slope_past_the_float_range():
+    # Tiny's slope is 2.9e183, so w * s * s overflows at weight 1: the fit
+    # must scale the slope, not return the false delta* = 0 +- 0 that
+    # finite / inf gives. One observation fits delta* = value/s, sigma 1/s.
+    tiny = PlanetElements("Tiny", 1e-150, 0.0, 1e-300)
+    slope = planet_precession(tiny, calibrate.DELTA_REF).per_century_arcsec / calibrate.DELTA_REF
+    assert slope * slope == math.inf
+    result = fit_delta([Observation("Tiny", 1.0, 1.0)], planets=[tiny])
+    assert 1.0 / slope == 3.4728059777270125e-184
+    assert result.delta_star == pytest.approx(1.0 / slope, rel=4 * 2.0 ** -52, abs=0.0)
+    assert result.delta_sigma == pytest.approx(1.0 / slope, rel=4 * 2.0 ** -52, abs=0.0)
+
+
 def test_fit_synthetic_recovery(planets):
     # noise-free synthetic observations generated at a known delta are
     # recovered exactly (slopes defined at the same linearization point)
@@ -290,24 +303,28 @@ def test_sweep_past_the_box_raises_at_its_first_failing_row(mercury, rule, hi, s
     assert str(swept.value) == message
 
 
-def _counting(monkeypatch, *names):
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _f=getattr(precession, name)):
+def _counting(monkeypatch, *bindings):
+    """Count the calls made through each (module, name) binding."""
+    counts = {name: 0 for _, name in bindings}
+    for module, name in bindings:
+        def counted(*args, _name=name, _f=getattr(module, name)):
             counts[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(precession, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
 def test_an_in_box_sweep_checks_no_row(monkeypatch, mercury):
-    counts = _counting(monkeypatch, "_epsilon", "_check_delta", "_advance_from_eps")
+    # sweep_delta reaches the rule only through planet_precession, and
+    # planet_precession only through forces._epsilon
+    counts = _counting(monkeypatch, (calibrate, "planet_precession"),
+                       (calibrate, "_advance_from_eps"), (precession, "_epsilon"))
     rows = sweep_delta(mercury, 0.01, 0.05, 1000)
     assert len(rows) == 1000
-    assert counts == {"_epsilon": 0, "_check_delta": 0, "_advance_from_eps": 1000}
+    assert counts == {"planet_precession": 0, "_advance_from_eps": 1000, "_epsilon": 0}
     counts.update(dict.fromkeys(counts, 0))
     planet_precession(mercury, 0.0398)
-    assert counts["_check_delta"] == 1 and counts["_epsilon"] == 1
+    assert counts["_epsilon"] == 1
 
 
 def test_invert_delta_refuses_the_delta_planet_precession_refuses(mercury):
@@ -318,6 +335,26 @@ def test_invert_delta_refuses_the_delta_planet_precession_refuses(mercury):
     with pytest.raises(ModelBreakdownError) as inverted:
         invert_delta(mercury, 79306830.71481125)
     assert str(inverted.value) == str(single.value)
+
+
+def test_invert_delta_takes_the_limit_of_an_infinite_advance(monkeypatch):
+    # 1e300"/century is an advance per orbit past the float range on this
+    # far planet: the inversion takes the limit eps = 1, not inf/inf = nan,
+    # and planet_precession refuses the delta it forms.
+    far = PlanetElements("Far", 1e150, 0.0, 6e141)
+    formed = []
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(calibrate, "planet_precession",
+                          lambda el, delta, rule: formed.append(delta))
+        delta = invert_delta(far, 1e300)
+    assert formed == [delta] and math.isfinite(delta)
+    with pytest.raises(ModelBreakdownError) as single:
+        planet_precession(far, delta)
+    with pytest.raises(ModelBreakdownError) as inverted:
+        invert_delta(far, 1e300)
+    assert str(inverted.value) == str(single.value) == (
+        "Far: quantum 1.106924798077988e+288 m too large for this orbit: the exact orbit "
+        "from perihelion is unbounded (epsilon = 1.0)")
 
 
 def test_every_function_taking_elements_names_the_planet(mercury):
@@ -389,7 +426,7 @@ def test_invert_delta_breaks_down_where_planet_precession_does(monkeypatch, plan
                 t = math.nextafter(t, direction)
                 targets.append(t)
         with monkeypatch.context() as unchecked:
-            unchecked.setattr(calibrate, "_epsilon", lambda *args: 0.0)
+            unchecked.setattr(calibrate, "planet_precession", lambda *args: None)
             formed = [invert_delta(el, t, rule) for t in targets]
         refused = 0
         for t, delta in zip(targets, formed):

@@ -466,6 +466,23 @@ def test_fit_delta_below_the_float_range(tmp_path):
                                   "weighted squared slopes underflow")
 
 
+def test_fit_a_slope_beyond_the_float_range(tmp_path):
+    # the slope of so near a planet squared overflows at weight 1, and the
+    # fit must scale it rather than print delta* = 0 +- 0
+    planets = tmp_path / "planets.json"
+    planets.write_text(json.dumps({"schema_version": 1, "planets": [
+        {"name": "Tiny", "a_m": 1e-150, "e": 0.0, "tau_days": 1e-300}]}))
+    observations = tmp_path / "observations.json"
+    observations.write_text(json.dumps({"observations": [
+        {"planet": "Tiny", "value_arcsec": 1.0, "sigma_arcsec": 1.0}]}))
+    proc = run_cli("fit", "--planets", str(planets), "--observations", str(observations),
+                   "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    for key in ("delta_star_arcsec", "delta_sigma_arcsec"):
+        assert doc[key] == pytest.approx(3.4728059777270125e-184, rel=4 * 2.0 ** -52, abs=0.0)
+
+
 def test_table_gr_baseline_beyond_the_float_range(tmp_path):
     # the GR baseline of these elements is inf: json would print Infinity,
     # which no RFC 8259 parser accepts, and csv and text would print inf

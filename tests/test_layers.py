@@ -9,7 +9,10 @@ are sized in one place: orbit has one step-size controller. The quantum
 rule is read in one place: only precession converts or compares it. The
 exact orbit's well is formed in one place: only forces names its logarithm
 or its quadratic root. The breakdown rule is called in one place,
-forces._epsilon, and only the two row paths test its box inline. Only
+forces._epsilon, and only the two row paths, calibrate.sweep_delta and
+invert_delta, test its box inline; past it they ask planet_precession, the
+one forward definition, which alone forms q from delta outside bodies and
+the sweep's inline rows. Only
 forces constructs a ModelBreakdownError, and cli does no model work: it
 parses, calls one function per command and formats. The float
 rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows, and it
@@ -257,7 +260,29 @@ def test_only_epsilon_applies_the_breakdown_rule():
     assert {scope for scope, name in reads if name == "_check_bounded"} == {"forces._epsilon"}
     assert {scope for scope, name in reads
             if name != "_check_bounded" and not scope.startswith("forces.")} == {
-        "precession._advances", "calibrate.invert_delta"}
+        "calibrate.sweep_delta", "calibrate.invert_delta"}
+
+
+def _constants(tree: ast.Module, value: float) -> set[str]:
+    """The top-level statements of a module that hold the number value."""
+    return {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == value}
+
+
+def test_planet_precession_is_the_one_forward_definition():
+    # The other analytic paths ask planet_precession what a delta gives and
+    # refuses: only the modules that form a model name _epsilon, the delta
+    # -> q conversion (pi/648000) is written only in bodies and in the
+    # sweep's inline rows, and precession reads no breakdown box.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem for stem, tree in trees.items() if "_epsilon" in _names(tree)} == {
+        "forces", "precession", "orbit"}
+    assert {f"{stem}.{scope}" for stem, tree in trees.items()
+            for scope in _constants(tree, 648000)} == {
+        "bodies.<module>", "bodies.arcsec_to_rad", "calibrate.sweep_delta"}
+    assert _names(trees["precession"]) & BREAKDOWN == set()
 
 
 # What cli would need to build a model, span an orbit or refuse one itself.
