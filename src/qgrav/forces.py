@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .bodies import ARCSEC_PER_RAD, C_LIGHT, PlanetElements, derive_orbit
+from .bodies import _FLOAT_MAX, ARCSEC_PER_RAD, C_LIGHT, PlanetElements, derive_orbit
 from .errors import DomainError, ModelBreakdownError, SingularityError
 from .record import Record
 
@@ -150,11 +150,11 @@ class QuantizedModel(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.quantum) and self.quantum >= 0):
+        if not 0 <= self.quantum <= _FLOAT_MAX:
             raise DomainError(f"space quantum must be >= 0, got {self.quantum!r}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
+        if not 0 < self.mu <= _FLOAT_MAX:
             raise DomainError(f"gravitational parameter must be positive, got {self.mu!r}")
-        if not (math.isfinite(self.h) and self.h > 0):
+        if not 0 < self.h <= _FLOAT_MAX:
             raise DomainError(f"angular momentum must be positive, got {self.h!r}")
         self.__dict__["epsilon"] = _epsilon(self.quantum, self.mu, self.h)
 
@@ -183,16 +183,19 @@ def corrected_force(g: float, m1: float, m2: float, separation: float,
 
     Strictly decreasing in separation on (q, inf); equals the Newtonian
     value when q = 0. Separations at or below the quantum are a hard error:
-    clamping would silently corrupt integrator results.
+    clamping would silently corrupt integrator results. Every argument must
+    lie in the float range: nan, inf and an int beyond it raise DomainError.
     """
-    if not (math.isfinite(g) and g > 0):
+    if not 0 < g <= _FLOAT_MAX:
         raise DomainError(f"G must be positive, got {g!r}")
-    if m1 < 0 or m2 < 0:
+    if not (0 <= m1 <= _FLOAT_MAX and 0 <= m2 <= _FLOAT_MAX):
         raise DomainError(f"masses must be >= 0, got {m1!r}, {m2!r}")
-    if not (math.isfinite(quantum) and quantum >= 0):
+    if not 0 <= quantum <= _FLOAT_MAX:
         raise DomainError(f"space quantum must be >= 0, got {quantum!r}")
     if separation <= quantum:
         raise SingularityError(separation, quantum)
+    if not separation <= _FLOAT_MAX:
+        raise DomainError(f"separation must be positive, got {separation!r}")
     return g * m1 * m2 / (separation * (separation - quantum))
 
 

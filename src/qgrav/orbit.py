@@ -38,11 +38,11 @@ integrate runs on plain floats and returns what the export prints, theta
 and u as array('d') and the two step counts, so the whole module needs only
 the standard library.
 
-_perihelion_start refuses, by the two checks in forces, each naming the
-planet, an orbit from the perihelion that falls into the quantum or
-escapes to u = 0, so neither path integrates an orbit that never closes;
-_export spans the export from it. forces also holds the well's circular
-point and the frame about it; this module only steps.
+_perihelion_start forms q, c = mu/h^2 and u0 = 1/r_p and refuses, by the
+two checks in forces, each naming the planet, an orbit from the perihelion
+that falls into the quantum or escapes to u = 0, so neither path integrates
+an orbit that never closes; only _export puts them in a QuantizedModel.
+forces holds the well's circular point and its frame; this module steps.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ class Trajectory(Record):
 
     def __len__(self) -> int:
         return len(self.theta)
-
-
-def _binet_constants(model: QuantizedModel) -> tuple[float, float]:
-    """(c, q) of the forcing -u + c / (1 - q u), with c = mu/h^2."""
-    return model.mu / (model.h * model.h), model.quantum
 
 
 def _forcing_error(u: float, q: float) -> QgravError:
@@ -300,26 +295,27 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
 
     _adaptive_steps drives _dopri_step, holding local error per step below
     tol relative to the orbit scale u0. Deterministic for fixed inputs.
-    DomainError unless theta_max > 1e-12 rad, tol in [TOL_MIN, TOL_MAX] and
-    u0 > 0 are finite and du0 is finite. An orbit falling into the quantum
-    raises SingularityError if a stage evaluates the force at or inside the
-    quantum, or StepFailureError if the step size underflows first as the
-    force diverges; measured_precession and `qgrav orbit` refuse such a
-    start beforehand with ModelBreakdownError. An escaping start is
-    integrated up to its asymptote, where u reaches 0, and a theta_max past
-    that raises DomainError there; the two refuse it beforehand too.
+    DomainError unless theta_max > 1e-12 rad, tol in [TOL_MIN, TOL_MAX],
+    u0 > 0 and du0 lie in the float range (nan, inf and huge ints fail). An
+    orbit falling into the quantum raises SingularityError if a stage
+    evaluates the force at or inside the quantum, or StepFailureError if the
+    step size underflows first as the force diverges; measured_precession
+    and `qgrav orbit` refuse such a start beforehand with
+    ModelBreakdownError. An escaping start is integrated up to its
+    asymptote, where u reaches 0, and a theta_max past that raises
+    DomainError there; the two refuse it beforehand too.
     """
-    if not (math.isfinite(theta_max) and theta_max > 0):
+    if not 0 < theta_max <= _FLOAT_MAX:
         raise DomainError(f"theta_max must be positive, got {theta_max!r}")
     if not theta_max > 1e-12:
         raise DomainError(f"theta_max must exceed 1e-12 rad, got {theta_max!r}")
     _check_tol(tol)
-    if not (math.isfinite(u0) and u0 > 0):
+    if not 0 < u0 <= _FLOAT_MAX:
         raise DomainError(f"initial inverse radius must be positive, got {u0!r}")
-    if not math.isfinite(du0):
+    if not -_FLOAT_MAX <= du0 <= _FLOAT_MAX:
         raise DomainError(f"initial slope must be finite, got {du0!r}")
 
-    c, q = _binet_constants(model)
+    c, q = model.mu / (model.h * model.h), model.quantum
     step = partial(_dopri_step, c, q, tol, tol * u0)
     samples: list[tuple[float, float, float]] = [(0.0, u0, du0)]
     extras: list[tuple[float, float, float]] = []
@@ -346,28 +342,31 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
 
 
 def _perihelion_start(el: PlanetElements, delta_arcsec: float, rule: QuantumRule):
-    """(model, u0): the model and the inverse perihelion distance of el's
-    exact orbit at the quantum of delta_arcsec, started at its perihelion.
+    """(q, c, u0): the quantum of delta_arcsec, c = mu/h^2 and 1/r_p, which
+    fix el's exact orbit u'' = -u + c/(1 - q u) from rest at its perihelion.
 
     Raises ModelBreakdownError when that orbit falls into the quantum
     (forces._epsilon at r_p) and DomainError when it escapes
     (forces._check_escape), each naming the planet.
     """
     orbit = derive_orbit(el)
-    quantum = quantum_from_error(delta_arcsec, orbit, rule)
-    _epsilon(quantum, orbit.mu, orbit.h, orbit.r_p, el.name)
-    model = QuantizedModel(quantum=quantum, mu=orbit.mu, h=orbit.h)
+    q = quantum_from_error(delta_arcsec, orbit, rule)
+    _epsilon(q, orbit.mu, orbit.h, orbit.r_p, el.name)
+    c = orbit.mu / (orbit.h * orbit.h)
     u0 = 1.0 / orbit.r_p
-    _check_escape(el.name, *_binet_constants(model), u0)
-    return model, u0
+    _check_escape(el.name, c, q, u0)
+    return q, c, u0
 
 
 def _export(el: PlanetElements, delta_arcsec: float, rule: QuantumRule, n_orbits: int,
             tol: float) -> Trajectory:
     """The `qgrav orbit` export from _perihelion_start: n_orbits first-order
     radial periods 2 pi/x, x = sqrt(1 - epsilon), plus 0.5 rad to bracket the
-    last perihelion. At large epsilon they span fewer exact periods."""
-    model, u0 = _perihelion_start(el, delta_arcsec, rule)
+    last perihelion (fewer exact periods at large epsilon). Builds the one
+    QuantizedModel, which integrate takes; the rule passed at r_p already."""
+    q, _, u0 = _perihelion_start(el, delta_arcsec, rule)
+    orbit = derive_orbit(el)
+    model = QuantizedModel(quantum=q, mu=orbit.mu, h=orbit.h)
     theta_max = n_orbits * (2.0 * math.pi / math.sqrt(1.0 - model.epsilon)) + 0.5
     return integrate(model, u0, 0.0, theta_max, tol)
 
@@ -518,9 +517,8 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     DomainError for a tol outside [TOL_MIN, TOL_MAX] or a circular start,
     which has no perihelion; StepFailureError if the step size underflows.
     """
-    model, u0 = _perihelion_start(el, delta_arcsec, rule)
+    q, c, u0 = _perihelion_start(el, delta_arcsec, rule)
     _check_tol(tol)
-    c, q = _binet_constants(model)
     u_star, d, kappa, omega = _drift_frame(c, q)
     g = kappa * q / omega
     a, b = u0 - u_star, 0.0

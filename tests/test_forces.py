@@ -3,7 +3,7 @@ import pytest
 
 from qgrav import (ARCSEC_PER_RAD, DomainError, ModelBreakdownError,
                    PlanetElements, Provenance, QuantizedModel, SingularityError,
-                   corrected_force, derive_orbit, gr_precession_baseline,
+                   corrected_force, derive_orbit, gr_precession_baseline, integrate,
                    newtonian_force, state_weight, weight_increment)
 
 
@@ -61,6 +61,38 @@ def test_corrected_force_rejects_bad_args():
         corrected_force(1.0, -1.0, 1.0, 2.0, 0.0)
     with pytest.raises(DomainError):
         corrected_force(1.0, 1.0, 1.0, 2.0, -0.5)
+
+
+HUGE, NAN, INF = 10 ** 400, float("nan"), float("inf")
+MODEL = QuantizedModel(quantum=0.0, mu=1.3e20, h=2.7e15)
+OUT_OF_RANGE = {
+    "model quantum": (QuantizedModel, (HUGE, 1.3e20, 2.7e15), "space quantum must be >= 0"),
+    "model mu": (QuantizedModel, (0.0, HUGE, 2.7e15), "gravitational parameter must be"),
+    "model h": (QuantizedModel, (0.0, 1.3e20, HUGE), "angular momentum must be positive"),
+    "force g": (corrected_force, (HUGE, 1.0, 1.0, 2.0, 0.0), "G must be positive"),
+    "force m1": (corrected_force, (1.0, HUGE, 1.0, 2.0, 0.0), "masses must be >= 0"),
+    "force m2": (corrected_force, (1.0, 1.0, HUGE, 2.0, 0.0), "masses must be >= 0"),
+    "force nan m1": (corrected_force, (1.0, NAN, 1.0, 2.0, 0.0), "masses must be >= 0"),
+    "force inf m1": (corrected_force, (1.0, INF, 1.0, 2.0, 0.0), "masses must be >= 0"),
+    "force separation": (corrected_force, (1.0, 1.0, 1.0, HUGE, 0.0), "separation must be"),
+    "force nan separation": (corrected_force, (1.0, 1.0, 1.0, NAN, 0.0), "separation must be"),
+    "force inf separation": (corrected_force, (1.0, 1.0, 1.0, INF, 0.0), "separation must be"),
+    "force quantum": (corrected_force, (1.0, 1.0, 1.0, 2.0, HUGE), "space quantum must be"),
+    "newton separation": (newtonian_force, (1.0, 1.0, 1.0, HUGE), "separation must be"),
+    "newton nan separation": (newtonian_force, (1.0, 1.0, 1.0, NAN), "separation must be"),
+    "integrate theta_max": (integrate, (MODEL, 1.0, 0.0, HUGE), "theta_max must be positive"),
+    "integrate u0": (integrate, (MODEL, HUGE, 0.0, 10.0), "initial inverse radius must be"),
+    "integrate du0": (integrate, (MODEL, 1.0, HUGE, 10.0), "initial slope must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_numbers_outside_the_float_range_are_refused(case):
+    # A range test against the float range refuses nan, inf and an int
+    # beyond it alike; math.isfinite would raise OverflowError on the int.
+    function, args, message = OUT_OF_RANGE[case]
+    with pytest.raises(DomainError, match=message):
+        function(*args)
 
 
 def test_newtonian_force():

@@ -14,7 +14,8 @@ invert_delta, test its box inline; past it they ask planet_precession, the
 one forward definition, which alone forms q from delta outside bodies and
 the sweep's inline rows. Only
 forces constructs a ModelBreakdownError, and cli does no model work: it
-parses, calls one function per command and formats. The float
+parses, calls one function per command and formats. Only orbit._export
+builds a QuantizedModel; the measurement steps from plain numbers. The float
 rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows, and it
 is the only writer that streams: it alone batches its writes, and cli
 drives no json encoder token by token.
@@ -312,3 +313,17 @@ def test_cli_does_no_model_work():
                   if isinstance(node, ast.Call)
                   and ast.unparse(node.func).endswith("ModelBreakdownError")}
     assert constructs == {"forces"}
+
+
+def test_only_the_export_builds_a_model():
+    # _perihelion_start returns q, c and u0, and the measurement steps from
+    # them; orbit._export wraps them in a model only because integrate takes
+    # one, and no helper unpacks a model into the forcing's constants.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    builders = {f"{stem}.{getattr(top, 'name', '<module>')}"
+                for stem, tree in trees.items() for top in tree.body
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).endswith("QuantizedModel")}
+    assert builders == {"orbit._export"}
+    assert {stem for stem, tree in trees.items() if "_binet_constants" in _names(tree)} == set()
