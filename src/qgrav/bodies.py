@@ -9,12 +9,13 @@ constants GM_SUN and C_LIGHT, and each PlanetElements derives it once.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import IO, Callable, TypeVar
 
 from .errors import DomainError, IngestionError
 from .record import Record
@@ -38,8 +39,6 @@ DATA_DIR_ENV = "QGRAV_DATA_DIR"
 # A range test against this, unlike math.isfinite, refuses an int beyond the
 # float range instead of raising OverflowError, and refuses nan and +-inf.
 _FLOAT_MAX = sys.float_info.max
-
-_T = TypeVar("_T")
 
 
 def _is_finite_number(value: object) -> bool:
@@ -146,23 +145,23 @@ def derive_orbit(el: PlanetElements) -> DerivedOrbit:
 _PLANET_FIELDS = {"name", "a_m", "e", "tau_days"}
 
 
-def _read_json(source: str | Path | IO[str], what: str) -> object:
-    """The JSON document in source; IngestionError if it cannot be read or parsed."""
+def _read_json(source: str | Path | io.TextIOBase, what: str) -> object:
+    """The JSON document in source; IngestionError if it is missing, unreadable or not JSON."""
     stream = hasattr(source, "read")
     if stream:
         origin = getattr(source, "name", "<stream>")
     else:
         path = Path(source)  # type: ignore[arg-type]
-        if not path.exists():
-            raise IngestionError(f"{what} file not found: {path}")
         origin = str(path)
     try:
-        return json.loads(source.read() if stream  # type: ignore[union-attr]
-                          else path.read_text(encoding="utf-8"))
+        if stream or path.exists():
+            return json.loads(source.read() if stream  # type: ignore[union-attr]
+                              else path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{what} file {origin} is not valid JSON: {exc}") from exc
     except (OSError, ValueError, RecursionError) as exc:
         raise IngestionError(f"{what} file {origin} cannot be read as JSON: {exc}") from exc
+    raise IngestionError(f"{what} file not found: {path}")
 
 
 def _check_unique(name: str, seen: set[str], what: str) -> None:
@@ -185,9 +184,9 @@ def bundled_data_path(filename: str) -> Path:
     return Path(__file__).parent / "data" / filename
 
 
-def _load_records(source: str | Path | IO[str] | None, what: str, item: str,
-                  fields: set[str], key: str, build: Callable[[dict], _T],
-                  version_required: bool) -> list[_T]:
+def _load_records(source: str | Path | io.TextIOBase | None, what: str, item: str,
+                  fields: set[str], key: str, build: Callable[[dict], Record],
+                  version_required: bool) -> list[Record]:
     """Read and check a data file, the one reader behind both loaders.
 
     The file, by default the bundled "<what>.json", is a JSON object
@@ -210,7 +209,7 @@ def _load_records(source: str | Path | IO[str] | None, what: str, item: str,
     records = doc.get(what)
     if not isinstance(records, list):
         raise IngestionError(f"{what} file must carry a list named {what!r}")
-    out: list[_T] = []
+    out: list[Record] = []
     seen: set[str] = set()
     for index, record in enumerate(records):
         if not isinstance(record, dict):
@@ -224,7 +223,7 @@ def _load_records(source: str | Path | IO[str] | None, what: str, item: str,
     return out
 
 
-def load_planets(source: str | Path | IO[str] | None = None) -> list[PlanetElements]:
+def load_planets(source: str | Path | io.TextIOBase | None = None) -> list[PlanetElements]:
     """Load and validate planetary elements.
 
     The file is a JSON document {"schema_version": 1, "planets": [...]} where

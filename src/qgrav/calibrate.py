@@ -9,10 +9,10 @@ iterative optimizer is warranted.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 from pathlib import Path
-from typing import IO
 
 from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, _check_record,
                      _check_unique, _load_records, derive_orbit, load_planets,
@@ -72,7 +72,7 @@ class FitResult(Record):
 _OBS_FIELDS = {"planet", "value_arcsec", "sigma_arcsec"}
 
 
-def load_observations(source: str | Path | IO[str] | None = None) -> list[Observation]:
+def load_observations(source: str | Path | io.TextIOBase | None = None) -> list[Observation]:
     """Load observed precession values from a JSON document.
 
     Schema: {"observations": [{"planet", "value_arcsec", "sigma_arcsec"}]}
@@ -203,7 +203,7 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     span * i does, when row 1 breaks down first. q never falls as delta
     rises, so if the largest row (one of the last two) is inside the
     breakdown box, every row is, and the rows repeat planet_precession's
-    operations inline; past it planet_precession is asked about each row.
+    operations inline; past it each row is planet_precession's own call.
     """
     if not 0.0 <= delta_min < delta_max <= _FLOAT_MAX:
         raise DomainError(f"sweep needs finite 0 <= delta_min < delta_max, "
@@ -224,8 +224,8 @@ def sweep_delta(el: PlanetElements, delta_min: float, delta_max: float,
     h2 = orbit.h * orbit.h
     quantum = max(deltas[-2:]) * pi / 648000.0 * scale
     if not (quantum * mu / h2 < _EPS_BOX and quantum < _X_BOX * orbit.r_p):
-        for delta in deltas:
-            planet_precession(el, delta, rule)
+        return [(delta, planet_precession(el, delta, rule).per_century_arcsec)
+                for delta in deltas]
     orbits_per_century = orbit.orbits_per_century
     return [(delta, _advance_from_eps(delta * pi / 648000.0 * scale * mu / h2)
              * orbits_per_century * ARCSEC_PER_RAD) for delta in deltas]

@@ -20,13 +20,13 @@ class ModelBreakdownError(QgravError):
     """The space quantum is too large for the orbit.
 
     Every path (the closed form, its inversion, the model and the
-    integrator) applies one rule, through forces._epsilon: the exact orbit
-    from the perihelion must be bounded, which fails from
-    epsilon = q mu / h^2 = 1/4 at the latest. The two row paths, sweep_delta
-    and invert_delta, first test a box inside which the rule always passes,
-    and past it ask planet_precession, so each refusal is its own.
-    Only forces raises it, its message led by "<planet>: " when the caller
-    took elements (orbit_params and QuantizedModel take none).
+    integrator) applies one rule, in forces._epsilon, which forms
+    epsilon = q mu / h^2: the exact orbit from the perihelion must be
+    bounded, which fails from epsilon = 1/4 at the latest. The two row
+    paths, sweep_delta and invert_delta, first test a box inside which the
+    rule always passes, and past it ask planet_precession, so each refusal
+    is its own. Only forces raises it, its message led by "<planet>: " when
+    the caller took elements (orbit_params and QuantizedModel take none).
     """
 
 

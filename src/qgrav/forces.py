@@ -11,8 +11,8 @@ is L quanta has states of weight 1/L, and the interaction strength follows
 the weight increment 1/(L-1) - 1/L = 1/(L(L-1)) gained by contracting one
 quantum.
 
-epsilon = q mu/h^2 and the breakdown rule (_epsilon), the exact orbit's
-well (its escape test and the frame about its circular point) and
+epsilon = q mu/h^2 and the breakdown rule (both in _epsilon), the exact
+orbit's well (its escape test and the frame about its circular point) and
 PrecessionResult live here, below precession.
 """
 
@@ -47,28 +47,29 @@ class PrecessionResult(Record):
                              provenance=provenance)
 
 
-# _check_bounded passes inside eps < _EPS_BOX, x_p < _X_BOX (see its
+# _epsilon's rule passes inside eps < _EPS_BOX, x_p < _X_BOX (see its
 # docstring). The two row paths, calibrate.sweep_delta and invert_delta,
 # test this box inline and ask planet_precession only outside it.
 _EPS_BOX = 0.01
 _X_BOX = 0.9
 
 
-def _check_bounded(quantum: float, eps: float, x_p: float | None = None,
-                   name: str | None = None) -> None:
-    """The breakdown rule: raise ModelBreakdownError unless the exact orbit is bounded.
+def _epsilon(quantum: float, mu: float, h: float, r_p: float | None = None,
+             name: str | None = None) -> float:
+    """eps = quantum mu/h^2 once the breakdown rule passes, else ModelBreakdownError.
 
-    eps = q mu/h^2, and x_p = q/r_p places the orbit's perihelion. With the
-    first integral u'^2/2 + W(u) = W(u_p), where
-    W(u) = u^2/2 + (c/q) log1p(-q u) and c = mu/h^2, the orbit from rest at
-    its perihelion stays bounded only behind the barrier of W at
+    The rule: the exact orbit must be bounded. x_p = q/r_p places the
+    orbit's perihelion. With the first integral u'^2/2 + W(u) = W(u_p),
+    where W(u) = u^2/2 + (c/q) log1p(-q u) and c = mu/h^2, the orbit from
+    rest at its perihelion stays bounded only behind the barrier of W at
     u+ = (1 + sqrt(1 - 4 eps))/(2q) = d/q of _drift_frame, the larger root
     of u (1 - q u) = c. It falls into the quantum if eps >= 1/4 (no
     barrier), u_p >= u+, or W(u_p) >= W(u+). Both sides are compared as
     q^2 W = x^2/2 + eps log1p(-x) in x = q u, which cannot overflow, with
-    1 - x+ = 2 eps/(1 + s) formed without cancellation. With x_p omitted
+    1 - x+ = 2 eps/(1 + s) formed without cancellation. With r_p omitted
     (a model with no perihelion) only eps >= 1/4 is refused. eps = 0 (q = 0,
-    Newton's conic) always passes. A name, if given, leads the message.
+    Newton's conic) always passes. A name, if given, leads the message. An
+    int product past the float range reads as float arguments give it.
 
     The box eps < 0.01, x_p < 0.9 always passes:
     - x+ falls as eps grows and is 0.9899 at eps = 0.01, above 0.9 > x_p;
@@ -76,30 +77,25 @@ def _check_bounded(quantum: float, eps: float, x_p: float | None = None,
       log(1 - x+) < 0 (W' vanishes at x+), and is 0.444 at eps = 0.01,
       above x_p^2/2 < 0.405, which bounds q^2 W(x_p) because log1p(-x_p) < 0.
     """
+    try:
+        eps = quantum * mu / (h * h)
+    except OverflowError:
+        eps = math.inf if quantum * mu > _FLOAT_MAX else 0.0
     if eps < 0.25:
-        if x_p is None or eps == 0.0:
-            return
+        if r_p is None or eps == 0.0:
+            return eps
+        x_p = quantum / r_p
         s = math.sqrt(1.0 - 4.0 * eps)
         x_plus = 0.5 * (1.0 + s)
         if x_p < x_plus:
             w_p = 0.5 * x_p * x_p + eps * math.log1p(-x_p)
             w_plus = 0.5 * x_plus * x_plus + eps * math.log(2.0 * eps / (1.0 + s))
             if w_p < w_plus:
-                return
+                return eps
     named = "" if name is None else f"{name}: "
     raise ModelBreakdownError(
         f"{named}quantum {quantum!r} m too large for this orbit: the exact orbit "
         f"from perihelion is unbounded (epsilon = {eps!r})")
-
-
-def _epsilon(quantum: float, mu: float, h: float, r_p: float | None = None,
-             name: str | None = None) -> float:
-    """eps = quantum mu/h^2 once the breakdown rule passes: _check_bounded at
-    x_p = quantum/r_p, or on eps alone with r_p omitted, a refusal led by
-    name. Only the row paths form eps without it, and only inside the box."""
-    eps = quantum * mu / (h * h)
-    _check_bounded(quantum, eps, None if r_p is None else quantum / r_p, name)
-    return eps
 
 
 def _check_escape(name: str, c: float, q: float, u0: float) -> None:
@@ -107,7 +103,7 @@ def _check_escape(name: str, c: float, q: float, u0: float) -> None:
     u0 turns back before u = 0: by the first integral above and W(0) = 0,
     only if W(u0) < 0, that is u0 < 2 c L(q u0) with L(x) = -log1p(-x)/x
     and L(0) = 1 (h^2 < 2 mu r_p at q = 0). An orbit that passes this
-    escape test and _check_bounded is periodic."""
+    escape test and _epsilon's rule is periodic."""
     x = q * u0
     bound = 2.0 * c * (-math.log1p(-x) / x if x else 1.0)
     if not u0 < bound:
@@ -185,6 +181,7 @@ def corrected_force(g: float, m1: float, m2: float, separation: float,
     value when q = 0. Separations at or below the quantum are a hard error:
     clamping would silently corrupt integrator results. Every argument must
     lie in the float range: nan, inf and an int beyond it raise DomainError.
+    An int product past the float range reads as float arguments give it.
     """
     if not 0 < g <= _FLOAT_MAX:
         raise DomainError(f"G must be positive, got {g!r}")
@@ -196,7 +193,10 @@ def corrected_force(g: float, m1: float, m2: float, separation: float,
         raise SingularityError(separation, quantum)
     if not separation <= _FLOAT_MAX:
         raise DomainError(f"separation must be positive, got {separation!r}")
-    return g * m1 * m2 / (separation * (separation - quantum))
+    try:
+        return g * m1 * m2 / (separation * (separation - quantum))
+    except OverflowError:
+        return math.inf if g * m1 * m2 > _FLOAT_MAX else 0.0
 
 
 def newtonian_force(g: float, m1: float, m2: float, separation: float) -> float:

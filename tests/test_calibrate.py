@@ -327,6 +327,17 @@ def test_an_in_box_sweep_checks_no_row(monkeypatch, mercury):
     assert counts["_epsilon"] == 1
 
 
+@pytest.mark.parametrize("rule", list(QuantumRule))
+def test_a_past_box_sweep_evaluates_each_row_once(monkeypatch, mercury, rule):
+    # past the box each row is planet_precession's own result, with no
+    # second evaluation inline
+    counts = _counting(monkeypatch, (calibrate, "planet_precession"),
+                       (calibrate, "_advance_from_eps"), (precession, "_epsilon"))
+    rows = sweep_delta(mercury, 0.0, 3e4, 1000, rule)
+    assert len(rows) == 1000
+    assert counts == {"planet_precession": 1000, "_advance_from_eps": 0, "_epsilon": 1000}
+
+
 def test_invert_delta_refuses_the_delta_planet_precession_refuses(mercury):
     # this target inverts to 59783.32482258727", the first delta the rule
     # refuses on Mercury, though the eps it inverts lies just inside the rule

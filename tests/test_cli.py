@@ -522,6 +522,25 @@ def test_data_dir_env_override(tmp_path):
     assert doc_out["rows"][0]["observation"]["value_arcsec"] == 10.0
 
 
+@pytest.mark.parametrize("route", ["--planets", "--observations", "QGRAV_DATA_DIR"])
+def test_a_data_path_the_file_system_refuses_is_a_usage_error(tmp_path, route):
+    # A 300-byte file name fails its existence test with ENAMETOOLONG, which
+    # is refused like a failed read; a missing file is still "not found".
+    import os
+    env = os.environ.copy()
+    argv = ["fit", "--format", "json"]
+    for path, message in (("a" * 300, "cannot be read as JSON: [Errno 36]"),
+                          (str(tmp_path / "missing"), "file not found")):
+        if route == "QGRAV_DATA_DIR":
+            env[route] = path
+            proc = run_cli(*argv, env=env)
+        else:
+            proc = run_cli(*argv, route, path, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def _run_python(*parts):
     code = "\n".join(textwrap.dedent(part) for part in parts)
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,31 @@ def test_numbers_outside_the_float_range_are_refused(case):
     function, args, message = OUT_OF_RANGE[case]
     with pytest.raises(DomainError, match=message):
         function(*args)
+
+
+# Ints inside the float range whose exact product is not, and what float
+# arguments of the same size give. An exact int quotient is kept: in floats
+# its denominator 1e300 * (1e300 - (1e300 - 1)) would be 0.
+INT_PRODUCTS = {
+    "force numerator": (corrected_force, (10 ** 200, 10 ** 200, 1, 2.0, 0.0), math.inf),
+    "newton numerator": (newtonian_force, (10 ** 200, 10 ** 200, 1, 2.0), math.inf),
+    "force denominator": (corrected_force, (1.0, 1.0, 1.0, 10 ** 200, 0), 0.0),
+    "force int quotient": (corrected_force, (1, 1, 1, 10 ** 300, 10 ** 300 - 1), 1e-300),
+    "model numerator": (lambda *a: QuantizedModel(*a).epsilon, (10 ** 300, 10 ** 300, 1),
+                        "(epsilon = inf)"),
+    "model denominator": (lambda *a: QuantizedModel(*a).epsilon, (1.0, 1.0, 10 ** 200), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", INT_PRODUCTS)
+def test_an_int_product_past_the_float_range_reads_as_its_float(case):
+    function, args, expected = INT_PRODUCTS[case]
+    if isinstance(expected, str):
+        with pytest.raises(ModelBreakdownError) as refused:
+            function(*args)
+        assert str(refused.value).endswith(expected)
+    else:
+        assert function(*args) == expected
 
 
 def test_newtonian_force():

@@ -8,20 +8,23 @@ Data files are read in one place: only bodies opens or parses JSON. Steps
 are sized in one place: orbit has one step-size controller. The quantum
 rule is read in one place: only precession converts or compares it. The
 exact orbit's well is formed in one place: only forces names its logarithm
-or its quadratic root. The breakdown rule is called in one place,
-forces._epsilon, and only the two row paths, calibrate.sweep_delta and
-invert_delta, test its box inline; past it they ask planet_precession, the
-one forward definition, which alone forms q from delta outside bodies and
-the sweep's inline rows. Only
+or its quadratic root. The breakdown rule lives in one place,
+forces._epsilon, which forms eps and applies the rule, and only the two row
+paths, calibrate.sweep_delta and invert_delta, test its box inline; past it
+they ask planet_precession, the one forward definition, which alone forms q
+from delta outside bodies and the sweep's inline rows. Only
 forces constructs a ModelBreakdownError, and cli does no model work: it
 parses, calls one function per command and formats. Only orbit._export
 builds a QuantizedModel; the measurement steps from plain numbers. The float
 rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows, and it
 is the only writer that streams: it alone batches its writes, and cli
-drives no json encoder token by token.
+drives no json encoder token by token. No module imports typing: with
+postponed annotations it would serve nothing at run time.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import qgrav
@@ -208,7 +211,7 @@ def test_only_the_float_rows_stream():
 
 # The exact orbit's well: W's logarithm, the root sqrt(1 - 4 q c) of
 # u (1 - q u) = c, and the helpers that form them.
-WELL_HELPERS = {"_check_bounded", "_check_escape", "_drift_frame"}
+WELL_HELPERS = {"_epsilon", "_check_escape", "_drift_frame"}
 
 
 def _well_forms(tree: ast.Module) -> list[str]:
@@ -240,12 +243,12 @@ def test_only_forces_forms_the_well():
         f"def {name}" for name in sorted(WELL_HELPERS)]
 
 
-BREAKDOWN = {"_check_bounded", "_EPS_BOX", "_X_BOX"}
+BREAKDOWN = {"_EPS_BOX", "_X_BOX"}
 
 
 def _breakdown_reads(tree: ast.Module) -> set[tuple[str, str]]:
-    """(scope, name) for each read of the breakdown rule or its box, by the
-    top-level function or class that makes it; imports are not reads."""
+    """(scope, name) for each read of the breakdown box, by the top-level
+    function or class that makes it; imports are not reads."""
     return {(getattr(top, "name", "<module>"), name)
             for top in tree.body for node in ast.walk(top)
             if isinstance(getattr(node, "ctx", None), ast.Load)
@@ -253,14 +256,15 @@ def _breakdown_reads(tree: ast.Module) -> set[tuple[str, str]]:
 
 
 def test_only_epsilon_applies_the_breakdown_rule():
-    # eps and the rule come from forces._epsilon; only the two row paths
-    # pre-test the box in which the rule always passes.
-    reads = {(f"{path.stem}.{scope}", name)
-             for path in sorted(PACKAGE.glob("*.py"))
-             for scope, name in _breakdown_reads(ast.parse(path.read_text(encoding="utf-8")))}
-    assert {scope for scope, name in reads if name == "_check_bounded"} == {"forces._epsilon"}
-    assert {scope for scope, name in reads
-            if name != "_check_bounded" and not scope.startswith("forces.")} == {
+    # eps and the rule are formed in forces._epsilon itself, with no helper
+    # for the rule; only the two row paths pre-test the box in which the
+    # rule always passes.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem for stem, tree in trees.items() if "_check_bounded" in _names(tree)} == set()
+    reads = {f"{stem}.{scope}" for stem, tree in trees.items()
+             for scope, _ in _breakdown_reads(tree)}
+    assert {scope for scope in reads if not scope.startswith("forces.")} == {
         "calibrate.sweep_delta", "calibrate.invert_delta"}
 
 
@@ -327,3 +331,21 @@ def test_only_the_export_builds_a_model():
                 and ast.unparse(node.func).endswith("QuantizedModel")}
     assert builders == {"orbit._export"}
     assert {stem for stem, tree in trees.items() if "_binet_constants" in _names(tree)} == set()
+
+
+def test_no_module_imports_typing():
+    # Annotations are postponed, so they name io, collections.abc and
+    # pathlib classes that are loaded anyway; typing would cost an import.
+    imports = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if (isinstance(node, ast.Import)
+                   and any(alias.name.split(".")[0] == "typing" for alias in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.level == 0
+                   and (node.module or "").split(".")[0] == "typing")}
+    assert imports == set()
+    # and none of the modules the cli imports pulls it in either, without site
+    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, "
+                           f"{str(PACKAGE.parent)!r}); import qgrav.cli; "
+                           f"print('typing' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
