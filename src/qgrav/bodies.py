@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from pathlib import Path
 
 from .errors import DomainError, IngestionError
 from .record import Record
@@ -145,23 +144,21 @@ def derive_orbit(el: PlanetElements) -> DerivedOrbit:
 _PLANET_FIELDS = {"name", "a_m", "e", "tau_days"}
 
 
-def _read_json(source: str | Path | io.TextIOBase, what: str) -> object:
+def _read_json(source: str | os.PathLike[str] | io.TextIOBase, what: str) -> object:
     """The JSON document in source; IngestionError if it is missing, unreadable or not JSON."""
     stream = hasattr(source, "read")
-    if stream:
-        origin = getattr(source, "name", "<stream>")
-    else:
-        path = Path(source)  # type: ignore[arg-type]
-        origin = str(path)
+    origin = getattr(source, "name", "<stream>") if stream else os.fspath(source)
     try:
-        if stream or path.exists():
-            return json.loads(source.read() if stream  # type: ignore[union-attr]
-                              else path.read_text(encoding="utf-8"))
+        if stream:
+            return json.loads(source.read())  # type: ignore[union-attr]
+        with open(origin.rstrip(os.sep) or origin, encoding="utf-8") as file:
+            return json.loads(file.read())
+    except FileNotFoundError as exc:
+        raise IngestionError(f"{what} file not found: {origin}") from exc
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{what} file {origin} is not valid JSON: {exc}") from exc
     except (OSError, ValueError, RecursionError) as exc:
         raise IngestionError(f"{what} file {origin} cannot be read as JSON: {exc}") from exc
-    raise IngestionError(f"{what} file not found: {path}")
 
 
 def _check_unique(name: str, seen: set[str], what: str) -> None:
@@ -175,16 +172,14 @@ def _check_unique(name: str, seen: set[str], what: str) -> None:
     seen.add(key)
 
 
-def bundled_data_path(filename: str) -> Path:
+def bundled_data_path(filename: str) -> str:
     """Path to a bundled data file, honouring the QGRAV_DATA_DIR override."""
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override) / filename
     # The package ships as a plain directory, so its data sit beside this file.
-    return Path(__file__).parent / "data" / filename
+    directory = os.environ.get(DATA_DIR_ENV) or os.path.join(os.path.dirname(__file__), "data")
+    return os.path.join(directory, filename)
 
 
-def _load_records(source: str | Path | io.TextIOBase | None, what: str, item: str,
+def _load_records(source: str | os.PathLike[str] | io.TextIOBase | None, what: str, item: str,
                   fields: set[str], key: str, build: Callable[[dict], Record],
                   version_required: bool) -> list[Record]:
     """Read and check a data file, the one reader behind both loaders.
@@ -223,7 +218,8 @@ def _load_records(source: str | Path | io.TextIOBase | None, what: str, item: st
     return out
 
 
-def load_planets(source: str | Path | io.TextIOBase | None = None) -> list[PlanetElements]:
+def load_planets(source: str | os.PathLike[str] | io.TextIOBase | None = None
+                 ) -> list[PlanetElements]:
     """Load and validate planetary elements.
 
     The file is a JSON document {"schema_version": 1, "planets": [...]} where

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 import operator
-from pathlib import Path
+import os
 
 from .bodies import (_FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, _check_record,
                      _check_unique, _load_records, derive_orbit, load_planets,
@@ -72,7 +72,8 @@ class FitResult(Record):
 _OBS_FIELDS = {"planet", "value_arcsec", "sigma_arcsec"}
 
 
-def load_observations(source: str | Path | io.TextIOBase | None = None) -> list[Observation]:
+def load_observations(source: str | os.PathLike[str] | io.TextIOBase | None = None
+                      ) -> list[Observation]:
     """Load observed precession values from a JSON document.
 
     Schema: {"observations": [{"planet", "value_arcsec", "sigma_arcsec"}]}
@@ -171,8 +172,11 @@ def fit_delta(observations: list[Observation],
 
     predicted = {obs.planet: per_century(obs.planet, delta_star) for obs in observations}
     residuals = {obs.planet: obs.value_arcsec - predicted[obs.planet] for obs in observations}
+    # summed left to right, as by sum() before 3.12, so chi2 prints alike on every Python
+    chi2 = 0.0
     try:
-        chi2 = sum((residuals[obs.planet] / obs.sigma_arcsec) ** 2 for obs in observations)
+        for obs in observations:
+            chi2 += (residuals[obs.planet] / obs.sigma_arcsec) ** 2
     except OverflowError:
         chi2 = math.inf
     if not math.isfinite(chi2):

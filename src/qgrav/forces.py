@@ -13,7 +13,9 @@ quantum.
 
 epsilon = q mu/h^2 and the breakdown rule (both in _epsilon), the exact
 orbit's well (its escape test and the frame about its circular point) and
-PrecessionResult live here, below precession.
+PrecessionResult live here, below precession. With p = a(1 - e^2) and
+beta = h^2/(mu p), U = p u obeys U'' + U = (1/beta)/(1 - (q/p) U) from
+U_p = 1 + e: three numbers, epsilon, e and beta, decide every advance.
 """
 
 from __future__ import annotations

@@ -13,6 +13,12 @@ tests.
 rewrites corpus.json. Run it only for a change to the output bytes that
 CHANGES.md records and explains.
 
+    PYTHONPATH=src python tests/golden/regen.py --check
+
+replays corpus.json with the standard library alone, so on an interpreter
+without pytest too: it lists each argv and precession case whose record
+differs and exits 1 if any does.
+
 Cases run in-process through qgrav.cli.main with stdout and stderr
 captured; a usage error arrives as SystemExit(2). "{golden}" in an argv
 stands for this directory, which holds the data files the cases read. The
@@ -170,6 +176,24 @@ def measure(case: dict) -> dict:
             "per_century_arcsec": result.per_century_arcsec.hex()}
 
 
+def check() -> int:
+    """Replay corpus.json, print each case whose record differs, and return
+    1 if any does, else 0."""
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    mismatched = [" ".join(case["argv"]) for case in corpus["cases"] if run(case["argv"]) != case]
+    mismatched += ["measured_precession {planet} {delta_arcsec} tol {tol} n {n_orbits}"
+                   .format(**case) for case in corpus["precession"]
+                   if measure({key: case[key] for key in PRECESSION_CASES[0]}) != case]
+    if [case["argv"] for case in corpus["cases"]] != CASES:
+        mismatched.append("CASES differ from the corpus's argv list")
+    for name in mismatched:
+        print(f"mismatch: {name}")
+    print(f"{len(mismatched)} mismatches in {len(corpus['cases'])} cases and "
+          f"{len(corpus['precession'])} precession cases recorded on {corpus['platform']}; "
+          f"this run is on {this_platform()}")
+    return 1 if mismatched else 0
+
+
 def main() -> None:
     corpus = {"platform": this_platform(), "cases": [run(argv) for argv in CASES],
               "precession": [measure(case) for case in PRECESSION_CASES]}
@@ -180,4 +204,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     main()

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from qgrav import (ARCSEC_PER_RAD, AU, C_LIGHT, CENTURY_DAYS, GM_SUN, DomainError,
                    IngestionError, PlanetElements, arcsec_to_rad, derive_orbit,
                    load_observations, load_planets, planet_by_name, rad_to_arcsec)
+from qgrav.bodies import bundled_data_path
 
 GM = 1.32712440018e20
 
@@ -147,6 +151,35 @@ def test_load_planets_rejects_padded_names():
 def test_load_planets_missing_file(tmp_path):
     with pytest.raises(IngestionError, match="not found"):
         load_planets(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("loader, what", [(load_planets, "planets"),
+                                          (load_observations, "observations")])
+def test_loaders_read_a_path_as_given(tmp_path, monkeypatch, loader, what):
+    # A str, an os.PathLike, a stream, a path with a trailing separator and
+    # the QGRAV_DATA_DIR override all reach the same file and the same records.
+    bundled = loader()
+    path = tmp_path / f"{what}.json"
+    path.write_bytes(Path(bundled_data_path(f"{what}.json")).read_bytes())
+    with open(path, encoding="utf-8") as stream:
+        assert loader(stream) == bundled
+    for source in (str(path), path, str(path) + os.sep, str(path) + os.sep * 2):
+        assert loader(source) == bundled, source
+    monkeypatch.setenv("QGRAV_DATA_DIR", str(tmp_path) + os.sep)
+    assert loader() == bundled
+    # A refusal names the path as it was given; only a missing file is "not
+    # found", and every other failure of the one open() is a failed read.
+    missing = str(tmp_path) + "//nope.json"
+    with pytest.raises(IngestionError, match=f"^{what} file not found: {re.escape(missing)}$"):
+        loader(missing)
+    loop = tmp_path / "loop.json"
+    loop.symlink_to(loop)
+    for source, errno in (("a" * 300, 36), (str(path / "below.json"), 20), (str(tmp_path), 21),
+                          (str(loop), 40)):
+        with pytest.raises(IngestionError,
+                           match=f"^{what} file {re.escape(source)} cannot be read as JSON: "
+                                 rf"\[Errno {errno}\]"):
+            loader(source)
 
 
 def test_data_dir_override(tmp_path, monkeypatch):

@@ -524,12 +524,15 @@ def test_data_dir_env_override(tmp_path):
 
 @pytest.mark.parametrize("route", ["--planets", "--observations", "QGRAV_DATA_DIR"])
 def test_a_data_path_the_file_system_refuses_is_a_usage_error(tmp_path, route):
-    # A 300-byte file name fails its existence test with ENAMETOOLONG, which
-    # is refused like a failed read; a missing file is still "not found".
+    # A 300-byte file name fails its open() with ENAMETOOLONG, and a path
+    # below a regular file with ENOTDIR; each is refused like a failed read.
+    # Only a missing file is "not found".
     import os
     env = os.environ.copy()
     argv = ["fit", "--format", "json"]
+    (tmp_path / "file").write_text("")
     for path, message in (("a" * 300, "cannot be read as JSON: [Errno 36]"),
+                          (str(tmp_path / "file" / "below"), "cannot be read as JSON: [Errno 20]"),
                           (str(tmp_path / "missing"), "file not found")):
         if route == "QGRAV_DATA_DIR":
             env[route] = path
@@ -831,16 +834,21 @@ def test_orbit_refuses_an_escaping_orbit(monkeypatch, capsys, tmp_path, fmt):
 
 
 def test_closed_pipe_is_not_an_error():
-    # The reader stops after a few bytes of a 200-orbit export.
-    with subprocess.Popen([sys.executable, "-m", "qgrav", "orbit", "--planet", "mercury",
-                           "--delta", "0.0398", "--orbits", "200", "--format", "json"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert len(proc.stdout.read(10)) == 10
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert code == 0
-    assert stderr == b""
+    # The reader stops after the first line of a 200-orbit export, whether
+    # the child's stdout is buffered or not (PYTHONUNBUFFERED).
+    import os
+    for fmt in ("csv", "json"):
+        for unbuffered in ("", "1"):
+            env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+            with subprocess.Popen([sys.executable, "-m", "qgrav", "orbit", "--planet", "mercury",
+                                   "--delta", "0.0398", "--orbits", "200", "--format", fmt],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=env) as proc:
+                assert proc.stdout.readline().endswith(b"\n")
+                proc.stdout.close()
+                stderr = proc.stderr.read()
+                code = proc.wait(timeout=60)
+            assert (code, stderr) == (0, b""), (fmt, unbuffered)
 
 
 def test_package_names_resolve():

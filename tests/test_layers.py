@@ -18,8 +18,10 @@ parses, calls one function per command and formats. Only orbit._export
 builds a QuantizedModel; the measurement steps from plain numbers. The float
 rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows, and it
 is the only writer that streams: it alone batches its writes, and cli
-drives no json encoder token by token. No module imports typing: with
-postponed annotations it would serve nothing at run time.
+drives no json encoder token by token. No module imports typing or
+pathlib: with postponed annotations typing would serve nothing at run time,
+and open() takes a path as given. No module calls the builtin sum, whose
+float result changed with Python 3.12.
 """
 
 import ast
@@ -334,18 +336,33 @@ def test_only_the_export_builds_a_model():
 
 
 def test_no_module_imports_typing():
-    # Annotations are postponed, so they name io, collections.abc and
-    # pathlib classes that are loaded anyway; typing would cost an import.
-    imports = {path.stem for path in sorted(PACKAGE.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    # Annotations are postponed, so they name io, os and collections.abc
+    # classes that are loaded anyway; typing would cost an import. pathlib
+    # would too: a data file is read by open() from the path as given.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    imports = {f"{stem} imports {name}" for stem, tree in trees.items() for node in ast.walk(tree)
+               for name in ("typing", "pathlib")
                if (isinstance(node, ast.Import)
-                   and any(alias.name.split(".")[0] == "typing" for alias in node.names))
+                   and any(alias.name.split(".")[0] == name for alias in node.names))
                or (isinstance(node, ast.ImportFrom) and node.level == 0
-                   and (node.module or "").split(".")[0] == "typing")}
+                   and (node.module or "").split(".")[0] == name)}
     assert imports == set()
-    # and none of the modules the cli imports pulls it in either, without site
+    assert {stem for stem, tree in trees.items() if "Path" in _names(tree)} == set()
+    # and none of the modules the cli imports pulls them in either, without site
     proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, "
                            f"{str(PACKAGE.parent)!r}); import qgrav.cli; "
-                           f"print('typing' in sys.modules)"],
+                           f"print('typing' in sys.modules, 'pathlib' in sys.modules)"],
                           capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
+
+
+def test_no_module_calls_the_builtin_sum():
+    # From Python 3.12 sum() of floats compensates its rounding, so a sum
+    # written with it would print other digits there than on 3.10 and 3.11;
+    # the package adds its floats left to right in a loop instead.
+    calls = [f"{path.stem}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert calls == []

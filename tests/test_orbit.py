@@ -13,8 +13,8 @@ from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
                    measured_precession, orbit_params, planet_precession, quantum_from_error,
                    rad_to_arcsec)
 from qgrav.forces import _drift_frame
-from qgrav.orbit import (_export, _forcing, _perihelion_passages, _perihelion_start,
-                         _place_passage)
+from qgrav.orbit import (_dopri_step, _drift_step, _export, _forcing, _perihelion_passages,
+                         _perihelion_start, _place_passage)
 
 GM = 1.32712440018e20
 
@@ -573,6 +573,66 @@ def test_integrate_stage_domain_check(mercury_orbit):
     # a slope steep enough that the first stage lands at negative u
     with pytest.raises(DomainError, match="inverse radius must be positive"):
         integrate(model, u0, -1e4 * u0, 1.0)
+
+
+# A stage of each stepper is named by the rate it was about to form; the
+# last two stages of both sit at the step's end.
+_DOPRI_RATES = ("k2v", "k3v", "k4v", "k5v", "k6v", "f_new")
+_DRIFT_RATES = ("ka2", "ka3", "ka4", "ka5", "ka6", "ka7")
+_Q = 0.5
+# (stage, error, arguments): for each of the six checks of each stepper, a
+# step whose first failing check is that stage's, once where u reaches the
+# quantum (q u >= 1) and once where it reaches 0, found by a search over
+# round numbers. _dopri_step runs at c = 1 from u = 1 with (v, f) given,
+# _drift_step about u_star = 1 at omega = 1, d = 1 - q u_star, from (a, b)
+# with rates (ka, kb) given.
+_STAGE_CASES = [
+    *[(_dopri_step, _DOPRI_RATES, stage, error, (1.0, q, 1e-9, 1e-9, 0.0, (1.0, v, f), h))
+      for stage, error, q, v, f, h in [
+          (2, DomainError, 0.0, -0.1, 0.0, 50.0), (2, SingularityError, _Q, 0.1, 0.0, 50.0),
+          (3, DomainError, 0.0, 0.1, -0.1, 20.0), (3, SingularityError, _Q, 0.1, 0.1, 20.0),
+          (4, DomainError, 0.0, 0.1, 0.0, 5.0), (4, SingularityError, _Q, 0.1, 0.0, 2.0),
+          (5, DomainError, 0.0, 0.1, 0.2, 2.0), (5, SingularityError, _Q, 0.1, 0.0, 1.0),
+          (6, DomainError, 0.0, 0.1, -0.2, 5.0), (6, SingularityError, _Q, 0.1, -50.0, 0.1),
+          (7, DomainError, 0.0, 0.1, -20.0, 1.0), (7, SingularityError, _Q, 1.0, 2.0, 1.0)]],
+    *[(_drift_step, _DRIFT_RATES, stage, error,
+       (1.0, 1.0, 1.0 - _Q, _Q, g, 1e-9, 0.0, (a, b, ka, kb), h))
+      for stage, error, g, a, b, ka, kb, h in [
+          (2, DomainError, 0.0, 0.5, 0.0, 0.0, 1.0, 20.0),
+          (2, SingularityError, 0.0, 0.5, 0.0, 0.0, 1.0, 5.0),
+          (3, DomainError, 0.0, 0.5, 0.0, 0.5, -1.0, 50.0),
+          (3, SingularityError, 0.0, 0.5, 0.0, 1.0, -1.0, 20.0),
+          (4, DomainError, 0.0, 0.5, 0.0, 0.0, -1.0, 2.0),
+          (4, SingularityError, 0.0, 0.5, 0.0, 0.0, 1.0, 1.0),
+          (5, DomainError, 0.0, 0.5, 0.0, 0.0, -1.0, 1.0),
+          (5, SingularityError, 0.0, 0.5, 0.0, 0.0, 1.0, 0.5),
+          (6, DomainError, 0.0, 0.5, 0.0, 0.5, 0.0, 2.0),
+          (6, SingularityError, 0.0, 0.5, 0.0, -1.0, 1.0, 1.0),
+          (7, DomainError, 1.0, 0.5, 0.0, -2.0, 0.0, 2.0),
+          (7, SingularityError, 1.0, 0.5, 0.5, 0.1, -1.0, 1.0)]],
+]
+
+
+@pytest.mark.parametrize("step, rates, stage, error, args", _STAGE_CASES,
+                         ids=[f"{case[0].__name__}-stage{case[2]}-{case[3].__name__}"
+                              for case in _STAGE_CASES])
+def test_every_stage_check_refuses(step, rates, stage, error, args):
+    # Each stage checks the point it evaluates the force at, and raises as
+    # _forcing does: a stage that reaches u <= 0 is an escape, one that
+    # reaches q u >= 1 a fall into the quantum.
+    with pytest.raises(error) as caught:
+        step(*args)
+    frame = caught.tb
+    while frame.tb_next is not None:
+        frame = frame.tb_next
+    assert frame.tb_frame.f_code is step.__code__
+    bound = frame.tb_frame.f_locals
+    assert next(i for i, rate in enumerate(rates, 2) if rate not in bound) == stage
+    if error is DomainError:
+        assert str(caught.value).startswith("inverse radius must be positive, got ")
+    else:
+        assert caught.value.quantum == _Q and 0 < caught.value.separation <= _Q
+        assert str(caught.value).endswith(f"is at or below the space quantum {_Q!r} m")
 
 
 def test_integrate_follows_an_escaping_orbit_to_its_asymptote():
