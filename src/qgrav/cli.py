@@ -15,21 +15,25 @@ evaluate valid input (model breakdown or another domain error).
 
 Every command, `orbit` included, runs on the standard library alone.
 
-A stdout write costs microseconds whatever its size, and a system call of
-its own when stdout is unbuffered (python -u or PYTHONUNBUFFERED). The
-documents of `table`, `precess` and `fit` are small, a row per planet, so
-each is built as one string and written once. The rows of `orbit` and
-`sweep` can number thousands, so _emit_rows writes them as they are made,
-_BATCH rows to a write.
+Each command returns its document and main alone writes it. A stdout
+write costs microseconds whatever its size, and a system call of its own
+when stdout is unbuffered (python -u or PYTHONUNBUFFERED). The documents of
+`table`, `precess` and `fit` are small, a row per planet, so each is built
+as one string and written once. The rows of `orbit` and `sweep` can number
+thousands, so _emit_rows returns them as lazy pieces, which main writes as
+they are made, _BATCH pieces to a write. main flushes stdout inside the
+try that its BrokenPipeError handler guards, so a reader that stops early
+ends every run with exit 0: unflushed, a document still in the buffer
+would meet the closed pipe at exit, past the handler.
 
-The rows of `orbit` and `sweep` are flat floats, and _emit_rows writes each
-through one %-template per format, built once, with no encoder in the loop.
-The json and csv templates format floats with %r, which is float.__repr__:
-the same bytes as json.dumps(indent=2) and csv.writer over the repr strings
-write for any finite float (a repr never holds a comma, quote or newline,
-so csv quotes none). json writes Infinity where repr writes inf, so a row
-value beyond the float range raises DomainError (exit 3) before the first
-write, in every format.
+The rows of `orbit` and `sweep` are flat floats, and _emit_rows formats
+each through one %-template per format, built once, with no encoder in the
+loop. The json and csv templates format floats with %r, which is
+float.__repr__: the same bytes as json.dumps(indent=2) and csv.writer over
+the repr strings write for any finite float (a repr never holds a comma,
+quote or newline, so csv quotes none). json writes Infinity where repr
+writes inf, so a row value beyond the float range raises DomainError
+(exit 3) before the first write, in every format.
 """
 
 from __future__ import annotations
@@ -169,27 +173,27 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _emit_json(doc: dict) -> list[str]:
+    return [json.dumps(doc, indent=2) + "\n"]
 
 
-def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
+def _emit_csv(header: list[str], rows: Iterable[list]) -> list[str]:
     import csv  # here, so that orbit and sweep, which never use it, start without it
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(chain([header], rows))
-    sys.stdout.write(buffer.getvalue())
+    return [buffer.getvalue()]
 
 
 def _emit_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
                text_head: str, text_row: str, rows: Iterable[tuple[float, ...]],
-               largest: float) -> None:
-    """Write float rows in args.format, one %-template per row, _BATCH to a write.
+               largest: float) -> Iterable[str]:
+    """The pieces of float rows in args.format, one %-template per row.
 
     json puts meta first and one object per row under "rows"; csv writes
     keys as its header; text writes text_head, then text_row per row. rows
-    holds at least one row and is read once, as it is written. largest is
+    holds at least one row and is read once, as the pieces are. largest is
     a value that is finite exactly when every row value is; DomainError
-    unless it is, before anything is written.
+    unless it is, before any piece is made.
     """
     if not math.isfinite(largest):
         raise DomainError(f"{args.command} output holds {largest!r}, beyond the float "
@@ -201,23 +205,19 @@ def _emit_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
         row = ("    {\n"
                + ",\n".join(f"      {json.dumps(key)}: %r" for key in keys)
                + "\n    }")
-        pieces = chain([head, ',\n  "rows": [\n', row % next(rows)],
-                       map((",\n" + row).__mod__, rows), ["\n  ]\n}\n"])
-    elif args.format == "csv":
+        return chain([head, ',\n  "rows": [\n', row % next(rows)],
+                     map((",\n" + row).__mod__, rows), ["\n  ]\n}\n"])
+    if args.format == "csv":
         row = ",".join(["%r"] * len(keys)) + "\n"
-        pieces = chain([",".join(keys) + "\n"], map(row.__mod__, rows))
-    else:
-        pieces = chain([text_head], map(text_row.__mod__, rows))
-    write = sys.stdout.write
-    while batch := list(islice(pieces, _BATCH)):
-        write("".join(batch))
+        return chain([",".join(keys) + "\n"], map(row.__mod__, rows))
+    return chain([text_head], map(text_row.__mod__, rows))
 
 
 def _fmt_delta(delta: float) -> str:
     return f"{delta:g}"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> Iterable[str]:
     planets = load_planets(args.planets)
     observations = load_observations(args.observations)
     obs_by_planet = {obs.planet.lower(): obs for obs in observations}
@@ -232,7 +232,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         rows.append((el, obs, baseline, model))
 
     if args.format == "json":
-        _emit_json({
+        return _emit_json({
             "meta": _meta(args, deltas=deltas),
             "rows": [
                 {
@@ -245,11 +245,11 @@ def cmd_table(args: argparse.Namespace) -> int:
                 for el, obs, baseline, model in rows
             ],
         })
-    elif args.format == "csv":
+    if args.format == "csv":
         header = (["planet", "observation_arcsec", "observation_sigma_arcsec",
                    "gr_baseline_arcsec"]
                   + [f"delta_{_fmt_delta(d)}" for d in deltas])
-        _emit_csv(header, [
+        return _emit_csv(header, [
             [el.name,
              "" if obs is None else repr(obs.value_arcsec),
              "" if obs is None else repr(obs.sigma_arcsec),
@@ -257,67 +257,62 @@ def cmd_table(args: argparse.Namespace) -> int:
             + [repr(model[d]) for d in deltas]
             for el, obs, baseline, model in rows
         ])
-    else:
-        headers = (["planet", "observation", "gr-baseline"]
-                   + [f"delta={_fmt_delta(d)}" for d in deltas])
-        table: list[list[str]] = [headers]
-        for el, obs, baseline, model in rows:
-            obs_text = "-" if obs is None else f"{obs.value_arcsec:.2f} ± {obs.sigma_arcsec:.2f}"
-            table.append([el.name, obs_text, f"{baseline.per_century_arcsec:.2f}"]
-                         + [f"{model[d]:.2f}" for d in deltas])
-        widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-        sys.stdout.write("".join(
-            "  ".join(cell.rjust(width) if j else cell.ljust(width)
-                      for j, (cell, width) in enumerate(zip(line, widths))) + "\n"
-            for line in table))
-    return 0
+    headers = (["planet", "observation", "gr-baseline"]
+               + [f"delta={_fmt_delta(d)}" for d in deltas])
+    table: list[list[str]] = [headers]
+    for el, obs, baseline, model in rows:
+        obs_text = "-" if obs is None else f"{obs.value_arcsec:.2f} ± {obs.sigma_arcsec:.2f}"
+        table.append([el.name, obs_text, f"{baseline.per_century_arcsec:.2f}"]
+                     + [f"{model[d]:.2f}" for d in deltas])
+    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
+    return ["".join(
+        "  ".join(cell.rjust(width) if j else cell.ljust(width)
+                  for j, (cell, width) in enumerate(zip(line, widths))) + "\n"
+        for line in table)]
 
 
-def cmd_precess(args: argparse.Namespace) -> int:
+def cmd_precess(args: argparse.Namespace) -> Iterable[str]:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     result = planet_precession(el, args.delta, args.rule)
     if args.format == "json":
-        _emit_json({
+        return _emit_json({
             "meta": _meta(args, planet=el.name, delta_arcsec=args.delta),
             "per_orbit_rad": result.per_orbit_rad,
             "per_century_arcsec": result.per_century_arcsec,
             "provenance": result.provenance.value,
         })
-    elif args.format == "csv":
-        _emit_csv(["planet", "delta_arcsec", "rule", "per_orbit_rad",
-                   "per_century_arcsec", "provenance"],
-                  [[el.name, repr(args.delta), args.rule, repr(result.per_orbit_rad),
-                    repr(result.per_century_arcsec), result.provenance.value]])
-    else:
-        sys.stdout.write(f"{result.per_century_arcsec:.2f} arcsec/century\n")
-    return 0
+    if args.format == "csv":
+        return _emit_csv(["planet", "delta_arcsec", "rule", "per_orbit_rad",
+                          "per_century_arcsec", "provenance"],
+                         [[el.name, repr(args.delta), args.rule, repr(result.per_orbit_rad),
+                           repr(result.per_century_arcsec), result.provenance.value]])
+    return [f"{result.per_century_arcsec:.2f} arcsec/century\n"]
 
 
-def cmd_orbit(args: argparse.Namespace) -> int:
+def cmd_orbit(args: argparse.Namespace) -> Iterable[str]:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     traj = _export(el, args.delta, args.rule, args.orbits, args.tol)
     # theta is at most _export's span and every u passed the forcing check
     # (u > 0, q u < 1), so only r = 1/u can leave the float range.
-    _emit_rows(args,
-               _meta(args, planet=el.name, delta_arcsec=args.delta, orbits=args.orbits,
-                     tol=args.tol, steps_accepted=traj.n_accepted,
-                     steps_rejected=traj.n_rejected),
-               ("theta_rad", "u_per_m", "r_m"),
-               f"{'theta_rad':>18}  {'u_per_m':>24}  {'r_m':>24}\n",
-               "%18.9f  %24.15e  %24.15e\n",
-               zip(traj.theta, traj.u, map((1.0).__truediv__, traj.u)),
-               1.0 / min(traj.u))
-    return 0
+    return _emit_rows(args,
+                      _meta(args, planet=el.name, delta_arcsec=args.delta, orbits=args.orbits,
+                            tol=args.tol, steps_accepted=traj.n_accepted,
+                            steps_rejected=traj.n_rejected),
+                      ("theta_rad", "u_per_m", "r_m"),
+                      f"{'theta_rad':>18}  {'u_per_m':>24}  {'r_m':>24}\n",
+                      "%18.9f  %24.15e  %24.15e\n",
+                      zip(traj.theta, traj.u, map((1.0).__truediv__, traj.u)),
+                      1.0 / min(traj.u))
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> Iterable[str]:
     planets = load_planets(args.planets)
     observations = load_observations(args.observations)
     result = fit_delta(observations, args.rule, planets)
     if args.format == "json":
-        _emit_json({
+        return _emit_json({
             "meta": _meta(args),
             "delta_star_arcsec": result.delta_star,
             "delta_sigma_arcsec": result.delta_sigma,
@@ -333,35 +328,32 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 for obs in observations
             ],
         })
-    elif args.format == "csv":
-        _emit_csv(["planet", "observed_arcsec", "sigma_arcsec", "predicted_arcsec",
-                   "residual_arcsec", "delta_star_arcsec", "delta_sigma_arcsec", "chi2"],
-                  [[obs.planet, repr(obs.value_arcsec), repr(obs.sigma_arcsec),
-                    repr(result.predicted[obs.planet]), repr(result.residuals[obs.planet]),
-                    repr(result.delta_star), repr(result.delta_sigma), repr(result.chi2)]
-                   for obs in observations])
-    else:
-        sys.stdout.write(
-            f"delta* = {result.delta_star:.5f} ± {result.delta_sigma:.5f} arcsec "
+    if args.format == "csv":
+        return _emit_csv(["planet", "observed_arcsec", "sigma_arcsec", "predicted_arcsec",
+                          "residual_arcsec", "delta_star_arcsec", "delta_sigma_arcsec", "chi2"],
+                         [[obs.planet, repr(obs.value_arcsec), repr(obs.sigma_arcsec),
+                           repr(result.predicted[obs.planet]),
+                           repr(result.residuals[obs.planet]), repr(result.delta_star),
+                           repr(result.delta_sigma), repr(result.chi2)]
+                          for obs in observations])
+    return [f"delta* = {result.delta_star:.5f} ± {result.delta_sigma:.5f} arcsec "
             f"(chi2 = {result.chi2:.2f})\n"
             + "".join(f"  {obs.planet:<10} predicted {result.predicted[obs.planet]:7.2f}  "
-                      f"residual {result.residuals[obs.planet]:+7.2f}\n" for obs in observations))
-    return 0
+                      f"residual {result.residuals[obs.planet]:+7.2f}\n" for obs in observations)]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Iterable[str]:
     planets = load_planets(args.planets)
     el = planet_by_name(planets, args.planet)
     rows = sweep_delta(el, args.delta_min, args.delta_max, args.steps, args.rule)
     # every delta is finite, being at most delta_max, so only a precession can overflow
-    _emit_rows(args,
-               _meta(args, planet=el.name, delta_min=args.delta_min,
-                     delta_max=args.delta_max, steps=args.steps),
-               ("delta_arcsec", "per_century_arcsec"),
-               f"{'delta_arcsec':>14}  {'arcsec/century':>16}\n",
-               "%14.5f  %16.2f\n",
-               rows, max(per_century for _, per_century in rows))
-    return 0
+    return _emit_rows(args,
+                      _meta(args, planet=el.name, delta_min=args.delta_min,
+                            delta_max=args.delta_max, steps=args.steps),
+                      ("delta_arcsec", "per_century_arcsec"),
+                      f"{'delta_arcsec':>14}  {'arcsec/century':>16}\n",
+                      "%14.5f  %16.2f\n",
+                      rows, max(per_century for _, per_century in rows))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -371,9 +363,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"sweep needs --delta-min < --delta-max, got "
                      f"{args.delta_min!r} and {args.delta_max!r}")
     try:
-        return args.func(args)
+        pieces = iter(args.func(args))
+        write = sys.stdout.write
+        while batch := list(islice(pieces, _BATCH)):
+            write("".join(batch))
+        # A buffered document meets a closed pipe here, not at exit.
+        sys.stdout.flush()
+        return 0
     except BrokenPipeError:
-        # Downstream consumer (e.g. head) closed the stream; not an error.
+        # The reader (e.g. head) closed the pipe; not an error. The buffer
+        # still holds what failed, and is flushed again at exit: to /dev/null.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0

@@ -34,9 +34,10 @@ re-integrates a short fixed-step segment and inserts three extra samples
 stencil and the chord zero serve the export's bytes alone; the
 measurement uses neither.
 
-integrate runs on plain floats and returns what the export prints, theta
-and u as array('d') and the two step counts, so the whole module needs only
-the standard library.
+integrate runs on plain floats and stores each sample once, in array('d')
+columns of theta, u and du; one pass merges the stencils into the theta and
+u columns it returns with the two step counts, so the whole module needs
+only the standard library.
 
 _perihelion_start forms q, c = mu/h^2 and u0 = 1/r_p and refuses, by the
 two checks in forces, each naming the planet, an orbit from the perihelion
@@ -49,8 +50,11 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
+from bisect import bisect_right
 from collections.abc import Iterable
 from functools import partial
+from itertools import chain, islice
 
 from .bodies import _FLOAT_MAX, ARCSEC_PER_RAD, PlanetElements, derive_orbit
 from .errors import DomainError, QgravError, SingularityError, StepFailureError
@@ -101,7 +105,6 @@ class Trajectory(Record):
 
     def __init__(self, theta: Iterable[float], u: Iterable[float],
                  n_accepted: int, n_rejected: int) -> None:
-        from array import array
         self.__dict__.update(theta=array("d", theta), u=array("d", u),
                              n_accepted=n_accepted, n_rejected=n_rejected)
         self.__post_init__()
@@ -204,44 +207,50 @@ def _dopri_step(c, q, tol, atol, theta, state, h):
     return (u_new, v_new, f_new), norm
 
 
-def _refine_stencil(step, c, q, samples, theta_hat):
+def _refine_stencil(step, c, q, thetas, us, dus, theta_hat):
     """Re-integrate with step from the last sample at or before theta_hat - s
-    (samples[0] is at theta = 0, below it) and return three states at
+    (thetas[0] = 0 is below it) and return the (theta, u) of three states at
     theta_hat -/0/+ s, each propagated with fixed sub-steps no larger than
     the accepted ones (local error at machine level over s)."""
     s = _STENCIL_HALF_WIDTH
     start = theta_hat - s
-    for theta_a, u, v in reversed(samples):
-        if theta_a <= start:
-            break
-    state = (u, v, _forcing(c, q, u))
+    k = bisect_right(thetas, start) - 1
+    theta_a, u = thetas[k], us[k]
+    state = (u, dus[k], _forcing(c, q, u))
     approach = start - theta_a
     if approach > 0.0:
         half = approach / 2.0
         for _ in range(2):
             state, _ = step(theta_a, state, half)
-    out = [(start, state[0], state[1])]
+    out = [(start, state[0])]
     for i in (0, 1):
         state, _ = step(start, state, s)
-        out.append((theta_hat + i * s, state[0], state[1]))
+        out.append((theta_hat + i * s, state[0]))
     return out
 
 
-def _distinct_samples(rows):
-    """The theta and u lists of theta-ordered (theta, u, du) rows.
+def _merge_samples(thetas, us, rows):
+    """The theta and u columns of the samples (thetas, us) and the (theta, u)
+    rows, both in theta order, merged in one pass.
 
-    A row within 1e-12 rad of the one kept before it (a stencil point on an
-    accepted step) is dropped.
+    A sample comes before a row at the same theta, as a stable sort of the
+    samples followed by the rows puts it. A sample or row within 1e-12 rad
+    of the one kept before it (a stencil point on an accepted step) is dropped.
     """
-    thetas, us = [], []
+    samples = zip(thetas, us)
+    pieces, i = [], 0
+    for row in rows:
+        j = bisect_right(thetas, row[0])
+        pieces += (islice(samples, j - i), [row])
+        i = j
+    theta_out, u_out = array("d"), array("d")
     last = -math.inf
-    for t, uu, _ in rows:
-        if -1e-12 < t - last < 1e-12:
-            continue
-        last = t
-        thetas.append(t)
-        us.append(uu)
-    return thetas, us
+    for t, uu in chain(*pieces, samples):
+        if not -1e-12 < t - last < 1e-12:
+            last = t
+            theta_out.append(t)
+            u_out.append(uu)
+    return theta_out, u_out
 
 
 def _check_tol(tol: float) -> None:
@@ -317,13 +326,14 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
 
     c, q = model.mu / (model.h * model.h), model.quantum
     step = partial(_dopri_step, c, q, tol, tol * u0)
-    samples: list[tuple[float, float, float]] = [(0.0, u0, du0)]
-    extras: list[tuple[float, float, float]] = []
+    thetas, us, dus = array("d", [0.0]), array("d", [u0]), array("d", [du0])
+    # stencil rows, in theta order: perihelia lie periods, not stencils, apart
+    extras: list[tuple[float, float]] = []
     n_accepted = n_rejected = 0
     for theta_new, h, (u_new, v_new, _), n_rejected in _adaptive_steps(
             step, (u0, du0, _forcing(c, q, u0)), theta_max, _MAX_STEP):
         n_accepted += 1
-        theta, _, v = samples[-1]
+        theta, v = thetas[-1], dus[-1]
         if v > 0.0 >= v_new:
             # du crossed + to -: a maximum of u (perihelion) lies inside
             # this step. Chord zero is within O(h^3) of it, far closer than
@@ -331,13 +341,14 @@ def integrate(model: QuantizedModel, u0: float, du0: float, theta_max: float,
             theta_hat = theta + h * (v / (v - v_new))
             if (theta_hat - 2.0 * _STENCIL_HALF_WIDTH > 0.0
                     and theta_hat + 2.0 * _STENCIL_HALF_WIDTH < theta_max):
-                extras.extend(_refine_stencil(step, c, q, samples, theta_hat))
-        samples.append((theta_new, u_new, v_new))
+                extras += _refine_stencil(step, c, q, thetas, us, dus, theta_hat)
+        thetas.append(theta_new)
+        us.append(u_new)
+        dus.append(v_new)
 
-    samples += extras
-    samples.sort(key=lambda row: row[0])
-    theta, u = _distinct_samples(samples)
-    del samples, extras  # the rows go before Trajectory copies the lists
+    del dus  # the merge reads theta and u alone
+    theta, u = _merge_samples(thetas, us, extras)
+    del thetas, us  # the columns go before Trajectory copies the merged ones
     return Trajectory(theta=theta, u=u, n_accepted=n_accepted, n_rejected=n_rejected)
 
 

@@ -16,11 +16,12 @@ from delta outside bodies and the sweep's inline rows. Only
 forces constructs a ModelBreakdownError, and cli does no model work: it
 parses, calls one function per command and formats. Only orbit._export
 builds a QuantizedModel; the measurement steps from plain numbers. The float
-rows of `qgrav orbit` and `sweep` have one writer, cli._emit_rows, and it
-is the only writer that streams: it alone batches its writes, and cli
-drives no json encoder token by token. No module imports typing or
-pathlib: with postponed annotations typing would serve nothing at run time,
-and open() takes a path as given. No module calls the builtin sum, whose
+rows of `qgrav orbit` and `sweep` have one formatter, cli._emit_rows, and
+cli drives no json encoder token by token. Each command returns its
+document, and cli.main is the one code that writes to stdout and the one
+that batches its writes. No module imports typing or pathlib: with
+postponed annotations typing would serve nothing at run time, and open()
+takes a path as given. No module calls the builtin sum, whose
 float result changed with Python 3.12.
 """
 
@@ -196,12 +197,12 @@ def test_float_rows_have_one_writer():
 
 
 def test_only_the_float_rows_stream():
-    # table, precess and fit build their document whole; only _emit_rows
-    # writes in batches, and neither a json encoder driven token by token
-    # nor the piece streamer and csv echo file that served it remain.
+    # table, precess and fit build their document whole; only main writes
+    # in batches, and neither a json encoder driven token by token nor the
+    # piece streamer and csv echo file that served it remain.
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     batching = [getattr(node, "name", None) or ast.unparse(node) for node in tree.body
-                if getattr(node, "name", None) != "_emit_rows"
+                if getattr(node, "name", None) != "main"
                 and {sub.id for sub in ast.walk(node)
                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
                 & {"islice", "_BATCH"}]
@@ -209,6 +210,26 @@ def test_only_the_float_rows_stream():
     named = {getattr(node, field, None) for node in ast.walk(tree)
              for field in ("id", "attr", "name")}
     assert not named & {"iterencode", "JSONEncoder", "_emit", "_Echo"}
+
+
+def _stdout_writers(tree: ast.Module) -> set[str]:
+    """The top-level statements of a module that name stdout, as sys.stdout
+    or bound from sys, or call print without a file."""
+    return {getattr(top, "name", None) or ast.unparse(top)
+            for top in tree.body for node in ast.walk(top)
+            if getattr(node, "attr", None) == "stdout" or getattr(node, "id", None) == "stdout"
+            or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                and any(alias.name == "stdout" for alias in node.names))
+            or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+                and not any(keyword.arg == "file" for keyword in node.keywords))}
+
+
+def test_main_is_the_one_stdout_writer():
+    # Each command returns its document; main writes and flushes it inside
+    # the try its BrokenPipeError handler guards, and no other code in cli
+    # touches stdout.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _stdout_writers(tree) == {"main"}
 
 
 # The exact orbit's well: W's logarithm, the root sqrt(1 - 4 q c) of

@@ -13,8 +13,8 @@ from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
                    measured_precession, orbit_params, planet_precession, quantum_from_error,
                    rad_to_arcsec)
 from qgrav.forces import _drift_frame
-from qgrav.orbit import (_dopri_step, _drift_step, _export, _forcing, _perihelion_passages,
-                         _perihelion_start, _place_passage)
+from qgrav.orbit import (_dopri_step, _drift_step, _export, _forcing, _merge_samples,
+                         _perihelion_passages, _perihelion_start, _place_passage)
 
 GM = 1.32712440018e20
 
@@ -483,6 +483,20 @@ def test_measured_precession_streams(mercury):
     assert peak(200) - peak(2) < 16 * 1024
 
 
+def test_the_export_holds_each_sample_once(mercury):
+    # integrate keeps theta, u and du in three float columns, 24 B a sample,
+    # and merges the stencils into two more: 200 orbits peak below 64 B a
+    # sample, where a list of (theta, u, du) tuples took 163 B.
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        n_samples = len(_export(mercury, 0.0398, QuantumRule.PERIHELION, 200, 1e-8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n_samples
+
+
 def test_measured_precession_breakdown(mercury):
     # epsilon = 0.237 still gives a bounded exact orbit; 0.241 and 0.40 do
     # not. The refusal names the planet, as the escape refusal does.
@@ -669,20 +683,62 @@ def test_trajectory_validation():
             Trajectory(theta=theta, u=u, n_accepted=0, n_rejected=0)
 
 
+def _merged_by_sort(thetas, us, rows):
+    """The merge as a stable sort of the samples, then the rows, by theta,
+    followed by the drop of each row within 1e-12 rad of the one kept before."""
+    kept_thetas, kept_us, last = [], [], -math.inf
+    for t, u in sorted([*zip(thetas, us), *rows], key=lambda row: row[0]):
+        if not -1e-12 < t - last < 1e-12:
+            last = t
+            kept_thetas.append(t)
+            kept_us.append(u)
+    return kept_thetas, kept_us
+
+
+def _merged(thetas, us, rows):
+    return tuple(map(list, _merge_samples(thetas, us, rows)))
+
+
 def test_core_sampling_check():
-    # The sampling rules integrate's samples pass through: _distinct_samples
-    # splits the rows and Trajectory refuses what is out of order, steps back
-    # or is a single sample, also after a near-duplicate drop.
-    from qgrav.orbit import _distinct_samples
-    row = (1e-11, 0.0)
+    # The sampling rules integrate's samples pass through: _merge_samples
+    # merges the stencil rows and Trajectory refuses what is out of order,
+    # steps back or is a single sample, also after a near-duplicate drop.
     for thetas in ([0.0, 1.0, 0.5], [0.0, 1.0, 1.0 - 1e-9], [0.0], [0.0, 5e-13]):
         with pytest.raises(DomainError):
-            Trajectory(*_distinct_samples([(t, *row) for t in thetas]),
+            Trajectory(*_merge_samples(thetas, [1e-11] * len(thetas), []),
                        n_accepted=0, n_rejected=0)
-    # A stencil point within 1e-12 rad of a step is dropped, the first kept,
-    # and du is not kept at all.
-    kept = _distinct_samples([(0.0, 1.0, 2.0), (5e-13, 3.0, 4.0), (1.0, 5.0, 6.0)])
-    assert kept == ([0.0, 1.0], [1.0, 5.0])
+    thetas, us = [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+    cases = {
+        # a stencil row at a sample's theta comes after it, so it is dropped
+        "tie": ([(1.0, 9.0)], ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])),
+        # a row within 1e-12 rad of the sample kept before it is dropped
+        "row after a sample": ([(1.0 + 5e-13, 9.0)], ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])),
+        # and a sample within 1e-12 rad of the row kept before it
+        "sample after a row": ([(1.0 - 5e-13, 9.0)], ([0.0, 1.0 - 5e-13, 2.0], [1.0, 9.0, 3.0])),
+        # rows before the second sample and after the last one
+        "ends": ([(0.25, 7.0), (0.5, 8.0), (2.5, 9.0), (3.0, 10.0)],
+                 ([0.0, 0.25, 0.5, 1.0, 2.0, 2.5, 3.0], [1.0, 7.0, 8.0, 2.0, 3.0, 9.0, 10.0])),
+        # a stencil of three rows, its first on the sample at 1
+        "stencil": ([(1.0, 9.0), (1.001, 9.5), (1.002, 9.25)],
+                    ([0.0, 1.0, 1.001, 1.002, 2.0], [1.0, 2.0, 9.5, 9.25, 3.0])),
+    }
+    for name, (rows, expected) in cases.items():
+        assert _merged(thetas, us, rows) == _merged_by_sort(thetas, us, rows) == expected, name
+
+
+# theta on a grid of quarters, some 5e-13 rad off it, so that rows tie,
+# fall within 1e-12 rad of one another, or do neither
+_NEAR_QUARTERS = st.tuples(st.integers(0, 12), st.sampled_from([0.0, 5e-13, -5e-13]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(_NEAR_QUARTERS, min_size=1, max_size=10),
+       rows=st.lists(_NEAR_QUARTERS, max_size=8))
+def test_merge_matches_a_stable_sort(samples, rows):
+    thetas = sorted(k / 4.0 + off for k, off in samples)
+    us = [float(i) for i in range(len(thetas))]
+    rows = [(t, -1.0 - i) for i, t in enumerate(sorted(k / 4.0 + off for k, off in rows))]
+    assert _merged(thetas, us, rows) == _merged_by_sort(thetas, us, rows)
 
 
 @st.composite
