@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -543,104 +542,73 @@ def test_a_data_path_the_file_system_refuses_is_a_usage_error(tmp_path, route):
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def _run_python(*parts):
-    code = "\n".join(textwrap.dedent(part) for part in parts)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-
-
-# Runs first in a child: check_start_up(where) asserts that nothing since
-# this snapshot loaded dataclasses, or inspect, which it pulls in. qgrav's
-# value classes are plain records, so start-up needs neither. Comparing with
-# the snapshot leaves out whatever the child's site module loads.
-_START_UP_SNAPSHOT = """
+# Run in a python -S child: without site nothing is loaded before qgrav, so
+# the check needs no snapshot, and numpy, which the test process has loaded,
+# is blocked. After each step neither numpy nor any of the standard-library
+# modules that tests/test_layers.py keeps out of src is loaded.
+_START_UP_RUN = """
 import sys
-_before = set(sys.modules)
+sys.modules["numpy"] = None
+NOT_LOADED = ("numpy", "typing", "pathlib", "dataclasses", "inspect")
 
 
-def check_start_up(where):
-    for name in ("dataclasses", "inspect"):
-        assert name in _before or name not in sys.modules, (name, where)
+def check(step):
+    loaded = [name for name in NOT_LOADED if sys.modules.get(name) is not None]
+    assert loaded == [], (loaded, step)
+
+
+import contextlib, io
+from array import array
+check("python -S")
+import qgrav
+check("import qgrav")
+assert "qgrav.orbit" in sys.modules
+import qgrav.cli
+check("import qgrav.cli")
+
+for name in qgrav.__all__:
+    getattr(qgrav, name)
+assert qgrav.integrate is qgrav.orbit.integrate
+namespace = {}
+exec("from qgrav import *", namespace)
+assert set(qgrav.__all__) <= set(namespace)
+assert namespace["measured_precession"] is qgrav.orbit.measured_precession
+try:
+    qgrav.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+check("qgrav's names")
+
+export = ["orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2"]
+for argv in (export, export + ["--tol", "1e-10"],
+             ["precess", "--planet", "mercury", "--delta", "0.0398"],
+             ["table"], ["fit"], ["sweep", "--planet", "venus", "--steps", "50"]):
+    for fmt in ("text", "csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert qgrav.cli.main(argv + ["--format", fmt]) == 0, (argv, fmt)
+        assert out.getvalue(), (argv, fmt)
+        check((argv, fmt))
+
+orbit = qgrav.derive_orbit(qgrav.planet_by_name(qgrav.load_planets(), "mercury"))
+model = qgrav.QuantizedModel(quantum=0.0, mu=orbit.mu, h=orbit.h)
+traj = qgrav.integrate(model, 1.0 / orbit.r_p, 0.0, 13.0)
+for field in (traj.theta, traj.u):
+    assert type(field) is array and field.typecode == "d"
+check("integrate")
+for el in qgrav.load_planets():
+    for delta in (0.0, 0.0398):
+        result = qgrav.measured_precession(el, delta, n_orbits=2)
+        assert type(result.per_orbit_rad) is float
+        assert type(result.per_century_arcsec) is float
+check("measured_precession")
 """
 
 
-def test_analytic_commands_do_not_import_numpy():
-    # The test process has numpy loaded already, so the check runs in a child.
-    proc = _run_python(_START_UP_SNAPSHOT, """
-        import contextlib, io, sys
-        import qgrav
-        import qgrav.cli
-        assert "numpy" not in sys.modules, "import"
-        check_start_up("import")
-        for argv in (["precess", "--planet", "mercury", "--delta", "0.0398"],
-                     ["table", "--format", "csv"],
-                     ["fit", "--format", "json"],
-                     ["sweep", "--planet", "venus", "--steps", "50"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert qgrav.cli.main(argv) == 0, argv
-            assert "numpy" not in sys.modules, argv[0]
-            check_start_up(argv[0])
-    """)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_orbit_export_does_not_import_numpy():
-    proc = _run_python(_START_UP_SNAPSHOT, """
-        import contextlib, io, sys
-        import qgrav, qgrav.cli
-        argv = ["orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2"]
-        for extra in (["--format", "text"], ["--format", "csv"],
-                      ["--format", "json"], ["--format", "csv", "--tol", "1e-10"]):
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert qgrav.cli.main(argv + extra) == 0, extra
-            assert out.getvalue(), extra
-            assert "numpy" not in sys.modules, extra
-            check_start_up(extra)
-    """)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_runs_without_numpy():
-    # numpy is only a test dependency: with its import blocked, every
-    # command, the integrator layer and every public name still work.
-    proc = _run_python("""
-        import sys
-        sys.modules["numpy"] = None
-        import contextlib, io
-        from array import array
-        import qgrav, qgrav.cli
-        for name in qgrav.__all__:
-            getattr(qgrav, name)
-        export = ["orbit", "--planet", "venus", "--delta", "0.0398", "--orbits", "2"]
-        for argv in (export, ["precess", "--planet", "mercury", "--delta", "0.0398"],
-                     ["table"], ["fit"], ["sweep", "--planet", "venus", "--steps", "50"]):
-            for fmt in ("text", "csv", "json"):
-                with contextlib.redirect_stdout(io.StringIO()) as out:
-                    assert qgrav.cli.main(argv + ["--format", fmt]) == 0, (argv, fmt)
-                assert out.getvalue(), (argv, fmt)
-        el = qgrav.planet_by_name(qgrav.load_planets(), "mercury")
-        orbit = qgrav.derive_orbit(el)
-        model = qgrav.QuantizedModel(quantum=0.0, mu=orbit.mu, h=orbit.h)
-        traj = qgrav.integrate(model, 1.0 / orbit.r_p, 0.0, 13.0)
-        for field in (traj.theta, traj.u):
-            assert type(field) is array and field.typecode == "d"
-        result = qgrav.measured_precession(el, 0.0398, n_orbits=2)
-        assert type(result.per_orbit_rad) is float
-    """)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_measured_precession_does_not_import_numpy():
-    proc = _run_python(_START_UP_SNAPSHOT, """
-        import sys
-        import qgrav
-        results = [qgrav.measured_precession(el, delta, n_orbits=2)
-                   for el in qgrav.load_planets() for delta in (0.0, 0.0398)]
-        assert "numpy" not in sys.modules
-        check_start_up("measured_precession")
-        for result in results:
-            assert type(result.per_orbit_rad) is float
-            assert type(result.per_century_arcsec) is float
-    """)
+def test_a_run_loads_only_the_standard_library():
+    proc = subprocess.run([sys.executable, "-S", "-c", _START_UP_RUN],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -857,29 +825,6 @@ def test_closed_pipe_is_not_an_error():
             finally:
                 os.close(write_end)
             assert (proc.returncode, proc.stderr) == (0, b""), (argv[0], unbuffered)
-
-
-def test_package_names_resolve():
-    proc = _run_python("""
-        import sys
-        import qgrav
-        assert "qgrav.orbit" in sys.modules
-        for name in qgrav.__all__:
-            getattr(qgrav, name)
-        assert "numpy" not in sys.modules
-        assert qgrav.integrate is qgrav.orbit.integrate
-        namespace = {}
-        exec("from qgrav import *", namespace)
-        assert set(qgrav.__all__) <= set(namespace)
-        assert namespace["measured_precession"] is qgrav.orbit.measured_precession
-        try:
-            qgrav.no_such_name
-        except AttributeError as exc:
-            assert "no_such_name" in str(exc)
-        else:
-            raise AssertionError("unknown attribute resolved")
-    """)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_entrypoint():

@@ -19,14 +19,15 @@ builds a QuantizedModel; the measurement steps from plain numbers. The float
 rows of `qgrav orbit` and `sweep` have one formatter, cli._emit_rows, and
 cli drives no json encoder token by token. Each command returns its
 document, and cli.main is the one code that writes to stdout and the one
-that batches its writes. No module imports typing or pathlib: with
-postponed annotations typing would serve nothing at run time, and open()
-takes a path as given. No module calls the builtin sum, whose
-float result changed with Python 3.12.
+that batches its writes. Every import, function-local ones too, is
+relative, __future__ or a standard-library module other than typing,
+pathlib, dataclasses and inspect, and no module names Path: with postponed
+annotations typing would serve nothing at run time, open() takes a path as
+given, and the value classes are plain records. No module calls the
+builtin sum, whose float result changed with Python 3.12.
 """
 
 import ast
-import subprocess
 import sys
 from pathlib import Path
 
@@ -356,26 +357,32 @@ def test_only_the_export_builds_a_model():
     assert {stem for stem, tree in trees.items() if "_binet_constants" in _names(tree)} == set()
 
 
-def test_no_module_imports_typing():
-    # Annotations are postponed, so they name io, os and collections.abc
-    # classes that are loaded anyway; typing would cost an import. pathlib
-    # would too: a data file is read by open() from the path as given.
+# Standard-library modules a run does not need: annotations are postponed,
+# so typing would serve nothing; open() takes a path as given, so pathlib
+# would not either; and the value classes are plain records, so neither
+# dataclasses nor inspect, which it imports, is needed.
+NOT_AT_START_UP = {"typing", "pathlib", "dataclasses", "inspect"}
+
+
+def _absolute_imports(tree: ast.Module):
+    """The module names of a module's absolute imports, function-local ones too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_src_imports_only_the_standard_library():
+    # __future__ is a standard-library name too. What a run loads is checked
+    # by tests/test_cli.py::test_a_run_loads_only_the_standard_library.
+    allowed = set(sys.stdlib_module_names) - NOT_AT_START_UP
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    imports = {f"{stem} imports {name}" for stem, tree in trees.items() for node in ast.walk(tree)
-               for name in ("typing", "pathlib")
-               if (isinstance(node, ast.Import)
-                   and any(alias.name.split(".")[0] == name for alias in node.names))
-               or (isinstance(node, ast.ImportFrom) and node.level == 0
-                   and (node.module or "").split(".")[0] == name)}
+    imports = {f"{stem} imports {name}" for stem, tree in trees.items()
+               for name in _absolute_imports(tree) if name.split(".")[0] not in allowed}
     assert imports == set()
     assert {stem for stem, tree in trees.items() if "Path" in _names(tree)} == set()
-    # and none of the modules the cli imports pulls them in either, without site
-    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, "
-                           f"{str(PACKAGE.parent)!r}); import qgrav.cli; "
-                           f"print('typing' in sys.modules, 'pathlib' in sys.modules)"],
-                          capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
 
 
 def test_no_module_calls_the_builtin_sum():

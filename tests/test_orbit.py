@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
                    Provenance, QuantumRule, QuantizedModel, SingularityError,
-                   StepFailureError, Trajectory, derive_orbit, integrate,
+                   StepFailureError, Trajectory, derive_orbit, integrate, load_planets,
                    measured_precession, orbit_params, planet_precession, quantum_from_error,
                    rad_to_arcsec)
 from qgrav.forces import _drift_frame
@@ -206,21 +206,49 @@ def _reference_module():
     return reference
 
 
-def _exact_reference():
+@pytest.fixture(scope="module")
+def exact_reference():
     return _reference_module().Reference()
 
 
-def test_measured_precession_matches_exact_advance(planets):
-    # The mean advance against the exact apsidal angle: within 1e-10
-    # rad/orbit at tol 1e-12, and within 1e3 tol at tol 1e-10 (2.2e-16 at
-    # most measured at either tol).
-    reference = _exact_reference()
-    for el in planets.values():
-        for delta in (0.0, 0.0398, 300.0):
-            exact = float(reference.exact_advance(el.a, el.e, el.tau_days, delta))
-            for tol in (1e-12, 1e-10):
-                gap = abs(measured_precession(el, delta, tol=tol).per_orbit_rad - exact)
-                assert gap <= (1e-10 if tol == 1e-12 else 1e3 * tol), (el.name, delta, tol)
+# The mean advance against the exact apsidal angle, as (planet, e in place
+# of its own, delta in arcsec, n_orbits, tol, bound in rad/orbit, bound
+# relative to the exact advance).
+EXACT_ADVANCE_CASES = [
+    # Every bundled planet lands within 1e-10 rad/orbit at either tol
+    # (2.2e-16 at most measured at either; Venus missed by 7.4e-9 at tol
+    # 1e-10 before the error norm followed the oscillation). At the paper's
+    # delta the advance is 5e-7 rad/orbit. Formed as
+    # (theta_50 - theta_0) / 50 - 2 pi from theta_50 near 314 it kept about
+    # 22 bits (Mercury missed by 1.1e-9 relative); read off the apse line it
+    # lands within 1e-12 relative (5.3e-16 at most measured, Venus).
+    *[(el.name, None, delta, 50, tol, 1e-10,
+       1e-12 if delta == 0.0398 and tol == 1e-12 else None)
+      for el in load_planets() for delta in (0.0, 0.0398, 300.0) for tol in (1e-12, 1e-10)],
+    # tol scales with the oscillation amplitude |u0 - u_star|, not with u0:
+    # Mercury's a and tau at e = 0 (its derived eccentricity is 3.3e-6) and
+    # 1e-6 land within 1e-12 rad/orbit (below 1e-46 measured; the error
+    # control on u0 missed by 1.7e-7).
+    *[("Mercury", e, delta, 10, 1e-12, 1e-12, None) for e in (0.0, 1e-6)
+      for delta in (0.0, 0.0398)],
+    # At 3e4" (epsilon = 0.12) the drift is far from small, and the advance
+    # still lands within 1e-10 rad/orbit of the converged 60-digit reference
+    # (5.9e-13 measured at tol 1e-10, 2.7e-15 at tol 1e-12).
+    *[("Mercury", None, 3e4, 50, tol, 1e-10, None) for tol in (1e-10, 1e-12)],
+]
+
+
+@pytest.mark.parametrize("name, e, delta, n_orbits, tol, bound, rel", EXACT_ADVANCE_CASES)
+def test_measured_precession_matches_exact_advance(planets, exact_reference, name, e, delta,
+                                                   n_orbits, tol, bound, rel):
+    el = planets[name]
+    if e is not None:
+        el = PlanetElements(name=name, a=el.a, e=e, tau_days=el.tau_days)
+    exact = float(exact_reference.exact_advance(el.a, el.e, el.tau_days, delta))
+    gap = abs(measured_precession(el, delta, n_orbits=n_orbits, tol=tol).per_orbit_rad - exact)
+    assert gap <= bound
+    if rel is not None:
+        assert gap <= rel * exact
 
 
 def test_passages_on_a_kepler_ellipse():
@@ -250,56 +278,6 @@ def test_circular_start_has_no_perihelion():
     assert 1.0 / orbit.r_p == orbit.mu / orbit.h ** 2
     with pytest.raises(DomainError, match="no perihelion"):
         measured_precession(el, 0.0, n_orbits=2)
-
-
-def test_near_circular_orbits_match_exact_advance(mercury):
-    # tol scales with the oscillation amplitude |u0 - u_star|, not with u0:
-    # Mercury's a and tau at e = 0 (its derived eccentricity is 3.3e-6) and
-    # 1e-6 land within 1e-12 rad/orbit of the exact advance (below 1e-46
-    # measured; the error control on u0 missed by 1.7e-7).
-    reference = _exact_reference()
-    for e in (0.0, 1e-6):
-        el = PlanetElements(name="Mercury", a=mercury.a, e=e, tau_days=mercury.tau_days)
-        for delta in (0.0, 0.0398):
-            exact = float(reference.exact_advance(el.a, el.e, el.tau_days, delta))
-            measured = measured_precession(el, delta, n_orbits=10, tol=1e-12).per_orbit_rad
-            assert abs(measured - exact) <= 1e-12, (e, delta)
-
-
-def test_bundled_planets_match_exact_advance_at_loose_tol(planets):
-    # At tol 1e-10 every bundled planet lands within 1e-10 rad/orbit of the
-    # exact advance (2.2e-16 measured; Venus missed by 7.4e-9 before the
-    # error norm followed the oscillation).
-    reference = _exact_reference()
-    for el in planets.values():
-        for delta in (0.0, 0.0398, 300.0):
-            exact = float(reference.exact_advance(el.a, el.e, el.tau_days, delta))
-            measured = measured_precession(el, delta, tol=1e-10).per_orbit_rad
-            assert abs(measured - exact) <= 1e-10, (el.name, delta)
-
-
-def test_far_from_the_linear_frame_matches_exact_advance(mercury):
-    # At 3e4" (epsilon = 0.12) the drift is far from small, and the advance
-    # still lands within 1e-10 rad/orbit of the converged 60-digit
-    # reference (5.9e-13 measured at tol 1e-10, 2.7e-15 at tol 1e-12).
-    exact = float(_exact_reference().exact_advance(mercury.a, mercury.e,
-                                                   mercury.tau_days, 3e4))
-    for tol in (1e-10, 1e-12):
-        measured = measured_precession(mercury, 3e4, tol=tol).per_orbit_rad
-        assert abs(measured - exact) <= 1e-10, tol
-
-
-def test_advance_keeps_its_relative_precision(planets):
-    # At the paper's delta the advance is 5e-7 rad/orbit. Formed as
-    # (theta_50 - theta_0) / 50 - 2 pi from theta_50 near 314 it kept about
-    # 22 bits (Mercury missed by 1.1e-9 relative); read off the apse line it
-    # lands within 1e-12 relative of the exact advance (5.3e-16 at most
-    # measured, Venus).
-    reference = _exact_reference()
-    for el in planets.values():
-        exact = float(reference.exact_advance(el.a, el.e, el.tau_days, 0.0398))
-        measured = measured_precession(el, 0.0398, n_orbits=50, tol=1e-12).per_orbit_rad
-        assert abs(measured - exact) <= 1e-12 * exact, el.name
 
 
 def test_benchmark_reference_self_check():
