@@ -18,7 +18,8 @@ small oscillations, and (a, b) are stepped under the exact force (Encke's
 method with variation of parameters; Battin, An Introduction to the
 Mathematics and Methods of Astrodynamics, ch. 10). The drift rates are
 O(epsilon^2 e) of the amplitude, so on planet orbits every step sits at
-the drift's own cap: 16 per radial period. tol is relative to the
+the drift's own cap: 8 per radial period where kappa = c q/d^2 of
+forces._drift_frame is below 1e-4, 16 above. tol is relative to the
 oscillation amplitude |u0 - u_star|, the quantity a perihelion angle
 depends on, so it holds on near-circular orbits too. A passage is where
 omega theta - atan2(b, a) reaches a multiple of 2 pi. The steps count the
@@ -83,7 +84,18 @@ _MAX_FACTOR = 5.0
 _MAX_STEP = math.pi / 16
 # The drift's cap: 16 steps per radial period. From pi/7 up the controller
 # starts to act on planet orbits at tol 1e-10, and their error grows to tol.
+# Where kappa = c q/d^2 of forces._drift_frame is below _COARSE_DRIFT_KAPPA
+# the cap doubles to pi/4, 8 steps per period, and half the steps gather
+# half the rounding. Against the 60-digit advance, over the 386 cases with
+# delta > 0 of the bench's numeric inputs (seeds 1-7, 13, 29, 41), pi/4
+# lands as close as pi/8 or closer on every case up to kappa = 1.75e-4;
+# from 2.06e-4 up it lands further off on 43 of 57 cases, by up to 200x.
+# 1e-4 lies a factor 2 below the first loss. At kappa = 1e-4 the two caps'
+# advances differ by 2.4e-14 relative at e = 0.2 and 1.2e-13 at e = 0.99,
+# below tol. pi/2 is worse even at small kappa: 5.2e-20 rad/orbit off at
+# Mercury, 0.0398", where pi/4 and pi/8 are 1.1e-22 off.
 _MAX_DRIFT_STEP = math.pi / 8
+_COARSE_DRIFT_KAPPA = 1e-4
 _INITIAL_STEP = math.pi / 256
 _STENCIL_HALF_WIDTH = 1e-3        # rad; extremum stencil spacing
 
@@ -508,7 +520,8 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     apse line, the step driver _adaptive_steps moves (a, b) from
     (u0 - u_star, 0) with _drift_step, its norm on the scale tol |u0 - u_star|.
     The drift rates are O(epsilon^2 e) of the amplitude, so on planet orbits
-    every step sits at the cap _MAX_DRIFT_STEP: 16 per radial period.
+    every step sits at the cap: 8 per radial period (2 _MAX_DRIFT_STEP)
+    where kappa < _COARSE_DRIFT_KAPPA = 1e-4, and 16 (_MAX_DRIFT_STEP) above.
 
     Passage k is where G = omega theta - phi reaches 2 pi k, phi = atan2(b, a)
     followed continuously; passage 0 is theta = 0 unless u0 < u_star, an
@@ -543,9 +556,10 @@ def _perihelion_passages(el: PlanetElements, delta_arcsec: float, rule: QuantumR
     phi = atan2(b, a)
     # k counts the passages crossed; theta_0 and phi_0 are set once passage 0 is.
     k, theta_0, phi_0 = (1, 0.0, phi) if a > 0.0 else (0, None, None)
+    max_step = 2.0 * _MAX_DRIFT_STEP if kappa < _COARSE_DRIFT_KAPPA else _MAX_DRIFT_STEP
     # No theta_max: _FLOAT_MAX lies beyond any theta the steps can reach.
     for theta, _, state, _ in _adaptive_steps(step, (a, b, 0.0, g * a * a / dw), _FLOAT_MAX,
-                                              _MAX_DRIFT_STEP):
+                                              max_step):
         a_new, b_new, _, _ = state
         # phi follows the turn of (a, b) over the step, so it never wraps.
         phi += atan2(a * b_new - b * a_new, a * a_new + b * b_new)

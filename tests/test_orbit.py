@@ -13,8 +13,9 @@ from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
                    measured_precession, orbit_params, planet_precession, quantum_from_error,
                    rad_to_arcsec)
 from qgrav.forces import _drift_frame
-from qgrav.orbit import (_dopri_step, _drift_step, _export, _forcing, _merge_samples,
-                         _perihelion_passages, _perihelion_start, _place_passage)
+from qgrav.orbit import (_adaptive_steps, _dopri_step, _drift_step, _export, _forcing,
+                         _merge_samples, _perihelion_passages, _perihelion_start,
+                         _place_passage)
 
 GM = 1.32712440018e20
 
@@ -388,6 +389,50 @@ def test_first_order_advance_is_low_by_two_epsilon(planets, name, rule, delta):
     exact = _exact_advance(q, orbit.mu, orbit.h, u0)
     ratio = (planet_precession(el, delta, rule).per_orbit_rad - exact) / exact / eps
     assert -2.0 - 3.0 * eps <= ratio <= -2.0 - 2.0 * eps
+
+
+def test_the_drift_steps_at_pi_over_4_below_the_kappa_threshold(planets, monkeypatch):
+    # Up to 20" the bundled planets' kappa stays below 1e-4 (9.6e-5 at
+    # most), and 50 orbits take 8 steps per radial period at the cap, 400,
+    # plus the 3 that grow from the initial step to it. At 300" kappa is
+    # 1.2e-3 or more, and the cap stays pi/8: 16 per period, 803 steps.
+    counts = []
+
+    def counted(*args):
+        for out in _adaptive_steps(*args):
+            counts[-1] += 1
+            yield out
+
+    monkeypatch.setattr("qgrav.orbit._adaptive_steps", counted)
+    for el in planets.values():
+        for delta, steps in ((0.0, 403), (0.0398, 403), (3.0, 403), (20.0, 403), (300.0, 803)):
+            counts.append(0)
+            measured_precession(el, delta, n_orbits=50, tol=1e-12)
+            assert counts[-1] == steps, (el.name, delta)
+
+
+# Kepler's period, in days, of a planet at 0.7 AU
+_TAU_DAYS_07 = 2.0 * math.pi * math.sqrt((0.7 * AU) ** 3 / GM_SUN) / 86400.0
+
+
+@pytest.mark.parametrize("delta", [0.0398, 3.0, 20.0])
+@pytest.mark.parametrize("e", [1e-6, 1e-3, 0.5, 0.9, 0.99])
+def test_the_coarse_drift_cap_lands_no_further_from_the_exact_advance(e, delta, monkeypatch):
+    # Below kappa = 1e-4 the drift steps at pi/4, from near-circular orbits
+    # to e = 0.99, and lands as close to the 50-digit advance as the pi/8
+    # cap (the threshold set to 0) or closer; a gap within 2 ulps of the
+    # exact advance counts as a tie.
+    el = PlanetElements(name="K", a=0.7 * AU, e=e, tau_days=_TAU_DAYS_07)
+    orbit = derive_orbit(el)
+    q, _, u0 = _perihelion_start(el, delta, QuantumRule.PERIHELION)
+    exact = _exact_advance(q, orbit.mu, orbit.h, u0)
+
+    def gap():
+        return abs(measured_precession(el, delta, n_orbits=50, tol=1e-12).per_orbit_rad - exact)
+
+    coarse = gap()
+    monkeypatch.setattr("qgrav.orbit._COARSE_DRIFT_KAPPA", 0.0)
+    assert coarse <= max(gap(), 2.0 * math.ulp(exact))
 
 
 def _breakdown_delta(el, rule):
