@@ -106,11 +106,7 @@ class PlanetElements(Record):
 
     def __init__(self, name: str, a: float, e: float, tau_days: float) -> None:
         self.__dict__.update(name=name, a=a, e=e, tau_days=tau_days)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         _check_record(self, "planet", "name", ("a", "e", "tau_days"))
-        name = self.name
         if self.a <= 0:
             raise IngestionError(f"planet {name!r}: semi-major axis must be positive, got {self.a!r}")
         if not 0.0 <= self.e < 1.0:

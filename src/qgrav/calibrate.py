@@ -34,9 +34,6 @@ class Observation(Record):
     def __init__(self, planet: str, value_arcsec: float, sigma_arcsec: float) -> None:
         self.__dict__.update(planet=planet, value_arcsec=value_arcsec,
                              sigma_arcsec=sigma_arcsec)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         _check_record(self, "observation", "planet", ("value_arcsec", "sigma_arcsec"))
         if self.sigma_arcsec <= 0:
             raise IngestionError(

@@ -357,6 +357,9 @@ def cmd_sweep(args: argparse.Namespace) -> Iterable[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command in argv (sys.argv[1:] when None) and return its exit
+    code, 0, 2 or 3 as listed above, except that argparse raises
+    SystemExit(2) on a usage error and SystemExit(0) after --help."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "sweep" and not args.delta_min < args.delta_max:

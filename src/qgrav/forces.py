@@ -147,6 +147,8 @@ class QuantizedModel(Record):
         self.__dict__.update(quantum=quantum, mu=mu, h=h)
         self.__post_init__()
 
+    # The check stays a method of its own, unlike the other records':
+    # perfbench/tracer.py counts constructions by wrapping it.
     def __post_init__(self) -> None:
         if not 0 <= self.quantum <= _FLOAT_MAX:
             raise DomainError(f"space quantum must be >= 0, got {self.quantum!r}")

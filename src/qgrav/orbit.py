@@ -119,9 +119,6 @@ class Trajectory(Record):
                  n_accepted: int, n_rejected: int) -> None:
         self.__dict__.update(theta=array("d", theta), u=array("d", u),
                              n_accepted=n_accepted, n_rejected=n_rejected)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         thetas = self.theta
         if not len(thetas) == len(self.u):
             raise DomainError(

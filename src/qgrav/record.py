@@ -1,12 +1,12 @@
 """Record: the immutable value base of qgrav's input and result classes.
 
 A subclass names its fields in order in _fields and has an explicit
-__init__ that writes them into __dict__ (then calls self.__post_init__()
-where the class validates). The fields alone give equality (only between
+__init__ that writes them into __dict__ and then, where the class
+validates, checks them. The fields alone give equality (only between
 instances of the same class), hashing and a repr Name(field=value, ...).
 Assignment and deletion raise AttributeError. Instances keep a plain
 __dict__ and no __slots__, so pickle and copy.deepcopy restore them as they
-are, without calling __init__.
+are, without calling __init__ or its checks.
 
 This is the part of a frozen dataclass qgrav uses, without the start-up
 cost of the dataclasses module and of generating code for each class.

@@ -1,15 +1,20 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from qgrav import derive_orbit, load_planets
 
-# pyproject's pythonpath puts src on this process's sys.path; the child
+_TESTS = Path(__file__).resolve().parent
+# pyproject's pythonpath puts src on this process's sys.path; the few child
 # interpreters that the CLI tests start find qgrav through PYTHONPATH.
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_SRC = str(_TESTS.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
+# The CLI tests run the command line through the golden corpus's runner,
+# regen.invoke, also when tests/golden is not collected.
+sys.path.insert(0, str(_TESTS / "golden"))
 
 
 @pytest.fixture(scope="session")

@@ -19,12 +19,13 @@ replays corpus.json with the standard library alone, so on an interpreter
 without pytest too: it lists each argv and precession case whose record
 differs and exits 1 if any does.
 
-Cases run in-process through qgrav.cli.main with stdout and stderr
-captured; a usage error arrives as SystemExit(2). "{golden}" in an argv
-stands for this directory, which holds the data files the cases read. The
-bytes depend on the platform's libm (log1p and the ** of step control are
-not correctly rounded everywhere), so the corpus records the platform it
-was made on, and a mismatch names both platforms.
+Cases run in-process through invoke, which calls qgrav.cli.main with
+stdout and stderr captured; tests/test_cli.py runs the command line
+through it too. "{golden}" in an argv stands for this directory, which
+holds the data files the cases read. The bytes depend on the platform's
+libm (log1p and the ** of step control are not correctly rounded
+everywhere), so the corpus records the platform it was made on, and a
+mismatch names both platforms.
 """
 
 from __future__ import annotations
@@ -143,17 +144,24 @@ def _pinned_environment():
                 os.environ[name] = value
 
 
-def run(argv: list[str]) -> dict:
-    """The corpus record of one qgrav invocation."""
-    args = [arg.replace("{golden}", str(HERE)) for arg in argv]
+def invoke(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of qgrav.cli.main(argv), run in this
+    process with both streams captured. argparse ends a usage error with
+    SystemExit(2) and --help with SystemExit(0); its code is the exit code."""
     out, err = io.StringIO(), io.StringIO()
-    with _pinned_environment(), redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = qgrav_main(args)
+            code = qgrav_main(argv)
         except SystemExit as exc:
             code = exc.code
-    record = {"argv": argv, "exit": code, "stderr": next(iter(err.getvalue().splitlines()), "")}
-    stdout = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv: list[str]) -> dict:
+    """The corpus record of one qgrav invocation."""
+    with _pinned_environment():
+        code, stdout, stderr = invoke([arg.replace("{golden}", str(HERE)) for arg in argv])
+    record = {"argv": argv, "exit": code, "stderr": next(iter(stderr.splitlines()), "")}
     if argv[0] == "orbit":
         data = stdout.encode("utf-8")
         record.update(stdout_sha256=hashlib.sha256(data).hexdigest(),

@@ -108,44 +108,9 @@ def test_load_planets_rejects_nonpositive():
             load_planets(io.StringIO(_planets_doc([record])))
 
 
-def test_load_planets_rejects_unknown_fields():
-    record = {"name": "X", "a_m": 1e11, "e": 0.1, "tau_days": 10.0, "mass_kg": 1.0}
-    with pytest.raises(IngestionError, match="mass_kg"):
-        load_planets(io.StringIO(_planets_doc([record])))
-
-
-def test_load_planets_rejects_missing_fields():
-    with pytest.raises(IngestionError, match="tau_days"):
-        load_planets(io.StringIO(_planets_doc([{"name": "X", "a_m": 1e11, "e": 0.1}])))
-
-
-def test_load_planets_rejects_bad_schema():
-    for version in (2, True):
-        with pytest.raises(IngestionError, match="schema_version"):
-            load_planets(io.StringIO(json.dumps({"schema_version": version, "planets": []})))
-    with pytest.raises(IngestionError, match="unknown top-level"):
-        load_planets(io.StringIO(json.dumps(
-            {"schema_version": 1, "planets": [], "extra": 1})))
+def test_load_planets_rejects_text_that_is_not_json():
     with pytest.raises(IngestionError, match="JSON"):
         load_planets(io.StringIO("not json at all"))
-
-
-def test_load_planets_rejects_duplicate_names():
-    records = [{"name": "A", "a_m": 1e11, "e": 0.1, "tau_days": 10.0},
-               {"name": "a", "a_m": 2e11, "e": 0.2, "tau_days": 20.0}]
-    with pytest.raises(IngestionError, match="duplicate planet 'a'"):
-        load_planets(io.StringIO(_planets_doc(records)))
-
-
-def test_load_planets_rejects_padded_names():
-    record = {"name": "Mercury ", "a_m": 1e11, "e": 0.1, "tau_days": 10.0}
-    with pytest.raises(IngestionError, match="whitespace"):
-        load_planets(io.StringIO(_planets_doc([record])))
-    # "A " would pass the duplicate check beside "A", and no lookup finds it
-    records = [{"name": "A", "a_m": 1e11, "e": 0.1, "tau_days": 10.0},
-               {"name": "A ", "a_m": 2e11, "e": 0.2, "tau_days": 20.0}]
-    with pytest.raises(IngestionError, match="'A '"):
-        load_planets(io.StringIO(_planets_doc(records)))
 
 
 def test_load_planets_missing_file(tmp_path):
@@ -309,6 +274,9 @@ ENVELOPE_FAULTS = [
     ("duplicate-name", lambda w, r: _document(w, [r, {**r, w["key"]: "a"}]),
      "duplicate {item} 'a': names must be unique, ignoring case"),
     ("padded-name", lambda w, r: _document(w, [{**r, w["key"]: "A "}]),
+     "{item} 'A ': name must not start or end with whitespace"),
+    # "A " would pass the duplicate check beside "A", and no lookup finds it
+    ("padded-beside-unpadded", lambda w, r: _document(w, [r, {**r, w["key"]: "A "}]),
      "{item} 'A ': name must not start or end with whitespace"),
     ("non-finite-number", lambda w, r: _document(w, [{**r, w["number"]: math.inf}]),
      "{item} 'A': {number} must be a finite number, got inf"),

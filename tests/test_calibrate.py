@@ -33,31 +33,13 @@ def test_load_observations_validation(tmp_path):
         {"planet": "Mercury", "value_arcsec": 43.0, "sigma_arcsec": 0.0}]}
     with pytest.raises(IngestionError, match="sigma"):
         load_observations(io.StringIO(json.dumps(bad_sigma)))
-    bad_fields = {"observations": [
-        {"planet": "Mercury", "value_arcsec": 43.0, "sigma": 0.5}]}
-    with pytest.raises(IngestionError, match="fields"):
-        load_observations(io.StringIO(json.dumps(bad_fields)))
     with pytest.raises(IngestionError, match="not found"):
         load_observations(tmp_path / "nope.json")
-    # True == 1, but a flag is not a version
-    bad_version = {"schema_version": True, **good}
-    with pytest.raises(IngestionError, match="schema_version"):
-        load_observations(io.StringIO(json.dumps(bad_version)))
-
-
-def test_load_observations_rejects_duplicate_planets():
-    doc = {"observations": [
-        {"planet": "Mercury", "value_arcsec": 43.0, "sigma_arcsec": 0.5},
-        {"planet": "mercury", "value_arcsec": 40.0, "sigma_arcsec": 1.0}]}
-    with pytest.raises(IngestionError, match="duplicate observation 'mercury'"):
-        load_observations(io.StringIO(json.dumps(doc)))
 
 
 def test_observation_validation():
     with pytest.raises(IngestionError):
         Observation(planet="X", value_arcsec=1.0, sigma_arcsec=-0.1)
-    with pytest.raises(IngestionError):
-        Observation(planet="", value_arcsec=1.0, sigma_arcsec=0.1)
     for value, sigma in ((True, True), (1.0, True), (False, 0.1)):
         with pytest.raises(IngestionError, match="finite number"):
             Observation(planet="X", value_arcsec=value, sigma_arcsec=sigma)

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from regen import invoke
 
 
-def run_cli(*args, env=None):
-    return subprocess.run([sys.executable, "-m", "qgrav", *args],
-                          capture_output=True, text=True, env=env)
+def run_cli(*args):
+    # main in this process, through the golden corpus's runner; a child
+    # interpreter is started only where the process itself is under test
+    code, stdout, stderr = invoke(list(args))
+    return SimpleNamespace(returncode=code, stdout=stdout, stderr=stderr)
 
 
 def test_help():
@@ -505,38 +508,34 @@ def test_custom_planets_file(tmp_path):
     assert got["rows"][0]["observation"] is None
 
 
-def test_data_dir_env_override(tmp_path):
-    import os
+def test_data_dir_env_override(monkeypatch, tmp_path):
     doc = {"schema_version": 1, "planets": [
         {"name": "EnvWorld", "a_m": 1.0e11, "e": 0.1, "tau_days": 200.0}]}
     (tmp_path / "planets.json").write_text(json.dumps(doc))
     (tmp_path / "observations.json").write_text(json.dumps({"observations": [
         {"planet": "EnvWorld", "value_arcsec": 10.0, "sigma_arcsec": 1.0}]}))
-    env = os.environ.copy()
-    env["QGRAV_DATA_DIR"] = str(tmp_path)
-    proc = run_cli("table", "--format", "json", env=env)
+    monkeypatch.setenv("QGRAV_DATA_DIR", str(tmp_path))
+    proc = run_cli("table", "--format", "json")
     doc_out = json.loads(proc.stdout)
     assert [row["planet"] for row in doc_out["rows"]] == ["EnvWorld"]
     assert doc_out["rows"][0]["observation"]["value_arcsec"] == 10.0
 
 
 @pytest.mark.parametrize("route", ["--planets", "--observations", "QGRAV_DATA_DIR"])
-def test_a_data_path_the_file_system_refuses_is_a_usage_error(tmp_path, route):
+def test_a_data_path_the_file_system_refuses_is_a_usage_error(monkeypatch, tmp_path, route):
     # A 300-byte file name fails its open() with ENAMETOOLONG, and a path
     # below a regular file with ENOTDIR; each is refused like a failed read.
     # Only a missing file is "not found".
-    import os
-    env = os.environ.copy()
     argv = ["fit", "--format", "json"]
     (tmp_path / "file").write_text("")
     for path, message in (("a" * 300, "cannot be read as JSON: [Errno 36]"),
                           (str(tmp_path / "file" / "below"), "cannot be read as JSON: [Errno 20]"),
                           (str(tmp_path / "missing"), "file not found")):
         if route == "QGRAV_DATA_DIR":
-            env[route] = path
-            proc = run_cli(*argv, env=env)
+            monkeypatch.setenv(route, path)
+            proc = run_cli(*argv)
         else:
-            proc = run_cli(*argv, route, path, env=env)
+            proc = run_cli(*argv, route, path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert message in proc.stderr and "Traceback" not in proc.stderr
@@ -795,6 +794,25 @@ def test_orbit_refuses_an_escaping_orbit(monkeypatch, capsys, tmp_path, fmt):
     assert (code, out) == (3, "")
     assert err.startswith("qgrav: error: Fast: the exact orbit from perihelion escapes")
     assert "inverse radius" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),                                    # SystemExit(0)
+    (["table"], 0),                                     # "±" through a real stdout
+    (["precess", "--planet", "pluto", "--delta", "0.0398"], 2),
+    (["orbit", "--planet", "mercury", "--delta", "0.0398", "--tol", "1e-3"], 2),
+    (["sweep", "--planet", "venus", "--delta-min", "1", "--delta-max", "0.5"], 2),
+    (["precess", "--planet", "mercury", "--delta", "1e5", "--format", "json"], 3),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_the_process_exits_as_main_returns(monkeypatch, argv, code):
+    # python -m qgrav exits with main's return value or argparse's
+    # SystemExit code, and its streams carry the bytes invoke captures.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("QGRAV_DATA_DIR", raising=False)
+    proc = subprocess.run([sys.executable, "-m", "qgrav", *argv], capture_output=True,
+                          encoding="utf-8", timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke(argv)
+    assert proc.returncode == code
 
 
 def test_closed_pipe_is_not_an_error():
