@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qgrav import derive_orbit, load_planets
+from qgrav import ModelBreakdownError, derive_orbit, load_planets, planet_precession
 
 _TESTS = Path(__file__).resolve().parent
 # pyproject's pythonpath puts src on this process's sys.path; the few child
@@ -40,3 +40,23 @@ def earth(planets):
 @pytest.fixture(scope="session")
 def mercury_orbit(mercury):
     return derive_orbit(mercury)
+
+
+def breakdown_delta(el, rule):
+    """The largest delta, in arcsec, that planet_precession admits on el: the
+    last float before ModelBreakdownError, by bisection."""
+    def admitted(delta):
+        try:
+            planet_precession(el, delta, rule)
+        except ModelBreakdownError:
+            return False
+        return True
+
+    low, high = 0.0, 1e3
+    while admitted(high):
+        low, high = high, 2.0 * high
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return low
+        low, high = (mid, high) if admitted(mid) else (low, mid)

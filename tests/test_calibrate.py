@@ -5,13 +5,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import breakdown_delta
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgrav import (ARCSEC_PER_RAD, AU, GM_SUN, DomainError, IngestionError,
                    ModelBreakdownError, Observation, PlanetElements, QuantumRule,
                    calibrate, derive_orbit, fit_delta, invert_delta, load_observations,
-                   planet_precession, precession, sweep_delta)
+                   load_planets, planet_precession, precession, sweep_delta)
+
+BUNDLED = {el.name: el for el in load_planets()}
 
 
 def test_load_bundled_observations():
@@ -62,15 +65,6 @@ def test_invert_delta_frozen(mercury):
     assert invert_delta(mercury, 43.06) == pytest.approx(0.039799768471522154, rel=1e-12)
     assert invert_delta(mercury, 43.11) == pytest.approx(0.0398459827814254, rel=1e-12)
     assert invert_delta(mercury, 43.11) == pytest.approx(0.03985, rel=2e-4)
-
-
-def test_invert_delta_round_trip(planets):
-    for el in planets.values():
-        for rule in QuantumRule:
-            for delta in (1e-4, 1e-3, 0.01, 0.0398, 0.05):
-                forward = planet_precession(el, delta, rule).per_century_arcsec
-                back = invert_delta(el, forward, rule)
-                assert back == pytest.approx(delta, rel=1e-10)
 
 
 def test_invert_delta_breakdown(mercury):
@@ -216,8 +210,11 @@ def test_sweep_from_zero(mercury):
     assert rows[0] == (0.0, 0.0)
 
 
-def test_sweep_monotone(mercury):
-    rows = sweep_delta(mercury, 0.0, 0.05, 11)
+@pytest.mark.parametrize("rule", list(QuantumRule))
+def test_sweep_monotone(mercury, rule):
+    # strictly; the rows are planet_precession's bit for bit (the property
+    # test_sweep_rows_are_planet_precession_bit_for_bit)
+    rows = sweep_delta(mercury, 0.0, 0.05, 21, rule)
     values = [v for _, v in rows]
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -240,22 +237,6 @@ def test_sweep_validation(mercury):
     assert sweep_delta(mercury, 0.01, 0.05, np.int64(3)) == sweep_delta(mercury, 0.01, 0.05, 3)
 
 
-@pytest.mark.parametrize("rule", list(QuantumRule))
-def test_sweep_rows_equal_planet_precession(mercury, rule):
-    # the sweep derives its orbit once; every row must still be exactly
-    # what planet_precession gives for that delta
-    for delta, value in sweep_delta(mercury, 0.003, 250.0, 57, rule):
-        assert value == planet_precession(mercury, delta, rule).per_century_arcsec
-
-
-def test_sweep_into_breakdown_raises_like_planet_precession(mercury):
-    with pytest.raises(ModelBreakdownError) as single:
-        planet_precession(mercury, 1e6)
-    with pytest.raises(ModelBreakdownError) as swept:
-        sweep_delta(mercury, 0.0, 1e6, 2)
-    assert str(swept.value) == str(single.value)
-
-
 def _first_failure(el, lo, hi, steps, rule):
     """(row, type, message) of the first row of sweep_delta's grid that
     planet_precession refuses."""
@@ -269,17 +250,19 @@ def _first_failure(el, lo, hi, steps, rule):
     raise AssertionError("no row breaks down")
 
 
-@pytest.mark.parametrize("rule", list(QuantumRule))
-@pytest.mark.parametrize("hi, steps", [(6e4, 1000), (1e6, 1000), (1.7e308, 4)])
-def test_sweep_past_the_box_raises_at_its_first_failing_row(mercury, rule, hi, steps):
+@pytest.mark.parametrize("rule, hi, steps, row", [
+    (QuantumRule.PERIHELION, 6e4, 1000, 996), (QuantumRule.SEMIMINOR, 6e4, 1000, 808),
+    (QuantumRule.PERIHELION, 1e6, 1000, 60), (QuantumRule.SEMIMINOR, 1e6, 1000, 49),
+    *[(rule, 1.7e308, 4, 1) for rule in QuantumRule],
+    *[(rule, 1e6, 2, 1) for rule in QuantumRule]])
+def test_sweep_past_the_box_raises_at_its_first_failing_row(mercury, rule, hi, steps, row):
     # the box is tested on the largest row only; past it the rows are
     # checked in turn, so the sweep raises what planet_precession raises at
-    # the first failing row: an interior one, and at 1.7e308 row 1
-    # (5.7e307"), whose quantum overflows, not row 2, whose delta does
+    # the first failing row: an interior one, at 1.7e308 row 1 (5.7e307"),
+    # whose quantum overflows, not row 2, whose delta does, and with 2
+    # steps the last
     failing, kind, message = _first_failure(mercury, 0.0, hi, steps, rule)
-    assert 0 < failing < steps - 1
-    if hi == 1.7e308:
-        assert failing == 1 and kind is ModelBreakdownError
+    assert (failing, kind) == (row, ModelBreakdownError)
     with pytest.raises(kind) as swept:
         sweep_delta(mercury, 0.0, hi, steps, rule)
     assert str(swept.value) == message
@@ -318,16 +301,6 @@ def test_a_past_box_sweep_evaluates_each_row_once(monkeypatch, mercury, rule):
     rows = sweep_delta(mercury, 0.0, 3e4, 1000, rule)
     assert len(rows) == 1000
     assert counts == {"planet_precession": 1000, "_advance_from_eps": 0, "_epsilon": 1000}
-
-
-def test_invert_delta_refuses_the_delta_planet_precession_refuses(mercury):
-    # this target inverts to 59783.32482258727", the first delta the rule
-    # refuses on Mercury, though the eps it inverts lies just inside the rule
-    with pytest.raises(ModelBreakdownError) as single:
-        planet_precession(mercury, 59783.32482258727)
-    with pytest.raises(ModelBreakdownError) as inverted:
-        invert_delta(mercury, 79306830.71481125)
-    assert str(inverted.value) == str(single.value)
 
 
 def test_invert_delta_takes_the_limit_of_an_infinite_advance(monkeypatch):
@@ -373,24 +346,6 @@ def test_every_function_taking_elements_names_the_planet(mercury):
         QuantizedModel(quantum=0.3 * q_edge, mu=orbit.mu, h=orbit.h)
 
 
-def _last_admitted(el, rule):
-    """The largest delta planet_precession admits on el, by bisection."""
-    def admitted(delta):
-        try:
-            planet_precession(el, delta, rule)
-        except ModelBreakdownError:
-            return False
-        return True
-
-    low, high = 0.0, 1e6
-    assert not admitted(high)
-    while True:
-        mid = 0.5 * (low + high)
-        if mid in (low, high):
-            return low
-        low, high = (mid, high) if admitted(mid) else (low, mid)
-
-
 def _outcome(call, *args):
     """call's result in float hex, or its error type and message."""
     try:
@@ -410,8 +365,11 @@ def test_invert_delta_breaks_down_where_planet_precession_does(monkeypatch, plan
     # Over 3000 floats either side of each boundary target, invert_delta
     # raises if and only if planet_precession raises on the delta the
     # inversion forms, with the same message, and otherwise returns it.
+    # Mercury's perihelion target is 79306830.71481127"; the float below it
+    # inverts to 59783.32482258727", the first delta the rule refuses,
+    # though the eps it inverts lies just inside the rule.
     for el in planets.values():
-        target = planet_precession(el, _last_admitted(el, rule), rule).per_century_arcsec
+        target = planet_precession(el, breakdown_delta(el, rule), rule).per_century_arcsec
         targets = [target]
         for direction in (-math.inf, math.inf):
             t = target
@@ -448,8 +406,20 @@ _rules = st.sampled_from([*QuantumRule, *(rule.value for rule in QuantumRule)])
 _deltas = st.floats(0.0, 300.0)
 
 
+def _with_examples(cases):
+    """Each case, a dict of arguments, as an explicit example of the
+    property: hypothesis runs it first, on every run."""
+    def decorate(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return decorate
+
+
 @given(el=_planet(), rule=_rules, bounds=st.lists(_deltas, min_size=2, max_size=2, unique=True),
        steps=st.integers(2, 40))
+@_with_examples(dict(el=BUNDLED["Mercury"], rule=rule, bounds=[0.003, 250.0], steps=57)
+                for rule in QuantumRule)
 def test_sweep_rows_are_planet_precession_bit_for_bit(el, rule, bounds, steps):
     lo, hi = sorted(bounds)
     for delta, value in sweep_delta(el, lo, hi, steps, rule):
@@ -457,6 +427,8 @@ def test_sweep_rows_are_planet_precession_bit_for_bit(el, rule, bounds, steps):
 
 
 @given(el=_planet(), rule=_rules, delta=st.floats(1e-6, 300.0))
+@_with_examples(dict(el=el, rule=QuantumRule.SEMIMINOR, delta=delta) for el in BUNDLED.values()
+                for delta in (1e-4, 1e-3, 0.01, 0.0398, 0.05))
 def test_invert_delta_undoes_planet_precession(el, rule, delta):
     forward = planet_precession(el, delta, rule).per_century_arcsec
     assert invert_delta(el, forward, rule) == pytest.approx(delta, rel=1e-12, abs=0.0)
@@ -495,6 +467,7 @@ def test_semiminor_rule_never_predicts_less(el, delta):
 
 @settings(max_examples=50)
 @given(planets=st.lists(_planet(), min_size=1, max_size=8))
+@example(planets=list(BUNDLED.values()))
 def test_derive_orbit_depends_on_values_alone(planets):
     for el in planets:
         # an equal but distinct record, with an int semi-major axis when whole
@@ -502,6 +475,8 @@ def test_derive_orbit_depends_on_values_alone(planets):
         twin = PlanetElements(name=el.name, a=a, e=el.e, tau_days=el.tau_days)
         assert twin == el and hash(twin) == hash(el)
         assert derive_orbit(twin) == derive_orbit(el)
+        # derived once, when the elements were built
+        assert derive_orbit(el) is el.orbit
 
 
 @given(el=_planet())

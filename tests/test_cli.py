@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from regen import invoke
+from regen import _COMMANDS, CORPUS, invoke, run
+
+_RECORDED = {tuple(case["argv"]): case
+             for case in json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]}
 
 
 def run_cli(*args):
@@ -28,43 +31,18 @@ def test_help():
         assert command in proc.stdout
 
 
-def test_table_text_default():
-    proc = run_cli("table")
-    assert proc.returncode == 0
-    out = proc.stdout
-    assert "43.11 ± 0.45" in out
-    assert "42.98" in out      # GR baseline, two decimals
-    assert "10.82" in out
-    assert "43.06" in out
-    assert "54.10" in out
-    assert "delta=0.01" in out and "delta=0.0398" in out and "delta=0.05" in out
-    lines = [line for line in out.splitlines() if line.strip()]
-    assert lines[1].startswith("Mercury")
-    assert lines[2].startswith("Venus")
-    assert lines[3].startswith("Earth")
-
-
-def test_table_json_full_precision():
-    proc = run_cli("table", "--format", "json")
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["meta"]["rule"] == "perihelion"
-    assert doc["meta"]["deltas"] == [0.01, 0.0398, 0.05]
-    mercury = doc["rows"][0]
-    assert mercury["planet"] == "Mercury"
-    assert mercury["observation"] == {"value_arcsec": 43.11, "sigma_arcsec": 0.45}
-    assert mercury["model_arcsec"]["0.0398"] == pytest.approx(43.06025049435802, rel=1e-13)
-    assert mercury["gr_baseline_arcsec"] == pytest.approx(42.980499002312456, rel=1e-13)
-
-
-def test_table_csv_parses():
-    proc = run_cli("table", "--format", "csv")
-    assert proc.returncode == 0
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert rows[0] == ["planet", "observation_arcsec", "observation_sigma_arcsec",
-                       "gr_baseline_arcsec", "delta_0.01", "delta_0.0398", "delta_0.05"]
-    assert len(rows) == 4
-    assert float(rows[1][5]) == pytest.approx(43.06025049435802, rel=1e-13)
+@pytest.mark.parametrize("given, spelled_out", [
+    ([], ["--rule", "perihelion", "--format", "text"]),
+    (["--format", "csv"], ["--rule", "perihelion", "--format", "csv"]),
+    (["--format", "json"], ["--rule", "perihelion", "--format", "json"]),
+    (["--rule", "semiminor"], ["--rule", "semiminor", "--format", "text"]),
+], ids=["rule-format", "rule-csv", "rule-json", "format-semiminor"])
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command[0])
+def test_an_option_left_out_reads_as_its_default(command, given, spelled_out):
+    # the corpus records each command with --rule and --format spelled out;
+    # left out, they are perihelion and text, to the byte
+    recorded = _RECORDED[tuple(command + spelled_out)]
+    assert run(command + given) == {**recorded, "argv": command + given}
 
 
 def test_table_zero_delta():
@@ -122,28 +100,6 @@ def test_table_empty_planets(tmp_path):
     assert doc["rows"] == []
 
 
-def test_precess_text():
-    proc = run_cli("precess", "--planet", "mercury", "--delta", "0.0398")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "43.06 arcsec/century"
-
-
-def test_precess_json():
-    proc = run_cli("precess", "--planet", "mercury", "--delta", "0.0398",
-                   "--format", "json")
-    doc = json.loads(proc.stdout)
-    assert doc["per_century_arcsec"] == pytest.approx(43.06025049435802, rel=1e-13)
-    assert doc["provenance"] == "analytic"
-    assert doc["meta"]["planet"] == "Mercury"
-
-
-def test_precess_semiminor_rule():
-    proc = run_cli("precess", "--planet", "mercury", "--delta", "0.0398",
-                   "--rule", "semiminor", "--format", "json")
-    doc = json.loads(proc.stdout)
-    assert doc["per_century_arcsec"] == pytest.approx(53.048423595156905, rel=1e-13)
-
-
 def test_idempotent_machine_output():
     for fmt in ("json", "csv"):
         first = run_cli("table", "--format", fmt)
@@ -181,29 +137,6 @@ def test_orbit_json_metadata():
     assert doc["meta"]["tol"] == 1e-12
     assert doc["rows"][0]["theta_rad"] == 0.0
     assert doc["rows"][0]["r_m"] == pytest.approx(46001291246.652, rel=1e-12)
-
-
-def test_fit_text():
-    proc = run_cli("fit")
-    assert proc.returncode == 0
-    assert "delta* = 0.03953" in proc.stdout
-    assert "Mercury" in proc.stdout and "Venus" in proc.stdout and "Earth" in proc.stdout
-
-
-def test_fit_json():
-    doc = json.loads(run_cli("fit", "--format", "json").stdout)
-    assert doc["delta_star_arcsec"] == pytest.approx(0.03953376168385846, rel=1e-10)
-    assert doc["delta_sigma_arcsec"] == pytest.approx(0.00041316949764523406, rel=1e-10)
-    rows = {row["planet"]: row for row in doc["rows"]}
-    assert rows["Venus"]["residual_arcsec"] == pytest.approx(-11.652590742004177, abs=1e-8)
-
-
-def test_fit_csv():
-    proc = run_cli("fit", "--format", "csv")
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert rows[0][0] == "planet"
-    assert len(rows) == 4
-    assert float(rows[1][5]) == pytest.approx(0.03953376168385846, rel=1e-10)
 
 
 def test_sweep_csv():
@@ -435,7 +368,7 @@ def test_fit_chi2_beyond_the_float_range(tmp_path):
 
 
 @pytest.mark.parametrize("observations", [
-    [("Mercury", 1e306)],                       # delta_star is inf
+    [("Mercury", 1e306)],                       # sum w s o overflows; delta* is 9.24e302
     [("Mercury", 1e306), ("Venus", -1e308)],    # inf - inf: delta_star is nan
 ])
 def test_fit_delta_beyond_the_float_range(tmp_path, observations):

@@ -2,8 +2,10 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from conftest import breakdown_delta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,6 @@ from qgrav.forces import _drift_frame
 from qgrav.orbit import (_adaptive_steps, _dopri_step, _drift_step, _export, _forcing,
                          _merge_samples, _perihelion_passages, _perihelion_start,
                          _place_passage)
-
-GM = 1.32712440018e20
 
 
 def _mercury_model(mercury_orbit, delta=0.0398):
@@ -169,35 +169,9 @@ def test_advance_positivity(mercury):
     assert all(gap > 2.0 * math.pi for gap in gaps)
 
 
-def test_measured_precession_mercury(mercury, mercury_orbit):
-    q = quantum_from_error(0.0398, mercury_orbit)
-    _, x = orbit_params(q, mercury_orbit)
-    analytic = 2.0 * math.pi * (1.0 - x) / x
-    result = measured_precession(mercury, 0.0398, n_orbits=20, tol=1e-12)
-    assert result.provenance is Provenance.NUMERIC
-    assert result.per_orbit_rad == pytest.approx(analytic, rel=1e-2)
-    assert result.per_orbit_rad == pytest.approx(5.028e-07, rel=1e-2)
-    assert result.per_century_arcsec == pytest.approx(43.06, rel=1e-2)
-
-
-def test_measured_precession_newtonian_closure(planets):
-    for el in planets.values():
-        result = measured_precession(el, 0.0, n_orbits=3, tol=1e-12)
-        assert abs(result.per_orbit_rad) < 1e-9
-
-
-def test_measured_precession_keeps_every_perihelion(mercury):
-    # At tol 1e-10 an accepted step lands next to a stencil point near one
-    # Mercury perihelion; fitting through both lost that passage, and the
-    # mean advance gained 2 pi / 49 = 0.128 rad.
-    result = measured_precession(mercury, 0.0, n_orbits=50, tol=1e-10)
-    assert abs(result.per_orbit_rad) < 1e-9
-
-
 def _reference_module():
     """perfbench/reference.py, loaded as it stands: its Reference gives the
     exact advance per radial period by a 60-digit apsidal quadrature."""
-    pytest.importorskip("mpmath")
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     try:
@@ -222,7 +196,10 @@ EXACT_ADVANCE_CASES = [
     # delta the advance is 5e-7 rad/orbit. Formed as
     # (theta_50 - theta_0) / 50 - 2 pi from theta_50 near 314 it kept about
     # 22 bits (Mercury missed by 1.1e-9 relative); read off the apse line it
-    # lands within 1e-12 relative (5.3e-16 at most measured, Venus).
+    # lands within 1e-12 relative (5.3e-16 at most measured, Venus). At
+    # Mercury, delta 0 and tol 1e-10 an accepted step once landed next to a
+    # stencil point near one perihelion; fitting through both lost that
+    # passage, and the mean advance gained 2 pi / 49 = 0.128 rad.
     *[(el.name, None, delta, 50, tol, 1e-10,
        1e-12 if delta == 0.0398 and tol == 1e-12 else None)
       for el in load_planets() for delta in (0.0, 0.0398, 300.0) for tol in (1e-12, 1e-10)],
@@ -246,7 +223,9 @@ def test_measured_precession_matches_exact_advance(planets, exact_reference, nam
     if e is not None:
         el = PlanetElements(name=name, a=el.a, e=e, tau_days=el.tau_days)
     exact = float(exact_reference.exact_advance(el.a, el.e, el.tau_days, delta))
-    gap = abs(measured_precession(el, delta, n_orbits=n_orbits, tol=tol).per_orbit_rad - exact)
+    result = measured_precession(el, delta, n_orbits=n_orbits, tol=tol)
+    assert result.provenance is Provenance.NUMERIC
+    gap = abs(result.per_orbit_rad - exact)
     assert gap <= bound
     if rel is not None:
         assert gap <= rel * exact
@@ -350,7 +329,6 @@ def _exact_advance(quantum, mu, h, u0):
     the far side of the circular point u_star, where W rises to the barrier
     at u_plus or to W(0) = 0, and kept on its side of the well so that
     E - W stays positive but for rounding at the ends."""
-    mpmath = pytest.importorskip("mpmath")
     mp, mpf = mpmath.mp, mpmath.mpf
     with mp.workdps(50):
         q, mu, h, u0 = mpf(quantum), mpf(mu), mpf(h), mpf(u0)
@@ -435,26 +413,28 @@ def test_the_coarse_drift_cap_lands_no_further_from_the_exact_advance(e, delta, 
     assert coarse <= max(gap(), 2.0 * math.ulp(exact))
 
 
-def _breakdown_delta(el, rule):
-    """The largest delta, in arcsec, that orbit_params admits on el: the
-    last float before ModelBreakdownError, by bisection."""
-    orbit = derive_orbit(el)
+# The largest delta, in arcsec, that each rule admits on each bundled planet.
+BREAKDOWN_DELTA = {
+    ("Mercury", QuantumRule.PERIHELION): 59783.32482258726,
+    ("Mercury", QuantumRule.SEMIMINOR): 48527.078458868964,
+    ("Venus", QuantumRule.PERIHELION): 48890.784995831345,
+    ("Venus", QuantumRule.SEMIMINOR): 48560.75037909398,
+    ("Earth", QuantumRule.PERIHELION): 49429.274094892455,
+    ("Earth", QuantumRule.SEMIMINOR): 48610.08725679414,
+}
 
-    def admitted(delta):
-        try:
-            orbit_params(quantum_from_error(delta, orbit, rule), orbit)
-        except ModelBreakdownError:
-            return False
-        return True
 
-    low, high = 0.0, 1e3
-    while admitted(high):
-        low, high = high, 2.0 * high
-    while True:
-        mid = 0.5 * (low + high)
-        if mid in (low, high):
-            return low
-        low, high = (mid, high) if admitted(mid) else (low, mid)
+@pytest.mark.parametrize("name, rule", BREAKDOWN_DELTA)
+def test_planet_precession_and_orbit_params_break_down_at_one_delta(planets, name, rule):
+    # breakdown_delta bisects against planet_precession; orbit_params, which
+    # the measurement starts from, admits the same last delta and refuses
+    # the next float
+    el, orbit = planets[name], derive_orbit(planets[name])
+    last = breakdown_delta(el, rule)
+    assert last == BREAKDOWN_DELTA[name, rule]
+    orbit_params(quantum_from_error(last, orbit, rule), orbit)
+    with pytest.raises(ModelBreakdownError):
+        orbit_params(quantum_from_error(math.nextafter(last, math.inf), orbit, rule), orbit)
 
 
 @settings(max_examples=25, deadline=None)
@@ -464,9 +444,9 @@ def _breakdown_delta(el, rule):
 def test_measurement_reaches_the_breakdown_boundary(planets, name, rule, fraction, n, tol):
     # Every admitted orbit is periodic, so the measurement returns at any
     # delta below the breakdown boundary, however long the exact period,
-    # and refuses just past it exactly as orbit_params does.
+    # and refuses just past it exactly as planet_precession does.
     el = planets[name]
-    delta_max = _breakdown_delta(el, rule)
+    delta_max = breakdown_delta(el, rule)
     result = measured_precession(el, fraction * delta_max, rule, n_orbits=n, tol=tol)
     assert math.isfinite(result.per_orbit_rad) and result.per_orbit_rad >= 0.0
     with pytest.raises(ModelBreakdownError, match="unbounded"):
@@ -481,7 +461,7 @@ def test_drift_frame_sits_in_the_breakdown_rules_well(planets, name, rule, fract
     # frame's d = 1 - q u_star is the rule's barrier x+ = q u+, the other
     # root of u (1 - q u) = c, and kappa + omega^2 = 1.
     orbit = derive_orbit(planets[name])
-    q = quantum_from_error(fraction * _breakdown_delta(planets[name], rule), orbit, rule)
+    q = quantum_from_error(fraction * breakdown_delta(planets[name], rule), orbit, rule)
     eps = q * orbit.mu / (orbit.h * orbit.h)  # as orbit_params forms it
     _, d, kappa, omega = _drift_frame(orbit.mu / (orbit.h * orbit.h), q)
     x_plus = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * eps))

@@ -10,8 +10,6 @@ from qgrav import (ARCSEC_PER_RAD, DomainError, ModelBreakdownError, PlanetEleme
                    invert_delta, load_observations, measured_precession, orbit_params,
                    planet_precession, quantum_from_error, rad_to_arcsec, sweep_delta)
 
-GM = 1.32712440018e20
-
 # Full analytic chain at delta = 0.0398 and friends, from the direct
 # arithmetic oracle over the bundled elements.
 PER_CENTURY = {
@@ -175,36 +173,12 @@ def test_planet_precession_frozen(planets):
         assert result.provenance is Provenance.ANALYTIC
 
 
-def test_planet_precession_table_neighbourhood(planets):
-    # printed-table agreement is pinned at acceptance tolerances in
-    # test_acceptance; here just the headline spot values
-    assert planet_precession(planets["Mercury"], 0.0398).per_century_arcsec == pytest.approx(43.06, abs=0.01)
-    assert planet_precession(planets["Venus"], 0.0398).per_century_arcsec == pytest.approx(20.19, abs=0.01)
-    assert planet_precession(planets["Earth"], 0.01).per_century_arcsec == pytest.approx(3.09, abs=0.01)
-    assert planet_precession(planets["Mercury"], 0.05).per_century_arcsec == pytest.approx(54.10, abs=0.01)
-
-
 def test_planet_precession_zero_limit(planets):
     for el in planets.values():
         for rule in QuantumRule:
             result = planet_precession(el, 0.0, rule)
             assert result.per_orbit_rad == 0.0
             assert result.per_century_arcsec == 0.0
-
-
-def test_planet_precession_linearity(planets):
-    deltas = np.linspace(1e-3, 0.05, 25)
-    for el in planets.values():
-        ratios = [planet_precession(el, float(d)).per_century_arcsec / float(d)
-                  for d in deltas]
-        spread = (max(ratios) - min(ratios)) / ratios[0]
-        assert spread < 1e-6
-
-
-def test_planet_precession_monotone_in_delta(mercury):
-    values = [planet_precession(mercury, d).per_century_arcsec
-              for d in np.linspace(0.0, 0.05, 21)]
-    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_rule_ordering(planets):
@@ -216,11 +190,6 @@ def test_rule_ordering(planets):
     peri = planet_precession(circular, 0.0398, QuantumRule.PERIHELION).per_century_arcsec
     semi = planet_precession(circular, 0.0398, QuantumRule.SEMIMINOR).per_century_arcsec
     assert peri == semi
-
-
-def test_planet_precession_breakdown(mercury):
-    with pytest.raises(ModelBreakdownError):
-        planet_precession(mercury, 1e6)
 
 
 def test_result_consistency(planets):
@@ -250,10 +219,6 @@ RULE_READERS = {
 def test_a_rule_value_reads_as_its_member(planets, reader, rule):
     by_value = RULE_READERS[reader](planets, rule.value)
     assert repr(by_value) == repr(RULE_READERS[reader](planets, rule))
-
-
-def test_perihelion_by_value_reproduces_the_table(mercury):
-    assert f"{planet_precession(mercury, 0.0398, 'perihelion').per_century_arcsec:.2f}" == "43.06"
 
 
 @pytest.mark.parametrize("reader", RULE_READERS)
