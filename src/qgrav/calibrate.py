@@ -163,7 +163,8 @@ def fit_delta(observations: list[Observation],
     # A quantum length cannot be negative; clamp the unconstrained optimum.
     delta_star = max(wsum_so / wsum_ss, 0.0)
     if not math.isfinite(delta_star):
-        raise DomainError("the fitted delta exceeds the float range: the weighted values overflow")
+        raise DomainError("the fit overflows: its weighted sums, or the delta they give, "
+                          "exceed the float range")
     delta_star = math.ldexp(delta_star, -j)
     delta_sigma = math.ldexp(wsum_ss ** -0.5, -k - j)
 
