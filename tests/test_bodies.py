@@ -137,11 +137,19 @@ def test_loaders_read_a_path_as_given(tmp_path, monkeypatch, loader, what):
         loader(missing)
     loop = tmp_path / "loop.json"
     loop.symlink_to(loop)
-    for source, errno in (("a" * 300, 36), (str(path / "below.json"), 20), (str(tmp_path), 21),
-                          (str(loop), 40)):
+    # So is a file that fails below the schema: bytes that are not UTF-8,
+    # nesting past the recursion limit, an int past the digit limit.
+    failures = [("a" * 300, r"\[Errno 36\]"), (str(path / "below.json"), r"\[Errno 20\]"),
+                (str(tmp_path), r"\[Errno 21\]"), (str(loop), r"\[Errno 40\]")]
+    for name, data, detail in (("latin1.json", b'{"x": "\xff"}', "'utf-8' codec can't decode"),
+                               ("deep.json", b"[" * 100_000, "maximum recursion depth"),
+                               ("digits.json", b"1" + b"0" * 5000, "Exceeds the limit")):
+        (tmp_path / name).write_bytes(data)
+        failures.append((str(tmp_path / name), detail))
+    for source, detail in failures:
         with pytest.raises(IngestionError,
                            match=f"^{what} file {re.escape(source)} cannot be read as JSON: "
-                                 rf"\[Errno {errno}\]"):
+                                 f"{detail}"):
             loader(source)
 
 
@@ -272,6 +280,9 @@ ENVELOPE_FAULTS = [
      "{item} 'A ': name must not start or end with whitespace"),
     ("non-finite-number", lambda w, r: _document(w, [{**r, w["number"]: math.inf}]),
      "{item} 'A': {number} must be a finite number, got inf"),
+    # an int past the float range, which math.isfinite would raise OverflowError on
+    ("int-past-the-float-range", lambda w, r: _document(w, [{**r, w["number"]: 10**400}]),
+     "{item} 'A': {number} must be a finite number, got 1" + "0" * 400),
 ]
 
 

@@ -50,8 +50,9 @@ def test_observation_validation():
         with pytest.raises(IngestionError, match="whitespace"):
             Observation(planet=name, value_arcsec=1.0, sigma_arcsec=0.1)
     # sigma^2 underflows to 0 or overflows to inf, or its inverse, the fit
-    # weight, overflows
-    for sigma in (1e-200, 1e200, 1e-160):
+    # weight, overflows; 10**200 is an int, whose exact square is past the
+    # float range
+    for sigma in (1e-200, 1e200, 1e-160, 10**200):
         with pytest.raises(IngestionError, match=r"sigma\^2"):
             Observation(planet="X", value_arcsec=1.0, sigma_arcsec=sigma)
 
@@ -131,17 +132,69 @@ def test_fit_keeps_the_plain_sums_when_they_are_finite(planets):
         assert (result.delta_star, result.delta_sigma) == plain(observations)
 
 
-def test_fit_scales_a_slope_past_the_float_range():
-    # Tiny's slope is 2.9e183, so w * s * s overflows at weight 1: the fit
-    # must scale the slope, not return the false delta* = 0 +- 0 that
-    # finite / inf gives. One observation fits delta* = value/s, sigma 1/s.
-    tiny = PlanetElements("Tiny", 1e-150, 0.0, 1e-300)
-    slope = planet_precession(tiny, calibrate.DELTA_REF).per_century_arcsec / calibrate.DELTA_REF
-    assert slope * slope == math.inf
-    result = fit_delta([Observation("Tiny", 1.0, 1.0)], planets=[tiny])
-    assert 1.0 / slope == 3.4728059777270125e-184
-    assert result.delta_star == pytest.approx(1.0 / slope, rel=4 * 2.0 ** -52, abs=0.0)
-    assert result.delta_sigma == pytest.approx(1.0 / slope, rel=4 * 2.0 ** -52, abs=0.0)
+_UNIT_FIT = fit_delta([Observation("Mercury", 43.11, 1.0)])
+# Tiny's slope is 2.9e183: one observation of value 1 and sigma 1 fits
+# delta* = value/s with sigma 1/s
+_TINY = PlanetElements("Tiny", 1e-150, 0.0, 1e-300)
+_TINY_SLOPE = (planet_precession(_TINY, calibrate.DELTA_REF).per_century_arcsec
+               / calibrate.DELTA_REF)
+_TINY_FIT = 3.4728059777270125e-184
+_OVERFLOWS = ("the fit overflows: its weighted sums, or the delta they give, exceed the "
+              "float range")
+
+# fit_delta's branches at the float range's edges, each on its own row:
+# (observations as (planet, value, sigma), planets or None for the bundled
+# ones, and either (delta*, its sigma, their relative bound) or the start of
+# the DomainError's message).
+FIT_EDGES = {
+    # 1/sigma^2 is finite, but w * s * s alone overflows: the weights are
+    # scaled, and the fit is the unit-sigma one with its sigma scaled
+    **{f"weight-{sigma}": ([("Mercury", 43.11, sigma)], None,
+                           (_UNIT_FIT.delta_star, sigma * _UNIT_FIT.delta_sigma, 1e-15))
+       for sigma in (1e-152, 1e-154)},
+    # the slope squared overflows at weight 1: the slope is scaled, where
+    # finite / inf would give the false delta* = 0 +- 0
+    "slope": ([("Tiny", 1.0, 1.0)], [_TINY],
+              (_TINY_FIT, _TINY_FIT, 4 * 2.0 ** -52)),
+    # residuals of about 1e158 sigma: chi2 has no float, and inf is not JSON
+    "chi2": ([("Mercury", 43.11, 1e-154), ("Venus", 8.4, 1e-154)], None,
+             "chi2 exceeds the float range"),
+    # sum w s o overflows, and delta* would be 9.24e302; then inf - inf, and
+    # delta* would be nan; then finite sums, 1.8e229 and 3.3e-142, whose
+    # quotient is not, on a planet at 1e60 m with Kepler's period: the fit
+    # says so rather than blame planet_precession for a delta never given
+    "overflow-sum": ([("Mercury", 1e306, 1.0)], None, _OVERFLOWS),
+    "overflow-nan": ([("Mercury", 1e306, 1.0), ("Venus", -1e308, 1.0)], None, _OVERFLOWS),
+    "overflow-quotient": ([("Huge", 1e300, 1.0)],
+                          [PlanetElements("Huge", 1e60, 0.0, 6.3126296209113655e75)],
+                          _OVERFLOWS),
+    # so distant a planet's slope squared, times its weight, underflows to 0
+    "undetermined": ([("Far", 1.0, 1.0)], [PlanetElements("Far", 1e150, 0.0, 6e141)],
+                     "the fitted delta is undetermined: the weighted squared slopes "
+                     "underflow"),
+}
+
+
+@pytest.mark.parametrize("case", FIT_EDGES)
+def test_fit_at_the_edges_of_the_float_range(case):
+    observations, planets, expected = FIT_EDGES[case]
+    observations = [Observation(*obs) for obs in observations]
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as refused:
+            fit_delta(observations, planets=planets)
+        assert str(refused.value).startswith(expected)
+        return
+    delta_star, delta_sigma, rel = expected
+    result = fit_delta(observations, planets=planets)
+    assert result.delta_star == pytest.approx(delta_star, rel=rel, abs=0.0)
+    assert result.delta_sigma == pytest.approx(delta_sigma, rel=rel, abs=0.0)
+
+
+def test_the_slope_row_squares_past_the_float_range():
+    # The slope row reaches the slope-scaling branch only while s * s
+    # overflows, and its expected fit is planet_precession's 1/s exactly.
+    assert _TINY_SLOPE * _TINY_SLOPE == math.inf
+    assert 1.0 / _TINY_SLOPE == _TINY_FIT
 
 
 def test_fit_synthetic_recovery(planets):

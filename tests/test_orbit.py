@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import breakdown_delta
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgrav import (AU, GM_SUN, DomainError, ModelBreakdownError, PlanetElements,
@@ -372,8 +372,10 @@ def test_first_order_advance_is_low_by_two_epsilon(planets, name, rule, delta):
 def test_the_drift_steps_at_pi_over_4_below_the_kappa_threshold(planets, monkeypatch):
     # Up to 20" the bundled planets' kappa stays below 1e-4 (9.6e-5 at
     # most), and 50 orbits take 8 steps per radial period at the cap, 400,
-    # plus the 3 that grow from the initial step to it. At 300" kappa is
-    # 1.2e-3 or more, and the cap stays pi/8: 16 per period, 803 steps.
+    # plus the 3 that grow from the initial step to it. Above the threshold
+    # the cap stays pi/8: 16 per period, 803 steps, at 100" (kappa 4.0e-4
+    # for Mercury, 4.8e-4 for Venus and Earth), where a threshold of 1e-3
+    # would take 484, 403 and 403, and at 300" (kappa 1.2e-3 or more).
     counts = []
 
     def counted(*args):
@@ -383,7 +385,8 @@ def test_the_drift_steps_at_pi_over_4_below_the_kappa_threshold(planets, monkeyp
 
     monkeypatch.setattr("qgrav.orbit._adaptive_steps", counted)
     for el in planets.values():
-        for delta, steps in ((0.0, 403), (0.0398, 403), (3.0, 403), (20.0, 403), (300.0, 803)):
+        for delta, steps in ((0.0, 403), (0.0398, 403), (3.0, 403), (20.0, 403), (100.0, 803),
+                             (300.0, 803)):
             counts.append(0)
             measured_precession(el, delta, n_orbits=50, tol=1e-12)
             assert counts[-1] == steps, (el.name, delta)
@@ -755,9 +758,14 @@ def _kepler_planet(draw):
 @settings(max_examples=40, deadline=None)
 @given(el=_kepler_planet(), n=st.integers(2, 6), delta=st.floats(0.0, 300.0),
        rule=st.sampled_from(list(QuantumRule)), tol=st.sampled_from([1e-10, 1e-12]))
+@example(el=PlanetElements(name="Mercury", a=5.79092e10, e=0.20563069, tau_days=87.96926),
+         n=1, delta=5.9e4, rule=QuantumRule.PERIHELION, tol=1e-8)
 def test_perihelion_count_over_n_periods(el, n, delta, rule, tol):
     # From a perihelion start over n radial periods (the export's theta_max
     # = n 2 pi/x + 0.5) every later perihelion is found once: none lost, none
     # repeated. A perihelion is an interior maximum of u over the samples.
+    # The example is the export next to the breakdown box: Mercury at
+    # epsilon = 0.237, where u climbs to q u = 0.516 and 6e4" (0.241)
+    # already falls into the quantum (test_integrate_step_underflow).
     u = _export(el, delta, rule, n, tol).u
     assert sum(a < b >= c for a, b, c in zip(u, u[1:], u[2:])) == n
